@@ -7,10 +7,10 @@ throughput, instantaneous settle cost, and full virtualization-system
 throughput in simulated ticks per second.
 
 Run directly (``python benchmarks/bench_san_engine.py``) the module
-compares the three enablement engines — compiled (with and without its
-clock-tick fast-forward, ablating the skip from the flat-array
-lowering), incremental, and the full-rescan reference — on the
-Figure 8 configuration and writes a machine-readable report
+compares the default compiled engine (with and without its clock-tick
+fast-forward, ablating the skip from the flat-array lowering) against
+the full-rescan reference on the Figure 8 configuration and writes a
+machine-readable report
 (``BENCH_pr4.json``): wall-clock, events/second, input-gate
 evaluations, tick fast-forward counters, speedup ratios, model-reuse
 build amortization, and a bit-identical cross-check of every variant's
@@ -153,17 +153,17 @@ def test_full_system_ticks_per_second(benchmark):
 # decisions bind every tick — scaled to four 2-VCPU VMs: co-scheduling
 # comparisons need SMP VMs, and the engines' advantages grow with gate
 # count, so the bench uses the larger of the paper's starved-host
-# configurations.  Four variants run interleaved: compiled, compiled
+# configurations.  Three variants run interleaved: compiled, compiled
 # with tick fast-forward disabled (the ablation isolating the FF win
-# from the flat-array lowering), incremental, and the rescan reference.
-# rcs is the deliberate worst case: its per-tick skew bookkeeping means
-# no tick is ever skippable, so it measures the lowering alone.
+# from the flat-array lowering), and the rescan reference.  rcs skips
+# ticks only while its skew thresholds certify them quiet, so it is the
+# scheduler where fast-forward engages least.
 
 FIG8_TOPOLOGY = (2, 2, 2, 2)
 FIG8_PCPUS = 2
 FIG8_SCHEDULERS = ("rrs", "scs", "rcs")
 
-_VARIANTS = ("compiled", "compiled_no_ff", "incremental", "rescan")
+_VARIANTS = ("compiled", "compiled_no_ff", "rescan")
 
 
 def _fig8_spec(scheduler, sim_time):
@@ -210,8 +210,8 @@ def _run_once(scheduler, sim_time, variant, root_seed=0):
 def _measure_variants(scheduler, sim_time, reps):
     """Best-of-``reps`` for every engine variant, measured interleaved.
 
-    The variants cycle (compiled, compiled_no_ff, incremental, rescan,
-    compiled, ...) rather than running in blocks, so background-load
+    The variants cycle (compiled, compiled_no_ff, rescan, compiled,
+    ...) rather than running in blocks, so background-load
     drift on the host cannot systematically favour one side of a ratio.
     """
     best = {}
@@ -303,8 +303,8 @@ def measure_model_reuse(sim_time=500, reps=3, scheduler="rrs"):
 
 
 def compare_engines(sim_time=2000, reps=3, schedulers=FIG8_SCHEDULERS):
-    """Benchmark compiled (with and without tick fast-forward),
-    incremental, and rescan; returns the full report dict."""
+    """Benchmark compiled (with and without tick fast-forward) against
+    rescan; returns the full report dict."""
     results = {}
     for scheduler in schedulers:
         best = _measure_variants(scheduler, sim_time, reps)
@@ -320,25 +320,16 @@ def compare_engines(sim_time=2000, reps=3, schedulers=FIG8_SCHEDULERS):
             for variant in _VARIANTS
         }
         entry.update(
-            compiled_over_incremental=(
-                best["incremental"]["wall_seconds"] / compiled["wall_seconds"]
-            ),
             compiled_over_rescan=(
                 reference["wall_seconds"] / compiled["wall_seconds"]
-            ),
-            incremental_over_rescan=(
-                reference["wall_seconds"] / best["incremental"]["wall_seconds"]
             ),
             fast_forward_speedup=(
                 best["compiled_no_ff"]["wall_seconds"] / compiled["wall_seconds"]
             ),
-            # The FF win only exists where the scheduler certifies skips;
-            # the CI gate applies to these schedulers (see main()).
             fast_forward_engaged=compiled["ticks_fast_forwarded"] > 0,
             bit_identical=bit_identical,
         )
         results[scheduler] = entry
-    gated = [r for r in results.values() if r["fast_forward_engaged"]]
     return {
         "benchmark": "san-enablement-engine",
         "config": {
@@ -356,16 +347,8 @@ def compare_engines(sim_time=2000, reps=3, schedulers=FIG8_SCHEDULERS):
         ),
         "model_reuse": measure_model_reuse(reps=reps),
         "summary": {
-            "min_compiled_over_incremental": (
-                min(r["compiled_over_incremental"] for r in gated)
-                if gated
-                else None
-            ),
-            "min_compiled_over_rescan": (
-                min(r["compiled_over_rescan"] for r in gated) if gated else None
-            ),
-            "min_incremental_over_rescan": min(
-                r["incremental_over_rescan"] for r in results.values()
+            "min_compiled_over_rescan": min(
+                r["compiled_over_rescan"] for r in results.values()
             ),
             "all_bit_identical": all(r["bit_identical"] for r in results.values()),
         },
@@ -532,7 +515,7 @@ def run_degradation_bench(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Compare the compiled, incremental, and rescan engines"
+        description="Compare the compiled and rescan engines"
     )
     parser.add_argument("--out", default="BENCH_pr4.json", help="report path")
     parser.add_argument("--sim-time", type=int, default=2000)
@@ -541,8 +524,8 @@ def main(argv=None):
         "--fail-under",
         type=float,
         default=None,
-        help="exit 1 if compiled-over-incremental falls below this on any "
-        "scheduler where tick fast-forward engages",
+        help="exit 1 if compiled-over-rescan falls below this on any "
+        "scheduler",
     )
     parser.add_argument(
         "--degradation",
@@ -577,8 +560,7 @@ def main(argv=None):
     for scheduler, entry in report["results"].items():
         compiled = entry["compiled"]
         print(
-            f"{scheduler}: compiled {entry['compiled_over_incremental']:.2f}x "
-            f"over incremental, {entry['compiled_over_rescan']:.2f}x over "
+            f"{scheduler}: compiled {entry['compiled_over_rescan']:.2f}x over "
             f"rescan (fast-forward alone {entry['fast_forward_speedup']:.2f}x; "
             f"ticks fired {compiled['ticks_fired']}, "
             f"fast-forwarded {compiled['ticks_fast_forwarded']}), "
@@ -600,19 +582,17 @@ def main(argv=None):
     )
     summary = report["summary"]
     print(
-        f"min compiled/incremental {summary['min_compiled_over_incremental']:.2f}x, "
-        f"min compiled/rescan {summary['min_compiled_over_rescan']:.2f}x "
-        f"(fast-forward-capable schedulers), wrote {args.out}"
+        f"min compiled/rescan {summary['min_compiled_over_rescan']:.2f}x, "
+        f"wrote {args.out}"
     )
 
     if not summary["all_bit_identical"]:
         print("FAIL: engines diverged — metrics are not bit-identical", file=sys.stderr)
         return 1
-    floor = summary["min_compiled_over_incremental"]
-    if args.fail_under is not None and (floor is None or floor < args.fail_under):
+    floor = summary["min_compiled_over_rescan"]
+    if args.fail_under is not None and floor < args.fail_under:
         print(
-            f"FAIL: min compiled-over-incremental "
-            f"{'n/a' if floor is None else f'{floor:.2f}x'} below "
+            f"FAIL: min compiled-over-rescan {floor:.2f}x below "
             f"--fail-under {args.fail_under}",
             file=sys.stderr,
         )

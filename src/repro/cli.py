@@ -45,6 +45,7 @@ from .errors import ConfigurationError, ReproError
 from .observability import SimProfiler, SimTracer, profiling, tracing
 from .observability.trace import TRACE_FORMATS
 from .resilience import ResilienceConfig, failure_summary
+from .san.compiled import DEFAULT_ENGINE, ENGINES
 
 
 def _cmd_list_schedulers(args: argparse.Namespace) -> int:
@@ -160,7 +161,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         retries=args.retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        incremental=args.engine != "rescan",
         engine=args.engine,
         cache_dir=cache_dir,
         batch_width=args.batch_width,
@@ -194,7 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             root_seed=args.seed,
             extra_probes=args.probes,
             resilience=_resilience_from_args(args),
-            incremental=args.engine != "rescan",
             engine=args.engine,
         )
     if tracer is not None:
@@ -394,13 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine",
-        choices=("incremental", "rescan", "compiled", "batch"),
-        default="incremental",
-        help="enablement engine: incremental (cached, default), rescan "
-        "(full re-evaluation reference), compiled (flat-array lowering "
-        "with clock-tick fast-forward), or batch (replication groups "
+        choices=ENGINES,
+        default=DEFAULT_ENGINE,
+        help="enablement engine: compiled (cached flat-array enablement "
+        "with clock-tick fast-forward, the default), rescan (full "
+        "re-evaluation, the reference), or batch (replication groups "
         "advanced in waves over one shared calendar); results are "
-        "bit-identical across all four",
+        "bit-identical across all three",
     )
     run_parser.add_argument(
         "--batch-width",

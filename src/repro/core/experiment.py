@@ -57,7 +57,6 @@ def run_experiment(
     root_seed: int = 0,
     extra_probes: bool = False,
     resilience: Optional[ResilienceConfig] = None,
-    incremental: bool = True,
     engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Estimate every metric of one configuration to target confidence.
@@ -79,15 +78,11 @@ def run_experiment(
             timeout, retry/reseed, checkpoint/resume, decision guard,
             chaos injection.  ``None`` runs the legacy serial protocol
             (in-process, no retries) with identical results.
-        incremental: legacy engine toggle; False forces the full-rescan
-            reference engine (bit-identical results, mostly useful for
-            differential testing).  When a ``resilience`` config is
-            given, its own ``incremental`` field wins.
         engine: enablement engine for every replication —
-            ``"incremental"``, ``"rescan"``, or ``"compiled"``
-            (bit-identical results; compiled is the fast path).  Wins
-            over ``incremental``; when a ``resilience`` config is given,
-            its own ``engine`` field wins.
+            ``"compiled"`` (the default, ``None``), ``"rescan"`` (the
+            reference) or ``"batch"``; results are bit-identical.  When
+            a ``resilience`` config is given, its own ``engine`` field
+            wins.
 
     Returns:
         An :class:`ExperimentResult` with one estimate per metric, the
@@ -107,7 +102,7 @@ def run_experiment(
     if resilience is None:
         # Legacy protocol: in-process, one attempt, fail on first error.
         resilience = ResilienceConfig(
-            jobs=1, timeout=None, retries=0, incremental=incremental, engine=engine
+            jobs=1, timeout=None, retries=0, engine=engine
         )
 
     execution = run_replications(

@@ -180,7 +180,6 @@ class Simulation:
         guard: Optional[GuardPolicy] = None,
         chaos: Optional[ChaosSpec] = None,
         attempt: int = 0,
-        incremental: bool = True,
         tracer: Optional[SimTracer] = None,
         profile: bool = False,
         engine: Optional[str] = None,
@@ -194,7 +193,7 @@ class Simulation:
         self.profiler: Optional[SimProfiler] = SimProfiler() if profile else None
         self._guard_policy = guard
         self._chaos_spec = chaos
-        engine_name = resolve_engine(engine, incremental)
+        engine_name = resolve_engine(engine)
 
         algorithm = create_scheduler(spec.scheduler, **spec.scheduler_params)
         self._algorithm_root = algorithm
@@ -391,7 +390,6 @@ def simulate_once(
     guard: Optional[GuardPolicy] = None,
     chaos: Optional[ChaosSpec] = None,
     attempt: int = 0,
-    incremental: bool = True,
     tracer: Optional[SimTracer] = None,
     profile: bool = False,
     engine: Optional[str] = None,
@@ -404,13 +402,12 @@ def simulate_once(
             faults (see :mod:`repro.resilience.guard`).
         chaos: optional deterministic fault-injection plan (testing).
         attempt: retry attempt index; only chaos targeting uses it.
-        incremental: legacy engine toggle (False forces full rescan);
-            ignored when ``engine`` is given.
         tracer: optional :class:`~repro.observability.SimTracer`;
             activated around the run so every layer's hooks emit into it.
         profile: collect per-subsystem timings (``Simulation.stats()``).
-        engine: enablement engine name — ``"incremental"`` (default),
-            ``"rescan"``, or ``"compiled"`` (see :mod:`repro.san.compiled`).
+        engine: enablement engine name — ``"compiled"`` (the default,
+            ``None``), ``"rescan"`` or ``"batch"`` (see
+            :mod:`repro.san.compiled`).
         reuse: check the built model out of the per-process cache when an
             identical spec/engine pair ran before (cheap reset + reseed
             instead of a rebuild); bit-identical results either way.
@@ -423,7 +420,6 @@ def simulate_once(
         guard=guard,
         chaos=chaos,
         attempt=attempt,
-        incremental=incremental,
         tracer=tracer,
         profile=profile,
         engine=engine,
@@ -493,7 +489,7 @@ def simulate_batch(
     engine.
     """
     replication_list = [int(r) for r in replications]
-    engine_name = resolve_engine(engine, True)
+    engine_name = resolve_engine(engine)
     if engine_name != "batch":
         return [
             simulate_once(

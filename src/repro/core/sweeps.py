@@ -766,7 +766,6 @@ def run_interleaved_sweep(
     root_seed: int = 0,
     extra_probes: bool = False,
     resilience: Optional[ResilienceConfig] = None,
-    incremental: bool = True,
     engine: Optional[str] = None,
     sweep_jobs: Optional[int] = None,
     pool: Optional[SweepPool] = None,
@@ -804,7 +803,7 @@ def run_interleaved_sweep(
         watch_metrics = list(DEFAULT_WATCH_METRICS)
     if resilience is None:
         resilience = ResilienceConfig(
-            jobs=1, timeout=None, retries=0, incremental=incremental, engine=engine
+            jobs=1, timeout=None, retries=0, engine=engine
         )
     resilience.validate()
     jobs = sweep_jobs if sweep_jobs is not None else resilience.jobs

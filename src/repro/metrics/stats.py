@@ -21,15 +21,35 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-try:  # scipy is optional: it is only used for t.ppf, which has a
-    # stdlib fallback below (bisection on the incomplete-beta t CDF).
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised by masking scipy in tests
-    _scipy_stats = None
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, StatisticsError
+
+
+def _scipy_t() -> Any:
+    """``scipy.stats``, imported on the first t-quantile; None without scipy.
+
+    scipy is optional — it is only used for ``t.ppf``, which has a
+    stdlib fallback below (bisection on the incomplete-beta t CDF) — and
+    importing it costs about a second, so ``import repro`` never does.
+    The outcome is cached as the module attribute ``_scipy_stats``.
+    """
+    try:
+        return globals()["_scipy_stats"]
+    except KeyError:
+        pass
+    try:
+        from scipy import stats as module
+    except ImportError:  # exercised by masking scipy in tests
+        module = None
+    globals()["_scipy_stats"] = module
+    return module
+
+
+def __getattr__(name: str) -> Any:
+    if name == "_scipy_stats":
+        return _scipy_t()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RunningStats:
@@ -183,8 +203,9 @@ def t_quantile(confidence: float, df: int) -> float:
     if df < 1:
         raise StatisticsError(f"degrees of freedom must be >= 1, got {df}")
     p = 0.5 + confidence / 2.0
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(p, df))
+    scipy_stats = _scipy_t()
+    if scipy_stats is not None:
+        return float(scipy_stats.t.ppf(p, df))
     return _t_ppf_fallback(p, df)
 
 

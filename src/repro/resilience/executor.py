@@ -37,6 +37,7 @@ from ..des.random_streams import derive_seed
 from ..errors import ConfigurationError, ReplicationError
 from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
+from ..san.compiled import ENGINES, resolve_engine
 from .chaos import ChaosSpec
 from .checkpoint import CheckpointStore, fingerprint
 from .failures import FailureKind, ReplicationFailure, failure_summary
@@ -69,11 +70,9 @@ class ResilienceConfig:
         keep_partial: when a replication exhausts its retries, record
             the failure and continue with the surviving replications
             instead of raising :class:`~repro.errors.ReplicationError`.
-        incremental: legacy enablement-engine toggle (False forces the
-            full-rescan reference engine); ignored when ``engine`` is set.
         engine: enablement engine for every replication —
-            ``"incremental"``, ``"rescan"``, ``"compiled"``, or
-            ``"batch"``; results are bit-identical across all four.
+            ``"compiled"`` (the default, ``None``), ``"rescan"`` or
+            ``"batch"``; results are bit-identical across all three.
             ``"batch"`` additionally lets the serial driver and the
             sweep pool dispatch groups of clean (unguarded, chaos-free)
             replications through one shared calendar.
@@ -104,7 +103,6 @@ class ResilienceConfig:
     guard: Optional[GuardPolicy] = None
     chaos: Optional[ChaosSpec] = None
     keep_partial: bool = False
-    incremental: bool = True
     engine: Optional[str] = None
     reuse: bool = True
     cache_dir: Optional[str] = None
@@ -126,15 +124,9 @@ class ResilienceConfig:
             self.guard.validate()
         if self.chaos is not None:
             self.chaos.validate()
-        if self.engine is not None and self.engine not in (
-            "incremental",
-            "rescan",
-            "compiled",
-            "batch",
-        ):
+        if self.engine is not None and self.engine not in ENGINES:
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; "
-                "expected 'incremental', 'rescan', 'compiled', or 'batch'"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         if self.batch_width is not None and self.batch_width < 1:
             raise ConfigurationError(
@@ -229,7 +221,6 @@ class _Task:
     extra_probes: bool
     guard: Optional[GuardPolicy]
     chaos: Optional[ChaosSpec]
-    incremental: bool = True
     engine: Optional[str] = None
     reuse: bool = True
     batch: Optional[Tuple[int, ...]] = None
@@ -278,7 +269,6 @@ def _execute_task(task: _Task) -> Dict[str, Any]:
             guard=task.guard,
             chaos=task.chaos,
             attempt=task.attempt,
-            incremental=task.incremental,
             engine=task.engine,
             reuse=task.reuse,
         )
@@ -368,7 +358,7 @@ def bind_cache(
     payload = cacheable_spec_payload(spec)
     if payload is None:
         return None
-    engine = config.engine or ("incremental" if config.incremental else "rescan")
+    engine = resolve_engine(config.engine)
     return CacheBinding(
         shared_cache(config.cache_dir), payload, engine, root_seed, extra_probes
     )
@@ -416,7 +406,6 @@ class _Run:
             extra_probes=self.extra_probes,
             guard=self.config.guard,
             chaos=self.config.chaos,
-            incremental=self.config.incremental,
             engine=self.config.engine,
             reuse=self.config.reuse,
             wave_window=self.config.batch_wave_window,

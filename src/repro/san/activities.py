@@ -95,7 +95,7 @@ class Activity:
     def is_volatile(self) -> bool:
         """True when any input gate opted out of read-set tracking.
 
-        The incremental engine re-evaluates volatile activities after
+        The compiled engine re-evaluates volatile activities after
         every completion instead of caching their enablement.
         """
         return any(gate.volatile for gate in self.input_gates)

@@ -1,10 +1,10 @@
-"""The compiled enablement engine: flat-array lowering + tick fast-forward.
+"""The compiled enablement engine (the default): flat arrays + fast-forward.
 
-The incremental engine (PR 2) made enablement *queries* cheap but still
-walks Python object graphs — ``_ActivityState`` instances, per-gate
-record lists, dict hops — on every event.  This module lowers the model
-once, at construction, into flat parallel arrays indexed by a dense
-integer activity index:
+The rescan oracle (:class:`repro.san.simulator.SANSimulator`)
+re-evaluates every gate after every completion.  This engine caches
+verdicts instead, and only re-evaluates activities whose read cells
+were written.  It lowers the model once, at construction, into flat
+parallel arrays indexed by a dense integer activity index:
 
 * instantaneous activities occupy indices ``0 .. n_inst-1`` in settle
   order (priority, then registration), timed activities follow in
@@ -20,11 +20,13 @@ integer activity index:
   rows — no attribute lookups or stream-cache probes per event.
 
 Verdicts are cached at activity granularity (the conjunction over the
-gates), refreshed under a read sink exactly like the incremental
-engine; the same soundness argument applies (pure predicates re-reading
-unchanged cells return unchanged verdicts), as do the same conservative
-fallbacks (volatile gates and empty observed read sets re-evaluate at
-every synchronisation point, out-of-band writes invalidate everything).
+gates) and refreshed under a read sink (see :mod:`repro.san.places`),
+which records the cells each evaluation read.  Soundness: a pure
+predicate re-reading unchanged cells returns an unchanged verdict.
+Where a read set cannot be established (volatile gates, evaluations
+that observably read nothing) the activity is re-evaluated at every
+synchronisation point, and out-of-band writes (detected through the
+global write epoch) invalidate everything.
 
 On top of the lowered form the engine implements **clock-tick
 fast-forward** for models that publish a ``tick_fast_forward`` spec
@@ -66,18 +68,16 @@ from .places import Place
 from .simulator import SANSimulator
 
 #: Recognised enablement engines, in documentation order.
-ENGINES = ("incremental", "rescan", "compiled", "batch")
+ENGINES = ("rescan", "compiled", "batch")
+
+#: The engine ``engine=None`` selects everywhere.
+DEFAULT_ENGINE = "compiled"
 
 
-def resolve_engine(engine: Optional[str] = None, incremental: bool = True) -> str:
-    """Normalise the engine selection, honouring the legacy boolean.
-
-    ``engine`` wins when given; otherwise the PR 2-era ``incremental``
-    flag picks between the two original engines, keeping every existing
-    call site's behaviour unchanged.
-    """
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """Normalise the engine selection: ``None`` means the default."""
     if engine is None:
-        return "incremental" if incremental else "rescan"
+        return DEFAULT_ENGINE
     if engine not in ENGINES:
         raise ConfigurationError(
             f"unknown enablement engine {engine!r}; expected one of {ENGINES}"
@@ -89,12 +89,11 @@ def build_simulator(
     model: ModelBase,
     streams: Optional[StreamFactory] = None,
     engine: Optional[str] = None,
-    incremental: bool = True,
     max_instantaneous_chain: int = 100_000,
     wave_window: Optional[float] = None,
 ) -> SANSimulator:
     """Construct the simulator for the selected enablement engine."""
-    name = resolve_engine(engine, incremental)
+    name = resolve_engine(engine)
     if name == "batch":
         return BatchCompiledSANSimulator(
             model,
@@ -107,10 +106,7 @@ def build_simulator(
             model, streams, max_instantaneous_chain=max_instantaneous_chain
         )
     return SANSimulator(
-        model,
-        streams,
-        max_instantaneous_chain=max_instantaneous_chain,
-        incremental=(name == "incremental"),
+        model, streams, max_instantaneous_chain=max_instantaneous_chain
     )
 
 
@@ -155,16 +151,15 @@ class CompiledSANSimulator(SANSimulator):
         max_instantaneous_chain: int = 100_000,
         fast_forward: bool = True,
     ) -> None:
-        # The base class with incremental=False gives us the activity
-        # lists, queue, reward plumbing and stream bindings without an
-        # EnablementCache we would never consult.
+        # The base class gives us the activity lists, queue, reward
+        # plumbing and stream bindings; only enablement is replaced.
         super().__init__(
-            model,
-            streams,
-            max_instantaneous_chain=max_instantaneous_chain,
-            incremental=False,
+            model, streams, max_instantaneous_chain=max_instantaneous_chain
         )
         self.fast_forward = bool(fast_forward)
+        # Write-epoch watermark for out-of-band mutation detection; every
+        # activity starts stale, so any initial value is safe.
+        self._synced_epoch = -1
         self._compile()
 
     # -- lowering -----------------------------------------------------------
@@ -279,9 +274,9 @@ class CompiledSANSimulator(SANSimulator):
     def _refresh(self, index: int) -> int:
         """Re-evaluate one activity's gate conjunction, tracking reads.
 
-        Same contract as the incremental engine's refresh: pure
-        predicates under a read sink, short-circuit at the first
-        non-holding gate (so gate-evaluation counts stay comparable),
+        Pure predicates run under a read sink and short-circuit at the
+        first non-holding gate, as ``Activity.enabled`` does (so
+        gate-evaluation counts stay comparable with rescan);
         watcher edges extended for newly observed cells — stale edges
         from earlier control paths only ever cause spurious refreshes.
         """
@@ -482,9 +477,11 @@ class CompiledSANSimulator(SANSimulator):
         tick ``j`` still wins its tie-break against the re-scheduled
         clock, exactly as step-by-step, because the fresh clock event
         always carries the younger sequence number), and the model's
-        own certificate :meth:`max_skip` (evaluated under a read sink:
-        pure observation).  Fast-forwarding fewer than 2 ticks buys
-        nothing, so the ordinary step runs instead.
+        own certificate :meth:`max_skip`, which includes the scheduling
+        algorithm's (evaluated under a read sink: pure observation).
+        Fast-forwarding fewer than 2 ticks buys nothing, so the ordinary
+        step runs instead.  The ``engine.fastforward`` record precedes
+        whatever the span's closed form traces for the skipped ticks.
         """
         t_first = head.time
         k = math.ceil(until - t_first + 1.0) - 1
@@ -504,30 +501,19 @@ class CompiledSANSimulator(SANSimulator):
         previous = _places._read_sink
         _places._read_sink = self._ff_reads
         try:
-            model_bound = spec.max_skip()
+            k = spec.max_skip(k)
         finally:
             _places._read_sink = previous
         self._ff_reads.clear()
-        if model_bound < k:
-            k = model_bound
-            if k < 2:
-                return 0
+        if k < 2:
+            return 0
         # Commit: pop the clock completion, batch the span, reschedule.
         event = self._queue.pop()
         del pending[self._tick_key]
         self._advance_rewards(t_first)
         self._advance_rewards_constant(t_first, k - 1)
         self.clock.advance_to(t_first + (k - 1))
-        previous = _places._dirty_sink
-        _places._dirty_sink = self._dirty
-        try:
-            spec.apply(k)
-        finally:
-            _places._dirty_sink = previous
         skipped_completions = k * spec.per_tick_completions
-        self._completions += skipped_completions
-        self.ticks_fast_forwarded += k
-        pending[self._tick_key] = self._queue.schedule(t_first + k, event.payload)
         tracer = _trace._ACTIVE
         if tracer is not None:
             tracer.emit(
@@ -536,6 +522,15 @@ class CompiledSANSimulator(SANSimulator):
                 ticks=k,
                 completions=skipped_completions,
             )
+        previous = _places._dirty_sink
+        _places._dirty_sink = self._dirty
+        try:
+            spec.apply(k)
+        finally:
+            _places._dirty_sink = previous
+        self._completions += skipped_completions
+        self.ticks_fast_forwarded += k
+        pending[self._tick_key] = self._queue.schedule(t_first + k, event.payload)
         return k
 
     def _advance_rewards_constant(self, start: float, steps: int) -> None:

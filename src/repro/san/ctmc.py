@@ -33,19 +33,37 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-try:
-    from scipy import linalg
-except ImportError:  # pragma: no cover - exercised via masked-import test
-    # scipy is an optional extra; the simulation engines never need it.
-    # Only the CTMC steady-state solve below requires a linear-algebra
-    # backend, and it raises a clear error when scipy is absent.
-    linalg = None
-
 from ..des.distributions import Exponential, MarkingDependentExponential
 from ..errors import ModelError, SimulationError
 from .activities import InstantaneousActivity, TimedActivity
 from .model import ModelBase
 from .places import ExtendedPlace, Place
+
+
+def _linalg() -> Any:
+    """``scipy.linalg``, imported on the first solve; None without scipy.
+
+    scipy is an optional extra and the simulation engines never need
+    it; only the steady-state solve below requires a linear-algebra
+    backend, and it raises a clear error when scipy is absent.  The
+    outcome is cached as the module attribute ``linalg``.
+    """
+    try:
+        return globals()["linalg"]
+    except KeyError:
+        pass
+    try:
+        from scipy import linalg as module
+    except ImportError:  # exercised by patching ``linalg`` to None in tests
+        module = None
+    globals()["linalg"] = module
+    return module
+
+
+def __getattr__(name: str) -> Any:
+    if name == "linalg":
+        return _linalg()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _freeze(value: Any) -> Hashable:
@@ -197,6 +215,7 @@ class CTMCSolver:
             return self._pi
         if not self._snapshots:
             raise ModelError("call explore() before steady_state()")
+        linalg = _linalg()
         if linalg is None:
             raise SimulationError(
                 "CTMCSolver.steady_state() requires scipy; install the "

@@ -22,7 +22,7 @@ Gate predicates and functions come in two forms:
   lane kernels.  Closures remain a fully supported fallback and the
   two forms mix freely, even on one activity.
 
-**Read sets.**  The incremental enablement engine only re-evaluates a
+**Read sets.**  The compiled enablement engine only re-evaluates a
 predicate when a place it reads has changed.  A gate's read set is
 either *derived* from its expression, *declared* up front
 (``reads=[place, ...]``), or *observed* on each evaluation via the
@@ -93,14 +93,14 @@ class InputGate:
             gate.  Defaults to a no-op.  Mutually exclusive with
             ``effect``.
         reads: optional declared read set — the places whose markings the
-            predicate depends on.  The incremental engine trusts this
+            predicate depends on.  The compiled engine trusts this
             declaration instead of (in addition to) run-time observation;
             an incomplete declaration on a gate whose reads cannot be
-            observed breaks incremental re-evaluation, so declare every
+            observed breaks cached re-evaluation, so declare every
             place the predicate can touch.  Unnecessary with ``expr``
             (the read set is derived).
         volatile: the predicate depends on state outside the declared or
-            observable places; the incremental engine re-evaluates it
+            observable places; the compiled engine re-evaluates it
             after every completion (the conservative full-rescan
             behaviour, per gate).
         expr: declarative predicate expression (:mod:`repro.san.exprs`);

@@ -45,7 +45,7 @@ class _ValueCell:
 
 # -- dependency tracking -------------------------------------------------
 #
-# The incremental enablement engine (see ``repro.san.simulator``) needs to
+# The compiled enablement engine (see ``repro.san.compiled``) needs to
 # know which storage cells a gate predicate *reads* and which cells a
 # completion *writes*.  Tracking happens at the cell level because Join
 # redirects several places onto one cell: a write through any member must

@@ -25,25 +25,17 @@ bit-for-bit reproducible — streams are keyed by activity qualified
 name, the event queue breaks ties by insertion order, and instantaneous
 settling follows a fixed priority order.
 
-Two interchangeable enablement engines implement the policy:
-
-* **incremental** (the default) — cached enablement with place-level
-  invalidation.  Each completion's writes are captured (see
-  :mod:`repro.san.places`); only activities whose watched cells changed
-  are re-evaluated, via :class:`repro.san.state.EnablementCache`.
-  Activities whose read sets cannot be established are conservatively
-  re-evaluated at every synchronisation point, and out-of-band marking
-  mutations (detected through the global write epoch) drop the whole
-  cache — so results are bit-for-bit identical to the rescan engine.
-* **rescan** (``incremental=False``) — the original engine: every
-  input-gate predicate of every activity is re-evaluated after every
-  completion.  Kept as the semantic reference; the differential
-  property suite in ``tests/property`` holds the two engines to
-  identical metrics, completions, and random-stream consumption.
-
-Both engines issue schedule/cancel operations in activity registration
-order, so event-queue insertion sequences — and therefore simultaneous-
-event tie-breaks — are identical.
+:class:`SANSimulator` is the **rescan** engine, the semantic oracle:
+every input-gate predicate of every activity is re-evaluated after
+every completion, with no caching to get wrong.  The default engine,
+:class:`repro.san.compiled.CompiledSANSimulator`, subclasses it and
+replaces only the enablement queries (cached verdicts over a lowered
+model, plus clock-tick fast-forward); the batch engine drives compiled
+lanes.  The differential property suite in ``tests/property`` holds
+all three to identical metrics, completions, and random-stream
+consumption.  Every engine issues schedule/cancel operations in
+activity registration order, so event-queue insertion sequences — and
+therefore simultaneous-event tie-breaks — are identical.
 """
 
 from __future__ import annotations
@@ -63,20 +55,15 @@ from . import places as _places
 from .activities import Activity, InstantaneousActivity, TimedActivity
 from .model import ModelBase
 from .reward import ImpulseReward, RateReward, RewardVariable
-from .state import EnablementCache
 
 
 class SANSimulator:
-    """Runs one replication of a SAN model.
+    """Runs one replication of a SAN model on the rescan engine.
 
     Args:
         model: the (atomic or composed) model to simulate.
         streams: replication random streams (default: seed 0, rep 0).
         max_instantaneous_chain: livelock guard for zero-time chains.
-        incremental: use the incremental enablement engine (default).
-            Pass False to force the full-rescan reference engine, e.g.
-            for differential testing or for models whose gate predicates
-            violate the purity contract and cannot be marked volatile.
 
     Example:
         >>> sim = SANSimulator(model, StreamFactory(root_seed=1, replication=0))
@@ -90,7 +77,6 @@ class SANSimulator:
         model: ModelBase,
         streams: Optional[StreamFactory] = None,
         max_instantaneous_chain: int = 100_000,
-        incremental: bool = True,
     ) -> None:
         self.model = model
         self.streams = streams if streams is not None else StreamFactory()
@@ -112,19 +98,6 @@ class SANSimulator:
         self._impulse_rewards: List[ImpulseReward] = []
         self._completions = 0
         self._started = False
-        self._cache: Optional[EnablementCache] = (
-            EnablementCache(activities) if incremental else None
-        )
-        # Prefetched per-activity state views for the per-event hot loops.
-        if self._cache is not None:
-            self._inst_states = self._cache.states_for(self._instantaneous)
-            self._timed_states = self._cache.states_for(self._timed)
-        else:
-            self._inst_states = []
-            self._timed_states = []
-        # Write-epoch watermark for out-of-band mutation detection; the
-        # cache starts invalid, so any initial value is safe.
-        self._synced_epoch = -1
         # Per-simulator gate-evaluation counter: public entry points
         # capture the process-global counter delta around their body,
         # so attribution stays exact even when simulators interleave
@@ -161,7 +134,7 @@ class SANSimulator:
     @property
     def engine(self) -> str:
         """Which enablement engine runs this simulator."""
-        return "incremental" if self._cache is not None else "rescan"
+        return "rescan"
 
     @property
     def gate_evaluations(self) -> int:
@@ -185,8 +158,6 @@ class SANSimulator:
             "ticks_fast_forwarded": self.ticks_fast_forwarded,
         }
         stats.update(self._queue.stats())
-        if self._cache is not None:
-            stats.update(self._cache.stats())
         return stats
 
     # -- lifecycle ----------------------------------------------------------
@@ -208,8 +179,6 @@ class SANSimulator:
             reward.reset()
         for reward in self._impulse_rewards:
             reward.reset()
-        if self._cache is not None:
-            self._cache.invalidate()
         self._own_gate_evaluations = 0
 
     # -- core engine --------------------------------------------------------
@@ -233,10 +202,6 @@ class SANSimulator:
             (activity, activity.qualified_name, self._rngs[activity])
             for activity in self._timed
         ]
-        self._timed_state_rows: List[tuple] = [
-            (state, row[0], row[1], row[2])
-            for state, row in zip(self._timed_states, self._timed_rows)
-        ]
 
     def _rng_for(self, activity: Activity):
         rng = self._rngs.get(activity)
@@ -246,34 +211,23 @@ class SANSimulator:
         return rng
 
     def _complete(self, activity: Activity) -> None:
-        """Run one completion, capturing its writes for the cache.
-
-        Sink swaps here and in the reward paths use direct module-
-        attribute assignment — the function-call form costs measurably
-        at this frequency.
-        """
+        """Run one completion and feed the impulse rewards."""
         tracer = _trace._ACTIVE
         if tracer is not None:
             self._complete_traced(activity, tracer)
             return
-        if self._cache is not None:
-            previous = _places._dirty_sink
-            _places._dirty_sink = self._cache.dirty
-            try:
-                activity.complete(self._rngs[activity])
-            finally:
-                _places._dirty_sink = previous
-        else:
-            activity.complete(self._rngs[activity])
+        activity.complete(self._rngs[activity])
         self._completions += 1
         self._notify_impulse(activity)
 
     def _complete_traced(self, activity: Activity, tracer: "_trace.SimTracer") -> None:
-        """Traced completion: capture the marking delta in both engines.
+        """Traced completion: capture the marking delta.
 
         A private write set records the completion's writes whatever
-        the engine; the incremental cache is then fed from it, so the
-        emitted trace — like the sample path — is engine-independent.
+        the engine, so the emitted trace — like the sample path — is
+        engine-independent.  Sink swaps here and in the reward paths use
+        direct module-attribute assignment: the function-call form costs
+        measurably at this frequency.
         """
         tracer._now = self.clock.now
         written: set = set()
@@ -283,8 +237,6 @@ class SANSimulator:
             activity.complete(self._rngs[activity])
         finally:
             _places._dirty_sink = previous
-        if self._cache is not None:
-            self._cache.dirty.update(written)
         tracer.emit(
             _trace.ACTIVITY_FIRE,
             time=self.clock.now,
@@ -322,12 +274,6 @@ class SANSimulator:
 
     def _settle_instantaneous(self) -> None:
         """Complete enabled instantaneous activities until quiescence."""
-        if self._cache is not None:
-            self._settle_incremental()
-        else:
-            self._settle_rescan()
-
-    def _settle_rescan(self) -> None:
         chain = 0
         while True:
             fired = False
@@ -342,40 +288,16 @@ class SANSimulator:
             if not fired:
                 return
 
-    def _settle_incremental(self) -> None:
-        cache = self._cache
-        states = self._inst_states
-        chain = 0
-        while True:
-            cache.flush()
-            fired = None
-            for state in states:
-                if cache.compute(state) if state.stale else state.enabled:
-                    fired = state.activity
-                    break
-            if fired is None:
-                return
-            self._complete(fired)
-            chain += 1
-            if chain > self.max_instantaneous_chain:
-                raise self._chain_error(fired)
-
     def _reschedule_timed(self) -> None:
         """Abort disabled pending activities; schedule newly enabled ones.
 
         Activities with ``reactivation=True`` additionally resample
         while they stay enabled, so marking-dependent rates track the
-        marking (Mobius reactivation semantics).  Both variants walk
+        marking (Mobius reactivation semantics).  Every engine walks
         ``self._timed`` in registration order, so the schedule/cancel
         operation sequence — and hence event tie-breaking — is engine-
         independent.
         """
-        if self._cache is not None:
-            self._reschedule_incremental()
-        else:
-            self._reschedule_rescan()
-
-    def _reschedule_rescan(self) -> None:
         tracer = _trace._ACTIVE
         for activity, key, rng in self._timed_rows:
             pending = self._pending.get(key)
@@ -399,37 +321,6 @@ class SANSimulator:
                 delay = activity.sample_delay(rng)
                 event = self._queue.schedule(self.clock.now + delay, activity)
                 self._pending[key] = event
-                if tracer is not None:
-                    tracer.emit(_trace.ENGINE_SCHEDULE, time=self.clock.now,
-                                activity=key, at=self.clock.now + delay)
-
-    def _reschedule_incremental(self) -> None:
-        cache = self._cache
-        cache.flush()
-        pending_map = self._pending
-        tracer = _trace._ACTIVE
-        for state, activity, key, rng in self._timed_state_rows:
-            pending = pending_map.get(key)
-            enabled = cache.compute(state) if state.stale else state.enabled
-            if pending is not None and not enabled:
-                self._queue.cancel(pending)
-                del pending_map[key]
-                if tracer is not None:
-                    tracer.emit(_trace.ENGINE_CANCEL, time=self.clock.now,
-                                activity=key)
-            elif pending is not None and activity.reactivation:
-                self._queue.cancel(pending)
-                delay = activity.sample_delay(rng)
-                pending_map[key] = self._queue.schedule(
-                    self.clock.now + delay, activity
-                )
-                if tracer is not None:
-                    tracer.emit(_trace.ENGINE_SCHEDULE, time=self.clock.now,
-                                activity=key, at=self.clock.now + delay)
-            elif pending is None and enabled:
-                delay = activity.sample_delay(rng)
-                event = self._queue.schedule(self.clock.now + delay, activity)
-                pending_map[key] = event
                 if tracer is not None:
                     tracer.emit(_trace.ENGINE_SCHEDULE, time=self.clock.now,
                                 activity=key, at=self.clock.now + delay)
@@ -468,14 +359,11 @@ class SANSimulator:
     # -- out-of-band mutation boundary ---------------------------------------
 
     def _sync_in(self) -> None:
-        """Entering a public call: drop the cache if places changed outside."""
-        if self._cache is not None and _places.write_epoch() != self._synced_epoch:
-            self._cache.invalidate()
+        """Entering a public call: engines that cache enablement distrust
+        it here if places changed outside (rescan caches nothing)."""
 
     def _sync_out(self) -> None:
-        """Leaving a public call: record the epoch our cache reflects."""
-        if self._cache is not None:
-            self._synced_epoch = _places.write_epoch()
+        """Leaving a public call: record the marking the cache reflects."""
 
     # -- stepping -------------------------------------------------------------
 

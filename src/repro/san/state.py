@@ -1,4 +1,4 @@
-"""State observation helpers: marking traces and the enablement cache.
+"""State observation helpers: marking traces.
 
 A :class:`MarkingTrace` samples the marking of selected places at fixed
 intervals by piggy-backing on a probe: the caller invokes
@@ -6,293 +6,13 @@ intervals by piggy-backing on a probe: the caller invokes
 virtualization framework wires this to the hypervisor clock tick).
 Traces stay lightweight — they snapshot only the places they were asked
 to watch.
-
-An :class:`EnablementCache` is the simulator-side half of incremental
-enablement: it remembers, per input gate, the last predicate verdict
-together with the set of storage cells that evaluation read, and an
-inverted watcher index from cells to dependent gates.  The simulator
-feeds it the cells written by each completion; ``flush()`` then marks
-only the gates whose watched cells changed as stale, and ``enabled()``
-re-evaluates stale gates lazily as they are queried.  Gates whose read
-set cannot be established (``volatile``, or an evaluation that
-observably read no place at all) fall back to re-evaluation at every
-query after a flush — the conservative full-rescan behaviour, scoped
-to just those gates.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Dict, List, Sequence
 
-from . import gates as _gates
-from . import places as _places
-from .activities import Activity
-from .gates import InputGate
 from .model import ModelBase
-
-
-class _GateRecord:
-    """Cached verdict of one input gate (shared gates share a record)."""
-
-    __slots__ = (
-        "gate", "holds", "stale", "cells", "declared", "volatile",
-        "constant", "dependents",
-    )
-
-    def __init__(self, gate: InputGate) -> None:
-        self.gate = gate
-        self.holds = False
-        self.stale = True  # must re-evaluate before the verdict can be trusted
-        self.cells: Set[Any] = set()  # cells the last evaluation read
-        self.declared = frozenset(gate.declared_read_cells())
-        self.volatile = gate.volatile
-        # Fixed verdict of a constant expression gate (TRUE/FALSE); a
-        # pinned record never demotes to volatile — previously a
-        # `lambda: True` gate observably read nothing and fell onto the
-        # conservative re-evaluate-every-flush path forever.
-        self.constant = getattr(gate, "constant_verdict", None)
-        self.dependents: List[_ActivityState] = []  # states sharing this gate
-
-
-class _ActivityState:
-    """Cached enablement of one activity, over its gate records."""
-
-    __slots__ = ("activity", "enabled", "stale", "records")
-
-    def __init__(self, activity: Activity, records: List[_GateRecord]) -> None:
-        self.activity = activity
-        self.enabled = False
-        # An activity with no input gates is never enabled (the
-        # Activity.enabled contract) — its state is permanently fresh.
-        self.stale = bool(records)
-        self.records = records
-
-
-class EnablementCache:
-    """Place-level invalidation of cached gate verdicts and enablement.
-
-    The owning simulator routes every completion's writes into
-    :attr:`dirty` (via :func:`repro.san.places.set_dirty_sink`) and
-    calls :meth:`flush` before reading :meth:`enabled`.  Out-of-band
-    writes (anything mutating places while the simulator is not
-    executing) are the simulator's responsibility to detect — it
-    compares :func:`repro.san.places.write_epoch` across its public
-    calls and calls :meth:`invalidate`, which forces the next flush to
-    mark everything stale.
-
-    Two-level laziness keeps both evaluation count and query cost low:
-
-    * **gate level** — each distinct gate has one cached verdict plus
-      the set of cells its last evaluation read; a flush marks only the
-      gates watching a dirty cell as stale, and a stale gate re-runs
-      its predicate only when some query actually reaches it.  The
-      activity scan stops at the first non-holding gate exactly like
-      ``Activity.enabled``, so the engine's gate-evaluation count is
-      bounded above by the rescan engine's for the same query sequence
-      (and is lower still when gates are shared between activities).
-    * **activity level** — each activity caches the conjunction; a
-      flush marks an activity stale only when one of its gate records
-      went stale, so the common query (nothing changed) is a single
-      flag test instead of a walk over gate records.
-
-    Soundness argument: a gate predicate that is a deterministic, pure
-    function of place markings reads a fixed sequence of cells along
-    the control path its evaluation takes.  If none of the cells read
-    by the *last* evaluation changed, the predicate re-executes the
-    same path and returns the same value — so the cached verdict
-    stands.  Predicates that break the purity assumption must be
-    flagged ``volatile``, which pins them to the re-evaluate-on-every-
-    flush path.  Declared read sets are resolved to storage cells when
-    the cache is built, which must happen after Join/Replicate
-    composition (cell sharing rewires place cells) — the simulator
-    constructor satisfies this by construction.
-    """
-
-    def __init__(self, activities: Sequence[Activity]) -> None:
-        records: Dict[int, _GateRecord] = {}
-        self._states: Dict[Activity, _ActivityState] = {}
-        for activity in activities:
-            gate_records = []
-            for gate in activity.input_gates:
-                record = records.get(id(gate))
-                if record is None:
-                    record = _GateRecord(gate)
-                    records[id(gate)] = record
-                gate_records.append(record)
-            state = _ActivityState(activity, gate_records)
-            for record in gate_records:
-                record.dependents.append(state)
-            self._states[activity] = state
-        self._records = list(records.values())
-        self._watchers: Dict[Any, Set[_GateRecord]] = {}
-        self._volatile: List[_GateRecord] = [
-            record for record in self._records if record.volatile
-        ]
-        self._rebuild_volatile_marks()
-        self._valid = False
-        self._discard: Set[Any] = set()
-        self._scratch: Set[Any] = set()
-        self.dirty: Set[Any] = set()
-        self.refreshes = 0
-        self.full_rescans = 0
-
-    def invalidate(self) -> None:
-        """Drop every cached verdict; the next flush marks all stale."""
-        self._valid = False
-
-    def _rebuild_volatile_marks(self) -> None:
-        """Flatten the volatile re-stale walk into one list of flag holders.
-
-        ``flush()`` runs once per settle iteration, so the nested
-        record -> dependents walk it used to do per call is hot-loop
-        work; the records and their dependent activity states all just
-        need ``stale = True``, so they are collected (deduplicated)
-        once here and re-collected only when a gate is demoted to
-        volatile — which can happen at most once per gate.
-        """
-        marks: List[Any] = []
-        seen: Set[int] = set()
-        for record in self._volatile:
-            if id(record) not in seen:
-                seen.add(id(record))
-                marks.append(record)
-            for state in record.dependents:
-                if id(state) not in seen:
-                    seen.add(id(state))
-                    marks.append(state)
-        self._volatile_marks = marks
-
-    def states_for(self, activities: Sequence[Activity]) -> List[Any]:
-        """Per-activity state views for hot loops.
-
-        The simulator prefetches these so its per-event scans can test
-        ``state.stale``/``state.enabled`` directly instead of paying a
-        dict lookup and function call per activity per event.  The
-        state objects are live views — valid under the same
-        flush-before-read contract as :meth:`enabled`; ``state.activity``
-        links back to the owning activity.
-        """
-        return [self._states[activity] for activity in activities]
-
-    def enabled(self, activity: Activity) -> bool:
-        """Enabling state, recomputed lazily when marked stale by a flush.
-
-        Only valid after a :meth:`flush` — staleness is derived from the
-        dirty-cell set there, so querying with unflushed writes pending
-        returns stale answers.
-        """
-        state = self._states[activity]
-        if not state.stale:
-            return state.enabled
-        return self.compute(state)
-
-    def compute(self, state: _ActivityState) -> bool:
-        """Recompute a (stale) state's enablement from its gate records."""
-        enabled = True
-        for record in state.records:
-            if record.stale:
-                self._refresh(record)
-            if not record.holds:
-                # Records after the first non-holding gate stay stale
-                # (mirroring the rescan engine's short-circuit); a later
-                # flush re-marks this activity if any of them matters.
-                enabled = False
-                break
-        state.enabled = enabled
-        state.stale = False
-        return enabled
-
-    def flush(self) -> None:
-        """Mark the gates (and activities) whose watched cells changed.
-
-        Evaluation itself is deferred to :meth:`enabled` — callers that
-        short-circuit (the instantaneous settle scan stops at the first
-        enabled activity; the gate scan stops at the first non-holding
-        gate) never pay for gates they don't look at.
-        """
-        if not self._valid:
-            self.dirty.clear()
-            for record in self._records:
-                record.stale = True
-                for state in record.dependents:
-                    state.stale = True
-            self._valid = True
-            self.full_rescans += 1
-            return
-        dirty = self.dirty
-        if dirty:
-            watchers = self._watchers
-            for cell in dirty:
-                dependents = watchers.get(cell)
-                if dependents:
-                    for record in dependents:
-                        record.stale = True
-                        for state in record.dependents:
-                            state.stale = True
-            dirty.clear()
-        # Volatile gates get the conservative treatment: their verdicts
-        # may depend on state we cannot watch, so mirror the rescan
-        # engine and re-evaluate them whenever queried after any
-        # synchronisation point.  The flattened mark list covers the
-        # records and their dependent activity states in one pass.
-        for holder in self._volatile_marks:
-            holder.stale = True
-
-    def _refresh(self, record: _GateRecord) -> None:
-        # Hot path: the read sink is swapped by direct module-attribute
-        # assignment (equivalent to places.set_read_sink, minus two
-        # function calls per refresh).
-        self.refreshes += 1
-        record.stale = False
-        if record.constant is not None:
-            # Pinned verdict: no evaluation, no read sink, no demotion.
-            record.holds = record.constant
-            _gates.count_evaluations(1)
-            return
-        if record.volatile:
-            previous = _places._read_sink
-            _places._read_sink = self._discard
-            try:
-                record.holds = record.gate.holds()
-            finally:
-                _places._read_sink = previous
-            return
-        reads = self._scratch
-        reads.clear()
-        previous = _places._read_sink
-        _places._read_sink = reads
-        try:
-            holds = record.gate.holds()
-        finally:
-            _places._read_sink = previous
-        record.holds = holds
-        if record.declared:
-            reads |= record.declared
-        if not reads:
-            # The evaluation read no place and nothing was declared: the
-            # read set cannot be established.  Never guess — demote the
-            # gate to the always-re-evaluate path.
-            record.volatile = True
-            self._volatile.append(record)
-            self._rebuild_volatile_marks()
-            return
-        if reads != record.cells:
-            watchers = self._watchers
-            for cell in reads - record.cells:
-                watchers.setdefault(cell, set()).add(record)
-            # Stale watcher edges (cells read by an earlier control
-            # path) are left in place: they can only cause a spurious
-            # re-evaluation, never a missed one.
-            record.cells = set(reads)
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for benchmarking: refreshes and full rescans."""
-        return {
-            "enablement_refreshes": self.refreshes,
-            "full_rescans": self.full_rescans,
-            "watched_cells": len(self._watchers),
-            "volatile_gates": len(self._volatile),
-        }
 
 
 class MarkingTrace:

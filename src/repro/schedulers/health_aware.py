@@ -39,9 +39,10 @@ class HealthAwareScheduler(SchedulingAlgorithm):
         timeslice: default timeslice, forwarded to a named inner.
         **inner_params: extra constructor params for a named inner.
 
-    The wrapper inherits the inner algorithm's ``tick_skip_safe``
-    certificate: in a certified marking the inner makes no schedule-in,
-    so the wrapper's post-pass is a no-op and coalescing stays sound.
+    The wrapper inherits the inner algorithm's fast-forward certificate
+    (``tick_skip_safe`` and :meth:`quiet_ticks`): on a certified quiet
+    tick the inner makes no schedule-in, so the wrapper's post-pass is
+    a no-op and coalescing stays sound.
     """
 
     name = "health_aware"
@@ -78,6 +79,12 @@ class HealthAwareScheduler(SchedulingAlgorithm):
     def reset(self) -> None:
         super().reset()
         self.inner.reset()
+
+    def quiet_ticks(self, active, slot_map, now, limit) -> int:
+        return self.inner.quiet_ticks(active, slot_map, now, limit)
+
+    def trace_quiet_ticks(self, active, slot_map, now, ticks) -> None:
+        self.inner.trace_quiet_ticks(active, slot_map, now, ticks)
 
     def schedule(
         self,

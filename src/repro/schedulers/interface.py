@@ -31,7 +31,7 @@ Decision protocol (per hypervisor clock tick):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 
@@ -153,11 +153,13 @@ class SchedulingAlgorithm:
             state on a tick where every PCPU is ASSIGNED and every
             assigned VCPU is BUSY — the precondition under which the
             compiled engine may coalesce clock ticks (see
-            :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).
-            Algorithms that do per-tick bookkeeping regardless of the
-            marking (e.g. deadline rollover, skew accounting) must
-            leave it False; wrappers that do not re-declare the flag
-            (guard, chaos) disable fast-forward automatically.
+            :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).  The
+            flag is what the default :meth:`quiet_ticks` consults.
+            Algorithms whose per-tick bookkeeping can be replayed in
+            closed form (skew accounting) leave it False and override
+            :meth:`quiet_ticks` instead; algorithms that cannot (deadline
+            rollover) leave both alone.  Wrappers that do not re-declare
+            the flag (guard, chaos) disable fast-forward automatically.
     """
 
     name = "abstract"
@@ -189,6 +191,47 @@ class SchedulingAlgorithm:
             bool return; the framework only uses it for diagnostics).
         """
         raise NotImplementedError
+
+    def quiet_ticks(
+        self,
+        active: Sequence[int],
+        slot_map: Sequence[Tuple[int, int]],
+        now: float,
+        limit: int,
+    ) -> int:
+        """How many of the next ``limit`` ticks certifiably decide nothing.
+
+        Asked by the clock fast-forward only in a marking where every
+        PCPU is ASSIGNED, every VCPU in ``active`` (slot indices, i.e.
+        ``vcpu_id``) holds one and stays BUSY, every other VCPU is
+        INACTIVE, and no timeslice expires and no load completes within
+        ``limit`` ticks.  ``slot_map`` maps each VCPU id to its
+        ``(vm_id, vcpu_index)``; ``now`` is the timestamp of the last
+        tick, so the candidate ticks are ``now + 1 .. now + limit``.
+
+        Returning ``j`` certifies that :meth:`schedule` would make no
+        decision on the first ``j`` of them, *and* that not calling it
+        for those ticks at all leaves the algorithm exactly where the
+        calls would have: the skip writes no algorithm state.  The
+        default trusts :attr:`tick_skip_safe`.
+        """
+        return limit if self.tick_skip_safe else 0
+
+    def trace_quiet_ticks(
+        self,
+        active: Sequence[int],
+        slot_map: Sequence[Tuple[int, int]],
+        now: float,
+        ticks: int,
+    ) -> None:
+        """Emit the records :meth:`schedule` would have traced on skipped ticks.
+
+        Called with a tracer active after the fast-forward commits a
+        span that :meth:`quiet_ticks` certified; the arguments are the
+        ones it was asked with, and ``ticks`` is the span length.  The
+        default emits nothing — a ``tick_skip_safe`` algorithm traces
+        only decisions, and a quiet tick has none.
+        """
 
     def reset(self) -> None:
         """Clear internal state between replications.

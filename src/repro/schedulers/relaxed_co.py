@@ -28,12 +28,23 @@ paper the ICDCSW paper cites):
 The algorithm tracks progress itself (it is invoked every clock tick,
 like the paper's C function), so it needs no framework support beyond
 the standard view arrays.
+
+**Clock fast-forward.**  Skew accounting runs every tick, so RCS is not
+``tick_skip_safe``; it certifies quiet spans itself instead
+(:meth:`RelaxedCoScheduler.quiet_ticks`).  While the active set is
+fixed, an active VCPU's progress grows by exactly one per tick and an
+inactive one's not at all, so every sibling lag over a candidate span
+is known in advance.  A tick in which no SMP VM enters or leaves
+catch-up and no active VCPU is a catch-up leader decides nothing, and
+the skipped calls need no replay: the next real call credits the whole
+gap ``timestamp - last`` to the same active set, which for integer
+ticks is exactly the sum of the per-tick credits.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 from ..observability import trace as _trace
@@ -109,6 +120,96 @@ class RelaxedCoScheduler(SchedulingAlgorithm):
         progress = {v.vcpu_id: self._progress.get(v.vcpu_id, 0.0) for v in siblings}
         front = max(progress.values())
         return {vcpu_id: front - p for vcpu_id, p in progress.items()}
+
+    def _tick_is_quiet(self, vm_id: int, progress: Sequence[float],
+                       active: Sequence[bool]) -> bool:
+        """Would one SMP VM's catch-up step decide nothing at this progress?
+
+        Quiet means catch-up mode does not flip — outside it, the lag
+        stays within ``skew_threshold``; inside, it stays at or above
+        ``relax_threshold`` — and no *active* sibling is a leader that
+        catch-up would co-stop.  (Inactive leaders are only skipped by
+        dispatch, and a quiet span has no free PCPU to dispatch onto.)
+        """
+        slowest = min(progress)
+        max_lag = max(progress) - slowest
+        if vm_id not in self._catching_up:
+            return max_lag <= self.skew_threshold
+        if max_lag < self.relax_threshold:
+            return False
+        relax = self.relax_threshold
+        for p, is_active in zip(progress, active):
+            if is_active and p - slowest > relax:
+                return False
+        return True
+
+    @staticmethod
+    def _smp_vms(slot_map: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[int]]]:
+        """``(vm_id, sibling ids)`` per SMP VM, in :meth:`by_vm` order."""
+        groups: Dict[int, List[int]] = {}
+        for vcpu_id, (vm_id, _index) in enumerate(slot_map):
+            groups.setdefault(vm_id, []).append(vcpu_id)
+        return [(vm_id, ids) for vm_id, ids in groups.items() if len(ids) >= 2]
+
+    def quiet_ticks(self, active, slot_map, now, limit) -> int:
+        """Leading ticks of ``now + 1 .. now + limit`` that decide nothing.
+
+        Refuses (0) unless skipping is replayable: a tick has been seen,
+        the last tick's active set is the span's (so the next real
+        call credits the whole gap to the right VCPUs), and every
+        inactive VCPU is already queued (so no tick would enqueue one).
+        Then tick ``j`` gives an active VCPU progress
+        ``p + (now + j - last)`` and an inactive one ``p``; the count
+        stops before the first tick some SMP VM is not quiet on.
+        """
+        last = self._last_timestamp
+        if last is None:
+            return 0
+        active_set = set(active)
+        if active_set != self._was_active:
+            return 0
+        queued = self._queued
+        for vcpu_id in range(len(slot_map)):
+            if vcpu_id not in active_set and vcpu_id not in queued:
+                return 0
+        quiet = limit
+        get = self._progress.get
+        for vm_id, ids in self._smp_vms(slot_map):
+            flags = [vcpu_id in active_set for vcpu_id in ids]
+            base = [get(vcpu_id, 0.0) for vcpu_id in ids]
+            # All-active or all-inactive siblings keep their lags fixed
+            # across the span, so the first tick speaks for all of them.
+            horizon = quiet if any(flags) and not all(flags) else 1
+            for j in range(1, horizon + 1):
+                dt = (now + j) - last
+                progress = [p + dt if f else p for p, f in zip(base, flags)]
+                if not self._tick_is_quiet(vm_id, progress, flags):
+                    quiet = j - 1
+                    if quiet == 0:
+                        return 0
+                    break
+        return quiet
+
+    def trace_quiet_ticks(self, active, slot_map, now, ticks) -> None:
+        """The ``sched.skew`` records of ``ticks`` skipped quiet ticks."""
+        tracer = _trace._ACTIVE
+        if tracer is None:
+            return
+        last = self._last_timestamp
+        active_set = set(active)
+        get = self._progress.get
+        vms = [
+            (vm_id, [(get(vcpu_id, 0.0), vcpu_id in active_set) for vcpu_id in ids])
+            for vm_id, ids in self._smp_vms(slot_map)
+        ]
+        for j in range(1, ticks + 1):
+            timestamp = now + j
+            dt = timestamp - last
+            for vm_id, siblings in vms:
+                progress = [p + dt if f else p for p, f in siblings]
+                tracer.emit(_trace.SCHED_SKEW, time=timestamp, vm=vm_id,
+                            max_lag=max(progress) - min(progress),
+                            catching_up=vm_id in self._catching_up)
 
     def skew_of(self, vcpu_id: int, vcpus: List[VCPUHostView]) -> float:
         """Public probe of a VCPU's current lag (used by tests/benches)."""

@@ -33,9 +33,7 @@ from ..core.experiment import (
 )
 from ..core.results import ExperimentResult
 from ..errors import ReproError, ServiceError
-
-#: Engines a payload may request (``None`` = the executor default).
-PAYLOAD_ENGINES = ("incremental", "rescan", "compiled", "batch")
+from ..san.compiled import ENGINES
 
 
 @dataclass
@@ -49,8 +47,9 @@ class SimulationPayload:
         min_replications / max_replications / confidence /
             target_half_width / root_seed / extra_probes: the
             :func:`~repro.core.experiment.run_experiment` protocol knobs.
-        engine: enablement engine, one of :data:`PAYLOAD_ENGINES` or
-            ``None`` for the default.
+        engine: enablement engine, one of
+            :data:`repro.san.compiled.ENGINES` or ``None`` for the
+            default (``resolve_engine(None)``).
     """
 
     spec: Dict[str, Any]
@@ -96,9 +95,9 @@ class SimulationPayload:
             raise ServiceError(
                 f"extra_probes must be a boolean, got {self.extra_probes!r}"
             )
-        if self.engine is not None and self.engine not in PAYLOAD_ENGINES:
+        if self.engine is not None and self.engine not in ENGINES:
             raise ServiceError(
-                f"unknown engine {self.engine!r}; expected one of {PAYLOAD_ENGINES}"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         try:
             spec = SystemSpec.from_dict(self.spec)

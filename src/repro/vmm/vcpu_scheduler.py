@@ -130,11 +130,15 @@ class ClockFastForward:
     timeslices/remaining loads, and the plugged algorithm provably
     decides nothing.  That holds exactly when:
 
-    * the algorithm class declares ``tick_skip_safe`` — its
+    * the algorithm certifies the ticks quiet through
+      :meth:`~repro.schedulers.interface.SchedulingAlgorithm.quiet_ticks`
+      — by default, when it declares ``tick_skip_safe`` (its
       ``schedule()`` is a no-op whenever every PCPU is assigned and
-      every assigned VCPU is BUSY (resolved through
-      ``model.algorithm``, so guard/chaos wrappers — which do not
-      declare the flag — automatically disable fast-forward);
+      every assigned VCPU is BUSY); RCS bounds the span by its skew
+      thresholds instead.  The algorithm is resolved through
+      ``model.algorithm``, so guard/chaos wrappers — which neither
+      declare the flag nor override the method — automatically disable
+      fast-forward;
     * every PCPU is ASSIGNED (no idle PCPU an algorithm could fill, no
       FAILED PCPU mid-repair);
     * every assigned slot is BUSY outside its critical section, and no
@@ -154,7 +158,10 @@ class ClockFastForward:
     Under those conditions every per-tick firing has a single case (no
     RNG draw) and the span's net marking change is arithmetic:
     :meth:`apply` performs it through the ordinary place APIs so the
-    engine's dirty tracking sees every write.
+    engine's dirty tracking sees every write.  With a tracer active it
+    also has the algorithm emit the records its skipped calls would
+    have (RCS's per-tick ``sched.skew``), so a traced run fast-forwards
+    like an untraced one.
     """
 
     __slots__ = (
@@ -168,6 +175,7 @@ class ClockFastForward:
         "_hv_debts",
         "_total",
         "_span",
+        "_now",
         "clock",
         "per_tick_completions",
     )
@@ -201,16 +209,17 @@ class ClockFastForward:
         #: exactly one tick consumer per plugged slot.
         self.per_tick_completions = total_vcpus + 2
         self._span: List[int] = []
+        self._now = 0.0
 
-    def max_skip(self) -> int:
+    def max_skip(self, limit: int) -> int:
         """Ticks certifiably skippable from the current marking (0 = none).
 
-        Called at quiescence under a read sink, so the extended-place
-        reads below are pure observation.  Also records which slots are
-        burning load, for :meth:`apply`.
+        ``limit`` is the engine's own bound (horizon and other pending
+        events); the result never exceeds it.  Called at quiescence
+        under a read sink, so the extended-place reads below are pure
+        observation.  Also records which slots are burning load and the
+        current timestamp, for :meth:`apply`.
         """
-        if not getattr(self._model.algorithm, "tick_skip_safe", False):
-            return 0
         for entry in self._pcpus.value:
             if entry["state"] != PCPUState.ASSIGNED:
                 return 0
@@ -245,7 +254,12 @@ class ClockFastForward:
             span.append(g)
         if bound is None or bound < 1:
             return 0
-        return bound
+        if limit < bound:
+            bound = limit
+        self._now = float(self._timestamp.tokens)
+        return self._model.algorithm.quiet_ticks(
+            span, self._model.slot_map, self._now, bound
+        )
 
     def apply(self, k: int) -> None:
         """Net marking change of ``k`` countdown ticks.
@@ -261,6 +275,10 @@ class ClockFastForward:
             self._timeslices[g].remove(k)
             slot = self._slot_values[g].value  # mutable ref: marks the cell written
             slot["remaining_load"] -= k
+        if _trace._ACTIVE is not None:
+            self._model.algorithm.trace_quiet_ticks(
+                self._span, self._model.slot_map, self._now, k
+            )
 
 
 def slot_places(index: int) -> Dict[str, str]:

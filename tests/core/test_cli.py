@@ -268,7 +268,7 @@ class TestTraceAndProfileFlags:
         assert code == 0
         return trace
 
-    @pytest.mark.parametrize("engine", ["incremental", "rescan"])
+    @pytest.mark.parametrize("engine", ["compiled", "rescan"])
     def test_jsonl_trace_schema_and_order(self, smp_spec_file, tmp_path,
                                           capsys, engine):
         from repro.observability.trace import RECORD_FIELDS
@@ -301,17 +301,22 @@ class TestTraceAndProfileFlags:
 
     def test_both_engines_trace_identically_via_cli(self, smp_spec_file,
                                                     tmp_path, capsys):
+        # Compiled coalesces idle clock ticks into engine.fastforward
+        # records, so the streams are compared after golden
+        # normalization, which keeps every scheduler-level record.
+        from repro.observability import golden
+
         def load(engine):
             path = self.run_traced(
                 smp_spec_file, tmp_path, "--engine", engine)
             capsys.readouterr()
-            records = [json.loads(line)
-                       for line in open(path, encoding="utf-8")]
-            for record in records:
-                record.pop("engine", None)
-            return records
+            return golden.normalize(
+                json.loads(line) for line in open(path, encoding="utf-8")
+            )
 
-        assert load("incremental") == load("rescan")
+        compiled = load("compiled")
+        assert any(record["kind"] == "sched.in" for record in compiled)
+        assert compiled == load("rescan")
 
     def test_chrome_format(self, smp_spec_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.json")

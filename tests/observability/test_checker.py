@@ -35,7 +35,7 @@ def run_start(seq=0, **over):
     data = dict(scheduler="rrs", topology=[2, 1], pcpus=2, replication=0,
                 root_seed=0, sim_time=100, warmup=0,
                 params={"timeslice": 30}, pcpu_failures=False, guard=None,
-                chaos=False, engine="incremental")
+                chaos=False, engine="compiled")
     data.update(over)
     return rec(trace_mod.RUN_START, 0.0, seq, **data)
 

@@ -1,10 +1,10 @@
-"""Differential tests: the four enablement engines must agree bit-for-bit.
+"""Differential tests: the three enablement engines must agree bit-for-bit.
 
-The incremental engine caches per-gate verdicts; the compiled engine
-lowers the model to flat arrays and fast-forwards idle clock ticks; the
-batch engine drives compiled lanes in waves over one shared calendar;
-the rescan engine re-evaluates everything every step and is the
-semantic reference.  For a fixed ``(root_seed, replication)`` all four
+The compiled engine (the default) caches verdicts over a model lowered
+to flat arrays and fast-forwards idle clock ticks; the batch engine
+drives compiled lanes in waves over one shared calendar; the rescan
+engine re-evaluates everything every step and is the semantic
+reference.  For a fixed ``(root_seed, replication)`` all three
 must be *bit-for-bit* identical — same metrics, same completion count —
 for every registered scheduler, with and without the resilience layers
 (decision guard, chaos injection) and the PCPU fail/repair extension.
@@ -14,14 +14,14 @@ taken (via :func:`repro.core.framework.batch_dispatch_stats`), not just
 that the numbers come out right.
 
 Any divergence here means an engine skipped work that mattered: the
-incremental tracker missed a write, or the compiled fast-forward
-certified a span in which some gate would actually have opened.  Both
-are correctness bugs, not tolerance issues — hence exact ``==``.
+compiled dependency tracker missed a write, or the fast-forward
+certified a span in which some gate would actually have opened (or,
+for rcs, in which the skew accounting would have decided something).
+Both are correctness bugs, not tolerance issues — hence exact ``==``.
 
-Trace-level equality is two-tiered: incremental and rescan emit the
-same records one for one, while compiled coalesces idle clock firings
-(one ``engine.fastforward`` record replaces k fire records), so its
-stream is compared after the golden normalization documented in
+Compiled coalesces idle clock firings (one ``engine.fastforward``
+record replaces k fire records), so traces are compared with rescan's
+after the golden normalization documented in
 :mod:`repro.observability.golden`.
 """
 
@@ -36,6 +36,7 @@ from repro.core.registry import list_schedulers
 from repro.errors import ConfigurationError
 from repro.observability import SimTracer, check_trace
 from repro.observability import golden
+from repro.paper import figure8_sweep
 from repro.resilience import ChaosSpec, GuardPolicy
 from repro.san import ENGINES, resolve_engine
 
@@ -77,32 +78,26 @@ def _traced(spec, engine, replication=0, root_seed=7, **kwargs):
 def assert_engine_traces_identical(spec, replication=0, root_seed=7, **kwargs):
     """Stronger than metric equality: the *event streams* must match.
 
-    Incremental vs rescan is record-for-record (only the ``engine``
-    label in ``run.start`` may differ).  Compiled coalesces idle clock
-    firings, so its raw stream is shorter; the golden normalization
-    must erase exactly that difference and nothing else — and the raw
-    compiled stream must still satisfy every scheduling invariant.
+    Compiled coalesces idle clock firings, so its raw stream is shorter;
+    the golden normalization must erase exactly that difference and
+    nothing else — and the raw compiled stream must still satisfy every
+    scheduling invariant.  Returns the tracers by engine.
     """
     tracers = {
         engine: _traced(spec, engine, replication, root_seed, **kwargs)
         for engine in ENGINES
     }
-    fast = tracers["incremental"].to_dicts()
-    reference = tracers["rescan"].to_dicts()
-    for payload in fast + reference:
-        payload.pop("engine", None)
-    assert len(fast) == len(reference)
-    for index, (got, want) in enumerate(zip(fast, reference)):
-        assert got == want, (
-            f"engine traces diverge at record {index}:\n"
-            f"  incremental: {got}\n  rescan:      {want}"
-        )
     want_norm = golden.normalize(tracers["rescan"].records)
-    for engine in ("compiled", "batch"):
+    for engine in FAST_ENGINES:
         got_norm = golden.normalize(tracers[engine].records)
         assert got_norm == want_norm, f"{engine} trace normalizes differently"
         violations = check_trace(tracers[engine].records)
         assert not violations, "\n".join(str(v) for v in violations[:10])
+    return tracers
+
+
+def _kind_count(tracer, kind):
+    return sum(1 for record in tracer.records if record.kind == kind)
 
 
 def small_spec(scheduler, **overrides):
@@ -209,17 +204,37 @@ def test_random_specs_bit_identical(topology, pcpus, scheduler, seed):
     assert_engines_agree(spec, root_seed=seed)
 
 
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None)
+@given(
+    # A VM of 3+ VCPUs on at most 4 PCPUs runs with some siblings
+    # descheduled, so sibling lag moves inside a candidate span and
+    # crosses a threshold there — the case rcs's quiet-tick count
+    # must stop exactly before.
+    topology=st.tuples(
+        st.integers(min_value=3, max_value=4),
+        st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    ).flatmap(lambda parts: st.permutations([parts[0]] + parts[1])),
+    pcpus=st.integers(min_value=1, max_value=4),
+    thresholds=st.integers(min_value=1, max_value=12).flatmap(
+        lambda skew: st.tuples(st.just(skew), st.integers(min_value=0, max_value=skew - 1))
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rcs_thresholds_bit_identical(topology, pcpus, thresholds, seed):
+    skew, relax = thresholds
+    spec = make_spec(topology, pcpus=pcpus, scheduler="rcs", sim_time=200,
+                     warmup=20, skew_threshold=skew, relax_threshold=relax)
+    assert_engines_agree(spec, root_seed=seed)
+
+
 def test_engine_flag_reaches_the_simulator():
     for engine in ENGINES:
         sim = Simulation(small_spec("rrs"), engine=engine)
         assert sim.simulator.engine == engine
-    # Legacy spelling still works and loses to the explicit name.
-    assert Simulation(small_spec("rrs"), incremental=False).simulator.engine == "rescan"
-    assert (
-        Simulation(small_spec("rrs"), incremental=False, engine="compiled")
-        .simulator.engine
-        == "compiled"
-    )
+    # No name selects the default, and the default is the compiled engine.
+    assert resolve_engine(None) == "compiled"
+    assert Simulation(small_spec("rrs")).simulator.engine == resolve_engine(None)
 
 
 def test_resolve_engine_rejects_unknown_names():
@@ -239,19 +254,52 @@ def _compiled_stats(spec, fast_forward=True, **kwargs):
     return result, sim.simulator.stats()
 
 
+def _figure8_point(scheduler, pcpus):
+    base, _points = figure8_sweep((scheduler,), (pcpus,), sim_time=300, warmup=50)
+    return base
+
+
+# Specs on which the compiled engine must fast-forward: the
+# tick_skip_safe default (rrs), rcs's own skew-bounded certificate,
+# the health-aware wrapper delegating to it on a pristine host, and
+# the paper's Figure-8 rcs points at both ends of its PCPU range.
+FF_SPECS = {
+    "rrs": lambda: small_spec("rrs"),
+    "rcs": lambda: small_spec("rcs"),
+    "health_aware-rcs": lambda: small_spec("health_aware", inner="rcs"),
+    "fig8-rcs-1pcpu": lambda: _figure8_point("rcs", 1),
+    "fig8-rcs-4pcpu": lambda: _figure8_point("rcs", 4),
+}
+
+
 def test_fast_forward_skips_ticks_and_counts_them():
-    result_on, stats_on = _compiled_stats(small_spec("rrs"))
-    result_off, stats_off = _compiled_stats(small_spec("rrs"), fast_forward=False)
-    # The ablation must not change a single bit of the outcome...
-    assert result_on.metrics == result_off.metrics
-    assert result_on.completions == result_off.completions
-    # ...only how many clock ticks were individually dispatched.
-    assert stats_off["ticks_fast_forwarded"] == 0
-    assert stats_on["ticks_fast_forwarded"] > 0
-    assert (
-        stats_on["ticks_fired"] + stats_on["ticks_fast_forwarded"]
-        == stats_off["ticks_fired"]
-    )
+    for spec_id, build in FF_SPECS.items():
+        spec = build()
+        result_on, stats_on = _compiled_stats(spec)
+        result_off, stats_off = _compiled_stats(spec, fast_forward=False)
+        # The ablation must not change a single bit of the outcome...
+        assert result_on.metrics == result_off.metrics, spec_id
+        assert result_on.completions == result_off.completions, spec_id
+        # ...only how many clock ticks were individually dispatched.
+        assert stats_off["ticks_fast_forwarded"] == 0, spec_id
+        assert stats_on["ticks_fast_forwarded"] > 0, spec_id
+        assert (
+            stats_on["ticks_fired"] + stats_on["ticks_fast_forwarded"]
+            == stats_off["ticks_fired"]
+        ), spec_id
+
+
+@pytest.mark.parametrize("spec_id", ["rcs", "fig8-rcs-1pcpu"])
+def test_traced_rcs_fast_forwards_and_keeps_its_skew_records(spec_id):
+    # A tracer does not switch fast-forward off: rcs replays the
+    # skipped ticks' sched.skew records, so the normalized stream (and
+    # the skew-bound invariant inside check_trace) sees every tick.
+    tracers = assert_engine_traces_identical(FF_SPECS[spec_id]())
+    skews = _kind_count(tracers["rescan"], "sched.skew")
+    assert skews > 0
+    for engine in FAST_ENGINES:
+        assert _kind_count(tracers[engine], "engine.fastforward") > 0, engine
+        assert _kind_count(tracers[engine], "sched.skew") == skews, engine
 
 
 def test_fast_forward_off_for_unsafe_schedulers():

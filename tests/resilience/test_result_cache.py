@@ -16,6 +16,7 @@ from repro.resilience import (
 )
 from repro.resilience.executor import bind_cache
 from repro.resilience.result_cache import cacheable_spec_payload
+from repro.san import resolve_engine
 
 
 @pytest.fixture
@@ -225,6 +226,18 @@ class TestBindCache:
             spec, ResilienceConfig(cache_dir=str(tmp_path), engine="rescan"), 0, False
         )
         assert compiled.key(0) != rescan.key(0)
+
+    def test_default_engine_key_names_the_resolved_default(self, spec, tmp_path):
+        # A default config's entries must be keyed by the engine that
+        # actually runs them, not by a separately spelled default.
+        default = bind_cache(spec, ResilienceConfig(cache_dir=str(tmp_path)), 0, False)
+        explicit = bind_cache(
+            spec,
+            ResilienceConfig(cache_dir=str(tmp_path), engine=resolve_engine(None)),
+            0,
+            False,
+        )
+        assert default.key(0) == explicit.key(0)
 
 
 def _monitor():

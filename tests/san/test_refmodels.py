@@ -71,8 +71,7 @@ def _run_batch(replications, window=None):
 class TestReferenceModelEquivalence:
     def test_all_engines_bit_identical(self):
         base = [_run_serial("rescan", rep) for rep in range(3)]
-        for engine in ("incremental", "compiled"):
-            assert [_run_serial(engine, rep) for rep in range(3)] == base
+        assert [_run_serial("compiled", rep) for rep in range(3)] == base
         stats, got = _run_batch(range(3))
         assert got == base
         assert stats.get("vectorized") == 1
@@ -192,9 +191,9 @@ def _mixed_model():
 
 
 class TestMixedIRAndClosure:
-    def test_four_engines_agree_on_mixed_model(self):
+    def test_three_engines_agree_on_mixed_model(self):
         results = {}
-        for engine in ("rescan", "incremental", "compiled"):
+        for engine in ("rescan", "compiled"):
             model = _mixed_model()
             sim = build_simulator(
                 model, StreamFactory(root_seed=3, replication=0), engine=engine
@@ -204,7 +203,6 @@ class TestMixedIRAndClosure:
                 "completions": sim.completions,
                 "marking": {n: p.tokens for n, p in model.places().items()},
             }
-        assert results["incremental"] == results["rescan"]
         assert results["compiled"] == results["rescan"]
         model = _mixed_model()
         lane = build_simulator(
@@ -244,7 +242,7 @@ class TestPerSimulatorCounters:
 
     def test_serial_engines_report_same_counts(self):
         counts = {}
-        for engine in ("rescan", "incremental", "compiled"):
+        for engine in ("rescan", "compiled"):
             model = build_ir_reference_model(**PARAMS)
             sim = build_simulator(
                 model, StreamFactory(root_seed=7, replication=0), engine=engine
@@ -252,8 +250,7 @@ class TestPerSimulatorCounters:
             sim.run(30.0)
             counts[engine] = sim.gate_evaluations
             assert sim.gate_evaluations > 0
-        # Lazy engines never evaluate more than the rescan engine.
-        assert counts["incremental"] <= counts["rescan"]
+        # The lazy engine never evaluates more than the rescan engine.
         assert counts["compiled"] <= counts["rescan"]
 
     def test_reset_zeroes_counter(self):

@@ -51,6 +51,13 @@ class TestTimedExecution:
         sim.run(until=6.5)
         assert count.tokens == 6
 
+    def test_simulator_is_the_rescan_oracle(self):
+        model, _ = ticker_model()
+        sim = SANSimulator(model, StreamFactory(1))
+        sim.run(until=3.5)
+        assert sim.engine == "rescan"
+        assert sim.stats()["engine"] == "rescan"
+
     def test_run_backwards_rejected(self):
         model, _ = ticker_model()
         sim = SANSimulator(model, StreamFactory(1))

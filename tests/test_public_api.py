@@ -4,7 +4,25 @@ README, docs/, and EXPERIMENTS.md reference these names; this module
 pins them so a refactor cannot silently break the documentation.
 """
 
+import os
+import subprocess
+import sys
+
 import repro
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs about a second to import and only t-quantiles and the
+    # CTMC solve use it, so they import it on first use; a fresh
+    # interpreter importing the package (and the CLI) must not.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro, repro.cli; print('scipy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    assert completed.stdout.strip() == "False"
 
 
 def test_top_level_exports():
