@@ -10,9 +10,9 @@ clock, per-lane exact-``==`` comparison of rewards, completions and
 final markings, and a machine-readable report (``BENCH_pr9.json``).
 
 This is where the batch engine's original 5x aspiration is cashed in:
-PR 7's wave loop could only reach parity because the real Fig-8 model's
-gates are opaque Python closures (the scheduling function is
-irreducibly procedural), leaving per-lane work irreducible.  The
+the real Fig-8 model's gates are opaque Python closures (the
+scheduling function is irreducibly procedural), so its lanes run one
+at a time on the serial compiled engine.  The
 expression IR removes that wall for models that declare their gates —
 every predicate, effect, and reward rate evaluates for all R lanes in
 a handful of numpy operations instead of R Python interpreter passes.
@@ -209,7 +209,7 @@ def main(argv=None):
     )
 
     if not summary["vectorized"]:
-        print("FAIL: the IR model fell back to the wave loop", file=sys.stderr)
+        print("FAIL: the IR model ran as serial lanes", file=sys.stderr)
         return 1
     if not summary["all_bit_identical"]:
         print("FAIL: batch diverged from serial compiled", file=sys.stderr)

@@ -152,7 +152,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         and not args.resume
         and cache_dir is None
         and args.batch_width is None
-        and args.batch_wave_window is None
     ):
         return None
     config = ResilienceConfig(
@@ -164,7 +163,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         engine=args.engine,
         cache_dir=cache_dir,
         batch_width=args.batch_width,
-        batch_wave_window=args.batch_wave_window,
     )
     config.validate()
     return config
@@ -398,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="enablement engine: compiled (cached flat-array enablement "
         "with clock-tick fast-forward, the default), rescan (full "
         "re-evaluation, the reference), or batch (replication groups "
-        "advanced in waves over one shared calendar); results are "
-        "bit-identical across all three",
+        "run as vectorized lanes when every gate has an expression form, "
+        "otherwise lane by lane on compiled); results are bit-identical "
+        "across all three",
     )
     run_parser.add_argument(
         "--batch-width",
@@ -409,16 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="replications per batch-dispatch group (engine=batch only; "
         "default: framework default)",
-    )
-    run_parser.add_argument(
-        "--batch-wave-window",
-        type=float,
-        default=None,
-        dest="batch_wave_window",
-        metavar="T",
-        help="wave-calendar interleaving window in simulated time "
-        "(engine=batch only; results are identical for any positive "
-        "value — tunes cache locality; default: engine default)",
     )
     run_parser.add_argument(
         "--degradation",

@@ -429,14 +429,16 @@ def simulate_once(
 
 # -- replication-batched dispatch ---------------------------------------------
 #
-# The batch engine runs R replications of one spec through a shared calendar
-# (see repro.san.compiled.run_lanes).  Guarded or chaos-wrapped replications
-# carry per-replication wrapper state that the trace/guard contract defines
-# in terms of a single serial run, so those fall back to the serial compiled
-# engine, one replication at a time; the module-level counters let tests and
-# stats assert which path actually executed.
+# The batch engine runs R replications of one spec as one group of lanes
+# (see repro.san.compiled.run_lanes: vectorized when every gate and reward
+# has an IR form, otherwise serial compiled, lane by lane).  Guarded or
+# chaos-wrapped replications carry per-replication wrapper state that the
+# trace/guard contract defines in terms of a single serial run, so those fall
+# back to the serial compiled engine, one replication at a time; the
+# module-level counters let tests and stats assert which path actually
+# executed.
 
-#: Lanes driven concurrently per group (bounds peak model memory).
+#: Lanes per group (bounds peak model memory).
 BATCH_WIDTH_DEFAULT = 8
 
 _BATCH_DISPATCH = {"groups": 0, "batched": 0, "fallback": 0}
@@ -463,30 +465,22 @@ def simulate_batch(
     engine: Optional[str] = "batch",
     reuse: bool = False,
     width: Optional[int] = None,
-    wave_window: Optional[float] = None,
 ) -> List[RunResult]:
-    """Run several replications of one spec, batched through one calendar.
+    """Run several replications of one spec in groups of batch lanes.
 
     Groups of up to ``width`` replications each get their own model lane
     (own marking, event wheel, and per-replication streams — the exact
-    serial sample paths) and advance together off a shared calendar, so
-    co-temporal clock ticks across replications execute back to back.
-    Results are returned in ``replications`` order and are bit-identical
-    to ``[simulate_once(spec, r, ...) for r in replications]``.
-
-    ``wave_window`` sets the wave calendar's interleaving granularity
-    (default: the engine's ``WAVE_WINDOW``); lanes are independent, so
-    any positive width yields the same per-lane results — only cache
-    locality changes.  Fully-IR models skip the wave loop entirely for
-    the vectorized kernel runner, which ignores the window.
+    serial sample paths) and go to :func:`~repro.san.compiled.run_lanes`
+    together.  Results are returned in ``replications`` order and are
+    bit-identical to ``[simulate_once(spec, r, ...) for r in
+    replications]``.
 
     Fallback rules (each replication counted in
     :func:`batch_dispatch_stats`): a ``guard`` or ``chaos`` wrapper, or
     an active tracer, forces the serial ``compiled`` engine per
-    replication (wave interleaving would shuffle lanes' records into
-    one stream, breaking the checker's per-replication invariants); a
-    non-batch ``engine`` simply loops :func:`simulate_once` with that
-    engine.
+    replication (the trace contract is defined per serial run, one
+    replication at a time); a non-batch ``engine`` simply loops
+    :func:`simulate_once` with that engine.
     """
     replication_list = [int(r) for r in replications]
     engine_name = resolve_engine(engine)
@@ -539,9 +533,7 @@ def simulate_batch(
             for r in group
         ]
         try:
-            run_lanes(
-                [sim.simulator for sim in sims], spec.sim_time, window=wave_window
-            )
+            run_lanes([sim.simulator for sim in sims], spec.sim_time)
             results.extend(sim._collect_result() for sim in sims)
         finally:
             for sim in sims:

@@ -464,8 +464,8 @@ class _PointState:
 
         Floor replications (< ``min_replications``) execute no matter
         what the convergence monitor later says, so grouping them into
-        one shared-calendar dispatch never over-runs the budget the
-        serial path would spend.  Speculative (adaptive) grants stay
+        one batch dispatch never over-runs the budget the serial path
+        would spend.  Speculative (adaptive) grants stay
         single so ``executed == cut`` is preserved.
         """
         width = self.batch_width()

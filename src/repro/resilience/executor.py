@@ -75,14 +75,9 @@ class ResilienceConfig:
             ``"batch"``; results are bit-identical across all three.
             ``"batch"`` additionally lets the serial driver and the
             sweep pool dispatch groups of clean (unguarded, chaos-free)
-            replications through one shared calendar.
+            replications as one group of lanes.
         batch_width: lanes per batch-dispatch group (``None`` = the
             framework default); only meaningful with ``engine="batch"``.
-        batch_wave_window: wave-calendar interleaving granularity for
-            batch groups (``None`` = the engine's ``WAVE_WINDOW``).
-            Lanes are independent, so any positive value is
-            result-identical — the knob trades scheduling overhead
-            against cache locality.
         reuse: reuse the built (and, for compiled, lowered) model across
             replications of the same spec — once per process, so each
             pool worker compiles once and resets thereafter.
@@ -107,7 +102,6 @@ class ResilienceConfig:
     reuse: bool = True
     cache_dir: Optional[str] = None
     batch_width: Optional[int] = None
-    batch_wave_window: Optional[float] = None
 
     def validate(self) -> None:
         if self.jobs < 1:
@@ -131,10 +125,6 @@ class ResilienceConfig:
         if self.batch_width is not None and self.batch_width < 1:
             raise ConfigurationError(
                 f"batch_width must be >= 1, got {self.batch_width}"
-            )
-        if self.batch_wave_window is not None and not self.batch_wave_window > 0:
-            raise ConfigurationError(
-                f"batch_wave_window must be > 0, got {self.batch_wave_window}"
             )
 
 
@@ -224,7 +214,6 @@ class _Task:
     engine: Optional[str] = None
     reuse: bool = True
     batch: Optional[Tuple[int, ...]] = None
-    wave_window: Optional[float] = None
 
 
 def _run_payload(run: Any) -> Dict[str, Any]:
@@ -253,7 +242,6 @@ def _execute_task(task: _Task) -> Dict[str, Any]:
                 chaos=task.chaos,
                 engine=task.engine,
                 reuse=task.reuse,
-                wave_window=task.wave_window,
             )
         except Exception as exc:  # noqa: BLE001 — every fault becomes a record
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -408,7 +396,6 @@ class _Run:
             chaos=self.config.chaos,
             engine=self.config.engine,
             reuse=self.config.reuse,
-            wave_window=self.config.batch_wave_window,
         )
 
     def batch_eligible(self) -> bool:
@@ -603,7 +590,7 @@ class _Run:
     def _run_serial_batched(self) -> None:
         """Serial driver, batch engine: dispatch clean replication groups.
 
-        Groups share one calendar (see ``simulate_batch``); convergence
+        Groups run as batch lanes (see ``simulate_batch``); convergence
         is judged between groups, so a group may over-run the cut — the
         surplus is discarded by ``assemble`` exactly as the pool
         driver's over-run is.  A faulted group falls back to the
@@ -633,7 +620,6 @@ class _Run:
                     engine="batch",
                     reuse=self.config.reuse,
                     width=width,
-                    wave_window=self.config.batch_wave_window,
                 )
             except Exception:  # noqa: BLE001 — group fault: isolate per lane
                 self._run_serial_single(group)

@@ -90,16 +90,12 @@ def build_simulator(
     streams: Optional[StreamFactory] = None,
     engine: Optional[str] = None,
     max_instantaneous_chain: int = 100_000,
-    wave_window: Optional[float] = None,
 ) -> SANSimulator:
     """Construct the simulator for the selected enablement engine."""
     name = resolve_engine(engine)
     if name == "batch":
         return BatchCompiledSANSimulator(
-            model,
-            streams,
-            max_instantaneous_chain=max_instantaneous_chain,
-            wave_window=wave_window,
+            model, streams, max_instantaneous_chain=max_instantaneous_chain
         )
     if name == "compiled":
         return CompiledSANSimulator(
@@ -544,6 +540,43 @@ class CompiledSANSimulator(SANSimulator):
             finally:
                 _places._read_sink = previous
 
+    def _begin_run(self, until: float) -> Optional[Any]:
+        """Shared run prologue: enter the run and settle the start state.
+
+        Rejects running backwards, syncs with out-of-band writes,
+        settles the initial marking (its gate evaluations are
+        attributed here) and arms fast-forward.  Returns the model's
+        fast-forward spec, or ``None`` when it cannot engage this run.
+        Every entry — serial ``run`` and the vectorized lane driver —
+        pairs it with :meth:`_finish_run`.
+        """
+        if until < self.clock.now:
+            raise SimulationError(
+                f"cannot run to t={until}: clock is already at {self.clock.now}"
+            )
+        self._run_marks = (self.ticks_fired, self.ticks_fast_forwarded)
+        self._sync_in()
+        base = _gates._EVALUATIONS
+        try:
+            self._ensure_started()
+        finally:
+            self._own_gate_evaluations += _gates._EVALUATIONS - base
+        if self.fast_forward and not self._impulse_rewards:
+            return self._ff_spec
+        return None
+
+    def _finish_run(self) -> None:
+        """Shared run epilogue (always runs): profiler deltas + epoch sync."""
+        profiler = _profile._ACTIVE
+        if profiler is not None:
+            fired_before, skipped_before = self._run_marks
+            profiler.count("engine.ticks_fired", self.ticks_fired - fired_before)
+            profiler.count(
+                "engine.ticks_fast_forwarded",
+                self.ticks_fast_forwarded - skipped_before,
+            )
+        self._sync_out()
+
     def run(self, until: float) -> None:
         """Run until ``until``, fast-forwarding idle clock spans.
 
@@ -554,24 +587,10 @@ class CompiledSANSimulator(SANSimulator):
         ``step()`` never fast-forwards — single-stepping is a debugging
         surface and must show every event.
         """
-        if until < self.clock.now:
-            raise SimulationError(
-                f"cannot run to t={until}: clock is already at {self.clock.now}"
-            )
-        fired_before = self.ticks_fired
-        skipped_before = self.ticks_fast_forwarded
-        self._sync_in()
+        spec = self._begin_run(until)
         eval_base = _gates._EVALUATIONS
         try:
-            self._ensure_started()
             queue = self._queue
-            spec = (
-                self._ff_spec
-                if self.fast_forward
-                and self._ff_spec is not None
-                and not self._impulse_rewards
-                else None
-            )
             tick = self._tick_activity
             while True:
                 head = queue.peek()
@@ -585,71 +604,23 @@ class CompiledSANSimulator(SANSimulator):
             self.clock.advance_to(until)
         finally:
             self._own_gate_evaluations += _gates._EVALUATIONS - eval_base
-            profiler = _profile._ACTIVE
-            if profiler is not None:
-                profiler.count(
-                    "engine.ticks_fired", self.ticks_fired - fired_before
-                )
-                profiler.count(
-                    "engine.ticks_fast_forwarded",
-                    self.ticks_fast_forwarded - skipped_before,
-                )
-            self._sync_out()
+            self._finish_run()
 
 
 # -- replication-batched execution --------------------------------------------
 
 
 class BatchCompiledSANSimulator(CompiledSANSimulator):
-    """Compiled engine lane that can run inside a shared batch calendar.
+    """The ``batch`` engine: a compiled lane that :func:`run_lanes` drives.
 
     One instance simulates one replication with exactly the compiled
-    engine's lowered state and sample path — the subclass only exposes
-    the engine loop as three lane hooks (begin / drain-window / finish)
-    so that :func:`run_lanes` can interleave R replications of the same
-    spec through a single structure-of-arrays calendar.  Each lane keeps
-    its own marking, event wheel and per-replication
-    :class:`~repro.des.random_streams.StreamFactory`, so the batch is
-    bit-for-bit identical to running the lanes one after the other; the
-    shared calendar only chooses *which* lane steps next (ascending lane
-    order within a wave — lanes are independent, so any order would
-    yield the same per-lane path).
-
-    Standing alone (``build_simulator(engine="batch")``), the instance
-    is a single-lane batch: ``run`` drives the same wave loop with one
-    entry, so every differential test of the serial API also exercises
-    the batch driver.
-
-    Args:
-        wave_window: interleaving window width in clock periods for the
-            shared calendar (default: the module's ``WAVE_WINDOW``).
-            Lanes are independent, so any positive width is correct —
-            this only tunes cache locality vs switching granularity.
+    engine's lowered state and sample path, its own marking, event
+    wheel and per-replication
+    :class:`~repro.des.random_streams.StreamFactory`.  Standing alone
+    (``build_simulator(engine="batch")``) it is a single-lane batch, so
+    every differential test of the serial API also exercises
+    :func:`run_lanes`.
     """
-
-    def __init__(
-        self,
-        model: ModelBase,
-        streams: Optional[StreamFactory] = None,
-        max_instantaneous_chain: int = 100_000,
-        fast_forward: bool = True,
-        wave_window: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            model,
-            streams,
-            max_instantaneous_chain=max_instantaneous_chain,
-            fast_forward=fast_forward,
-        )
-        if wave_window is None:
-            self.wave_window = WAVE_WINDOW
-        else:
-            window = float(wave_window)
-            if not (window > 0.0):
-                raise ConfigurationError(
-                    f"batch wave window must be positive, got {wave_window!r}"
-                )
-            self.wave_window = window
 
     @property
     def engine(self) -> str:
@@ -658,170 +629,38 @@ class BatchCompiledSANSimulator(CompiledSANSimulator):
     def run(self, until: float) -> None:
         run_lanes((self,), until)
 
-    # -- lane protocol (driven by run_lanes) ---------------------------------
-
-    def _begin_lane_run(self, until: float) -> float:
-        """Enter the run: sync, settle the initial marking, arm FF.
-
-        Returns the lane's head-event time (``inf`` on an empty wheel)
-        for the shared calendar.
-        """
-        if until < self.clock.now:
-            raise SimulationError(
-                f"cannot run to t={until}: clock is already at {self.clock.now}"
-            )
-        self._lane_fired_before = self.ticks_fired
-        self._lane_skipped_before = self.ticks_fast_forwarded
-        self._sync_in()
-        base = _gates._EVALUATIONS
-        try:
-            self._ensure_started()
-        finally:
-            self._own_gate_evaluations += _gates._EVALUATIONS - base
-        self._lane_ff = (
-            self._ff_spec
-            if self.fast_forward
-            and self._ff_spec is not None
-            and not self._impulse_rewards
-            else None
-        )
-        head = self._queue.peek()
-        return head.time if head is not None else math.inf
-
-    def _drain_window(self, boundary: float, until: float) -> Tuple[float, int]:
-        """Process every head event before ``boundary`` (<= ``until``).
-
-        Returns ``(new_head_time, steps)`` for the shared calendar.
-        The loop body mirrors ``CompiledSANSimulator.run`` exactly, so a
-        single lane replays the serial event order; running it per
-        window (not per event) keeps the wave driver's overhead off the
-        hot path.  Fast-forward may legally overshoot the window — the
-        lane just re-enters the calendar at the far end of the span.
-        """
-        peek = self._queue.peek
-        step = self._step
-        tick = self._tick_activity
-        spec = self._lane_ff
-        steps = 0
-        base = _gates._EVALUATIONS
-        try:
-            while True:
-                head = peek()
-                if head is None:
-                    return math.inf, steps
-                time = head.time
-                if time >= boundary:
-                    return time, steps
-                if spec is None or head.payload is not tick:
-                    step()
-                elif not self._try_fast_forward(head, until, spec):
-                    step()
-                steps += 1
-        finally:
-            self._own_gate_evaluations += _gates._EVALUATIONS - base
-
-    def _settle_lane_run(self, until: float) -> None:
-        """Advance rewards and the clock to the horizon (success path)."""
-        self._advance_rewards(until)
-        self.clock.advance_to(until)
-
-    def _finish_lane_run(self) -> None:
-        """Leave the run (always): profiler deltas + epoch sync."""
-        profiler = _profile._ACTIVE
-        if profiler is not None:
-            profiler.count(
-                "engine.ticks_fired", self.ticks_fired - self._lane_fired_before
-            )
-            profiler.count(
-                "engine.ticks_fast_forwarded",
-                self.ticks_fast_forwarded - self._lane_skipped_before,
-            )
-        self._sync_out()
-
-
-#: Wave window width, in clock periods (the framework's Clocks tick at
-#: unit cadence).  Lanes are mutually independent, so any window is
-#: correct — the width only sets interleaving granularity.  A window of
-#: a few ticks lets each lane run a cache-hot burst (its tick pipelines
-#: plus the stochastic firings scheduled inside the window) before the
-#: driver hops to the next lane, and amortizes the per-wave calendar
-#: overhead over many events; measured on the Figure 8 shape, 16 ticks
-#: is past the knee and single-tick windows give up a few percent to
-#: cross-lane cache thrash.
-WAVE_WINDOW = 16.0
-
 
 def run_lanes(
-    lanes: Sequence[BatchCompiledSANSimulator],
-    until: float,
-    window: Optional[float] = None,
+    lanes: Sequence[CompiledSANSimulator], until: float
 ) -> Dict[str, int]:
-    """Drive R lanes to ``until`` off one shared numpy calendar.
+    """Run R lanes (replications of one spec) to ``until``.
 
     When every lane's model carries a fully-IR form — all gates carry
     vectorizable expressions and effects, all rewards vectorizable
-    rates (see :mod:`repro.san.vector`) — the driver hands the whole
-    batch to the vectorized kernel runner, which advances all R lanes
-    per Python-level step through one ``(R, n_places)`` int64 matrix
-    and returns bit-identical per-lane results.  Models with any
-    closure gate (the VMM scheduler models, whose scheduling function
-    is irreducibly procedural) fall back to the wave loop below.
+    rates (see :mod:`repro.san.vector`) — the whole batch goes to the
+    vectorized kernel runner, which advances all R lanes per
+    Python-level step through one ``(R, n_places)`` int64 matrix and
+    returns bit-identical per-lane results.  Otherwise (any closure
+    gate, as in every VMM scheduler model, or an active tracer or
+    profiler) each lane runs in turn on the serial compiled engine.
 
-    The wave calendar is a ``(R,)`` float64 vector of per-lane
-    head-event times.  Each wave takes the global minimum ``t`` and
-    advances every lane whose head falls inside the window
-    ``[t, t + window)`` (in ascending lane order), draining the lane's
-    events up to the window edge before moving on, so lanes whose
-    deterministic Clocks align — the common case, every tick lands on
-    integer time — execute their tick pipelines back to back with the
-    interpreter's caches hot.  Lanes are independent, so the window
-    width (default: lane 0's ``wave_window`` knob) affects only
-    interleaving granularity, never any lane's sample path.  Per-lane
-    fast-forward still engages: a lane that certifies an idle span
-    simply re-enters the calendar at the far end of the span.
-
-    Returns wave/step counters (``waves``, ``lane_steps``) for benches
-    and stats; correctness never depends on them.
+    Returns ``vectorized`` (1 on the kernel path, else 0) and the
+    kernel runner's ``waves`` (event rounds) and ``lane_steps`` (timed
+    events fired across lanes), both 0 on the serial path; correctness
+    never depends on them.
     """
-    if not lanes:
-        return {"waves": 0, "lane_steps": 0}
-    from . import vector as _vector  # deferred: vector imports this module
+    if lanes:
+        from . import vector as _vector  # deferred: vector imports this module
 
-    plan = _vector.plan_lanes(lanes)
-    if plan is not None:
-        return _vector.run_vectorized(plan, lanes, until)
-    if window is None:
-        window = getattr(lanes[0], "wave_window", WAVE_WINDOW)
-    waves = 0
-    lane_steps = 0
-    begun: List[BatchCompiledSANSimulator] = []
-    try:
-        heads = numpy.empty(len(lanes), dtype=numpy.float64)
-        for index, lane in enumerate(lanes):
-            heads[index] = lane._begin_lane_run(until)
-            begun.append(lane)
-        while True:
-            t = heads.min()
-            if t >= until:
-                break
-            waves += 1
-            # Events at exactly the window edge wait for the next wave,
-            # and the edge never exceeds the horizon, so every drained
-            # event is strictly before ``until``.
-            boundary = min(t + window, until)
-            for index in numpy.nonzero(heads < boundary)[0]:
-                head, steps = lanes[index]._drain_window(boundary, until)
-                lane_steps += steps
-                heads[index] = head
-        for lane in lanes:
-            lane._settle_lane_run(until)
-    finally:
-        for lane in begun:
-            lane._finish_lane_run()
-    return {"waves": waves, "lane_steps": lane_steps}
+        plan = _vector.plan_lanes(lanes)
+        if plan is not None:
+            return _vector.run_vectorized(plan, lanes, until)
+    for lane in lanes:
+        CompiledSANSimulator.run(lane, until)
+    return {"waves": 0, "lane_steps": 0, "vectorized": 0}
 
 
-def place_matrix(lanes: Sequence[BatchCompiledSANSimulator]) -> "numpy.ndarray":
+def place_matrix(lanes: Sequence[CompiledSANSimulator]) -> "numpy.ndarray":
     """Structure-of-arrays snapshot: ``(R, n_places)`` int64 token counts.
 
     Rows are lanes, columns are the token places of the (shared) model

@@ -3,10 +3,10 @@
 The Fig-8 virtualization model (:mod:`repro.vmm.vcpu_scheduler`) keeps
 its scheduling function as procedural Python — the paper's algorithms
 walk VM topologies and mutate extended places, which has no declarative
-form.  That model therefore always takes the batch engine's wave-loop
-fallback.  This module provides the counterpart: a token-only,
-event-driven abstraction of the same dispatch / time-slice / fail /
-repair cycle whose every gate, effect, and reward is an
+form.  The batch engine therefore runs that model's lanes one at a time
+on the serial compiled engine.  This module provides the counterpart:
+a token-only, event-driven abstraction of the same dispatch /
+time-slice / fail / repair cycle whose every gate, effect, and reward is an
 :mod:`repro.san.exprs` expression, so the batch engine's vectorized
 kernel runner (:mod:`repro.san.vector`) can advance all replication
 lanes through one ``(R, n_places)`` int64 matrix.

@@ -1,10 +1,8 @@
 """Replication-vectorized batch execution over IR gate/reward kernels.
 
-The PR 7 batch engine interleaves R compiled lanes through one shared
-calendar, but each lane still steps in pure Python — gate predicates
-and reward rates are opaque closures, so the per-lane work is
-irreducible and the structure-of-arrays state buys nothing (BENCH_pr7
-measured ~1x).  This module is where the expression IR
+Run one at a time, replications of a model with closure gates step in
+pure Python — gate predicates and reward rates are opaque, so the
+per-lane work is irreducible.  This module is where the expression IR
 (:mod:`repro.san.exprs`) cashes that in: when every gate and reward of
 every lane carries a *vectorizable* IR form, the whole batch runs off
 one ``(R, n_places)`` int64 token matrix, and each Python-level step
@@ -21,11 +19,12 @@ advances **all R lanes at once**:
 Eligibility is decided per batch by :func:`plan_lanes`; anything it
 cannot prove vectorizable — a closure gate, an extended-place read,
 an impulse reward, a multi-case activity, reactivation sampling, an
-active tracer/profiler — falls back to the wave-interleaved driver in
-:mod:`repro.san.compiled`, which handles the fully general model.  The
-VMM scheduler models always take the fallback (their scheduling
-function is irreducibly procedural Python); the IR-covered reference
-models in :mod:`repro.san.refmodels` take the vector path.
+active tracer/profiler — makes :func:`repro.san.compiled.run_lanes` run
+each lane in turn on the serial compiled engine, which handles the
+fully general model.  The VMM scheduler models always take that path
+(their scheduling function is irreducibly procedural Python); the
+IR-covered reference models in :mod:`repro.san.refmodels` take the
+vector path.
 
 Bit-identity: the vector loop replays the serial engine's decision
 procedure exactly — events in per-lane (time, sequence) order,
@@ -358,7 +357,7 @@ def run_vectorized(
     begun: List[Any] = []
     try:
         for lane in lanes:
-            lane._begin_lane_run(until)
+            lane._begin_run(until)
             begun.append(lane)
 
         # -- gather ----------------------------------------------------------
@@ -683,5 +682,5 @@ def run_vectorized(
             lane.clock.advance_to(until)
     finally:
         for lane in begun:
-            lane._finish_lane_run()
+            lane._finish_run()
     return {"waves": rounds, "lane_steps": lane_steps, "vectorized": 1}

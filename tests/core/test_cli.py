@@ -228,20 +228,6 @@ class TestBatchEngineFlag:
                      "--engine", "batch", "--batch-width", "0"]) == 1
         assert "error: ConfigurationError" in capsys.readouterr().err
 
-    def test_batch_wave_window_flag_round_trips(self, spec_file, capsys):
-        base = ["run", "--spec", spec_file, "--csv",
-                "--min-replications", "3", "--max-replications", "3"]
-        assert main(base + ["--engine", "batch"]) == 0
-        batch = capsys.readouterr().out
-        assert main(base + ["--engine", "batch",
-                            "--batch-wave-window", "2.5"]) == 0
-        assert capsys.readouterr().out == batch
-
-    def test_bad_batch_wave_window_rejected(self, spec_file, capsys):
-        assert main(["run", "--spec", spec_file, "--engine", "batch",
-                     "--batch-wave-window", "0"]) == 1
-        assert "error: ConfigurationError" in capsys.readouterr().err
-
 
 class TestTraceAndProfileFlags:
     """The ``--trace`` / ``--profile`` / ``--engine`` observability matrix."""

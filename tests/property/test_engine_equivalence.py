@@ -2,7 +2,8 @@
 
 The compiled engine (the default) caches verdicts over a model lowered
 to flat arrays and fast-forwards idle clock ticks; the batch engine
-drives compiled lanes in waves over one shared calendar; the rescan
+runs replication groups as vectorized lanes when every gate and reward
+has an IR form, and otherwise lane by lane on compiled; the rescan
 engine re-evaluates everything every step and is the semantic
 reference.  For a fixed ``(root_seed, replication)`` all three
 must be *bit-for-bit* identical — same metrics, same completion count —
@@ -345,7 +346,7 @@ def test_fast_forward_off_with_impulse_rewards():
     assert stats["ticks_fast_forwarded"] == 0
 
 
-# -- batch engine: grouped replications over one shared calendar ---------------
+# -- batch engine: grouped replications as lanes -------------------------------
 
 
 def _serial_compiled(spec, replications, **kwargs):
@@ -388,28 +389,6 @@ def test_simulate_batch_lane_width_is_irrelevant():
         )
 
 
-def test_simulate_batch_width_and_window_are_irrelevant():
-    # The wave window only tunes interleaving granularity; combined
-    # with any lane grouping the per-lane sample paths must not move.
-    from repro.core.framework import simulate_batch
-
-    spec = small_spec("rrs")
-    replications = list(range(4))
-    want = _serial_compiled(spec, replications)
-    for width in (1, 3, 8):
-        for window in (0.5, 2.0, 16.0, 1e9):
-            assert_runs_identical(
-                simulate_batch(
-                    spec,
-                    replications,
-                    root_seed=7,
-                    width=width,
-                    wave_window=window,
-                ),
-                want,
-            )
-
-
 def test_batch_dispatch_counts_groups():
     from repro.core import framework
 
@@ -449,9 +428,9 @@ def test_batch_dispatch_falls_back_under_guard_and_chaos(kwargs):
 
 
 def test_batch_dispatch_falls_back_under_active_tracer():
-    # Wave interleaving would shuffle the lanes' records into one
-    # stream; with a tracer active the dispatcher must degrade to
-    # serial compiled so every replication's trace stays well-formed
+    # The trace contract is defined per serial run; with a tracer
+    # active the dispatcher must degrade to serial compiled so every
+    # replication's trace stays well-formed
     # (run.start header first, then only that replication's events).
     from repro.core import framework
     from repro.observability.trace import tracing

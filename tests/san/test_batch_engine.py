@@ -3,8 +3,9 @@
 The integration-level guarantees (bit-identity against the other three
 engines, dispatch fallback rules) live in
 ``tests/property/test_engine_equivalence.py``; this file covers the
-lane driver itself: :func:`repro.san.run_lanes` wave accounting,
-:func:`repro.san.place_matrix` snapshots, and the error paths.
+lane driver itself: :func:`repro.san.run_lanes` on closure-gate models
+(serial compiled, lane by lane), :func:`repro.san.place_matrix`
+snapshots, and the error paths.
 """
 
 import numpy
@@ -46,15 +47,23 @@ class TestRunLanes:
             assert fast.metrics == reference.metrics
             assert fast.completions == reference.completions
 
-    def test_wave_accounting(self):
-        spec = _spec()
-        _sims, lanes = _lanes(range(2), spec)
+    @pytest.mark.parametrize("scheduler", ["rrs", "rcs"])
+    def test_closure_gate_lanes_run_as_serial_compiled(self, scheduler):
+        # The VMM model's closure gates keep it off the vectorized
+        # kernels; every lane must then be its standalone compiled run,
+        # engine counters included, not only its metrics.
+        spec = _spec(scheduler)
+        sims, lanes = _lanes(range(3), spec)
         stats = run_lanes(lanes, spec.sim_time)
-        assert set(stats) == {"waves", "lane_steps"}
-        # Fast-forward coalesces idle clock ticks, so lane_steps is far
-        # below lanes * sim_time — but both lanes stepped *something*.
-        assert stats["waves"] >= 1
-        assert stats["lane_steps"] >= 2
+        assert stats["vectorized"] == 0
+        for rep, (sim, lane) in enumerate(zip(sims, lanes)):
+            solo = Simulation(spec, replication=rep, root_seed=7, engine="compiled")
+            reference = solo.run()
+            want = solo.simulator.stats()
+            got = lane.stats()
+            assert (got.pop("engine"), want.pop("engine")) == ("batch", "compiled")
+            assert got == want
+            assert sim._collect_result().metrics == reference.metrics
 
     def test_empty_lane_list_is_a_noop(self):
         stats = run_lanes([], 100.0)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.des import StreamFactory
-from repro.errors import ConfigurationError
 from repro.san import (
     InputGate,
     InstantaneousActivity,
@@ -50,7 +49,7 @@ def _observe(sim, rewards, model):
     }
 
 
-def _run_batch(replications, window=None):
+def _run_batch(replications):
     lanes, bound = [], []
     for replication in replications:
         model = build_ir_reference_model(**PARAMS)
@@ -64,7 +63,7 @@ def _run_batch(replications, window=None):
             sim.add_reward(reward)
         lanes.append(sim)
         bound.append((sim, rewards, model))
-    stats = run_lanes(lanes, UNTIL, window=window)
+    stats = run_lanes(lanes, UNTIL)
     return stats, [_observe(*item) for item in bound]
 
 
@@ -210,7 +209,7 @@ class TestMixedIRAndClosure:
         )
         stats = run_lanes([lane], 50.0)
         # The closure gate keeps the model off the vectorized kernels.
-        assert "vectorized" not in stats
+        assert stats["vectorized"] == 0
         assert {
             "completions": lane.completions,
             "marking": {n: p.tokens for n, p in model.places().items()},
@@ -263,16 +262,3 @@ class TestPerSimulatorCounters:
         sim.reset()
         assert sim.gate_evaluations == 0
 
-
-class TestWaveWindowKnob:
-    def test_window_must_be_positive(self):
-        model = build_ir_reference_model(**PARAMS)
-        with pytest.raises(ConfigurationError):
-            build_simulator(model, engine="batch", wave_window=0.0)
-        with pytest.raises(ConfigurationError):
-            build_simulator(model, engine="batch", wave_window=-1.0)
-
-    def test_constructor_knob_is_recorded(self):
-        model = build_ir_reference_model(**PARAMS)
-        sim = build_simulator(model, engine="batch", wave_window=4.0)
-        assert sim.wave_window == 4.0
