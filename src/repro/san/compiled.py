@@ -201,6 +201,9 @@ class CompiledSANSimulator(SANSimulator):
                 verdicts = [g.constant_verdict for g in gates]
                 if all(v is not None for v in verdicts):
                     self._ir_consts[index] = 1 if all(verdicts) else 0
+                elif len(gates) == 1:
+                    # The gate already carries its compiled evaluator.
+                    self._ir_preds[index] = gates[0]._predicate
                 else:
                     self._ir_preds[index] = _exprs.compile_scalar_predicate(
                         _exprs.conjunction([g.expr for g in gates])
@@ -641,8 +644,9 @@ def run_lanes(
     vectorized kernel runner, which advances all R lanes per
     Python-level step through one ``(R, n_places)`` int64 matrix and
     returns bit-identical per-lane results.  Otherwise (any closure
-    gate, as in every VMM scheduler model, or an active tracer or
-    profiler) each lane runs in turn on the serial compiled engine.
+    gate or extended-place read, as in every VMM scheduler model, or an
+    active tracer or profiler) each lane runs in turn on the serial
+    compiled engine.
 
     Returns ``vectorized`` (1 on the kernel path, else 0) and the
     kernel runner's ``waves`` (event rounds) and ``lane_steps`` (timed

@@ -45,6 +45,7 @@ are exactly ``==`` across all compilation strategies, not merely close.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy
@@ -783,9 +784,21 @@ def _emit_scalar(expr: Expr, ctx: _Ctx) -> str:
     raise ModelError(f"unknown expression node {type(expr).__name__}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _code(src: str) -> Any:
+    """The code object of a generated source, compiled once per text.
+
+    Generated source names places and helpers only through the ``_Ctx``
+    bindings (``p0``, ``s1``, ``C2`` ...), never by identity, so every
+    gate of one shape — the same gate in each model built for a spec,
+    each lane of a batch — yields the same text and shares one code
+    object, executed into its own env.
+    """
+    return compile(src, "<san-expr-ir>", "exec")
+
+
 def _compile_function(src: str, env: Dict[str, Any], name: str) -> Callable:
-    code = compile(src, "<san-expr-ir>", "exec")
-    exec(code, env)
+    exec(_code(src), env)
     return env[name]
 
 

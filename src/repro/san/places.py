@@ -70,6 +70,8 @@ class _ValueCell:
 # its getter, a ``.value`` read outside any read sink is conservatively
 # counted as a potential write — gate functions mutate slot dicts in
 # place through exactly that path, and guessing would break semantics.
+# Code that only observes uses :meth:`ExtendedPlace.peek` instead, which
+# never counts as a write.
 
 _WRITE_EPOCH = 0
 _read_sink: Optional[Set[Any]] = None
@@ -234,6 +236,20 @@ class ExtendedPlace:
     def value(self, new_value: Any) -> None:
         self._cell.value = new_value
         _mark_written(self._cell)
+
+    def peek(self) -> Any:
+        """The current value as a pure observation.
+
+        Like :attr:`value` it records the cell under a read sink, but it
+        never counts as a write, so observing a slot from inside a
+        completion does not invalidate the gates watching it.  The
+        caller must not mutate the returned object (or anything reached
+        through it): such a write would be invisible to the compiled
+        engine.  Read through :attr:`value` when you intend to mutate.
+        """
+        if _read_sink is not None:
+            _read_sink.add(self._cell)
+        return self._cell.value
 
     def reset(self) -> None:
         """Restore a deep copy of the initial value."""

@@ -22,7 +22,8 @@ an impulse reward, a multi-case activity, reactivation sampling, an
 active tracer/profiler — makes :func:`repro.san.compiled.run_lanes` run
 each lane in turn on the serial compiled engine, which handles the
 fully general model.  The VMM scheduler models always take that path
-(their scheduling function is irreducibly procedural Python); the
+(their gates read extended-place fields and their scheduling function
+is irreducibly procedural Python); the
 IR-covered reference models in :mod:`repro.san.refmodels` take the
 vector path.
 

@@ -37,6 +37,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..schedulers.interface import VCPUStatus
 from .states import (
     PRIORITY_DISPATCH,
@@ -97,14 +98,13 @@ def build_job_scheduler(
 
     # -- Scheduling: dispatch the pending workload to a READY VCPU --------
 
-    def can_dispatch() -> bool:
-        return workload.value is not None and num_ready.tokens > 0
+    can_dispatch = (E.field(workload) != E.const(None)) & (E.tokens(num_ready) > 0)
 
     def _ready_indices() -> list:
         return [
             i
             for i, slot in enumerate(plugged)
-            if slot.value["status"] == VCPUStatus.READY
+            if slot.peek()["status"] == VCPUStatus.READY
         ]
 
     def _pick() -> int:
@@ -131,11 +131,11 @@ def build_job_scheduler(
     def do_dispatch() -> None:
         job = workload.value
         index = _pick()
-        slot = plugged[index]
-        slot.value["remaining_load"] = job["load"]
-        slot.value["sync_point"] = job["sync_point"]
-        slot.value["critical"] = job.get("critical", 0)
-        slot.value["status"] = VCPUStatus.BUSY
+        slot = plugged[index].value
+        slot["remaining_load"] = job["load"]
+        slot["sync_point"] = job["sync_point"]
+        slot["critical"] = job.get("critical", 0)
+        slot["status"] = VCPUStatus.BUSY
         num_ready.remove()
         workload.value = None
         cursor.tokens = (index + 1) % num_vcpus
@@ -144,24 +144,25 @@ def build_job_scheduler(
         InstantaneousActivity(
             "Scheduling",
             priority=PRIORITY_DISPATCH,
-            input_gates=[InputGate("Scheduling_gate", can_dispatch)],
+            input_gates=[InputGate("Scheduling_gate", expr=can_dispatch)],
             output_gates=[OutputGate("Dispatch", do_dispatch)],
         )
     )
 
     # -- Unblock: barrier release ------------------------------------------
 
-    def barrier_done() -> bool:
-        if blocked.tokens == 0 or workload.value is not None:
-            return False
-        return all(slot.value["remaining_load"] == 0 for slot in plugged)
+    barrier_done = E.land(
+        E.tokens(blocked) > 0,
+        E.field(workload) == E.const(None),
+        *[E.field(slot, "remaining_load") == 0 for slot in plugged],
+    )
 
     model.add_activity(
         InstantaneousActivity(
             "Unblock",
             priority=PRIORITY_UNBLOCK,
-            input_gates=[InputGate("Barrier_done", barrier_done)],
-            output_gates=[OutputGate("Clear_blocked", lambda: blocked.remove(blocked.tokens))],
+            input_gates=[InputGate("Barrier_done", expr=barrier_done)],
+            output_gates=[OutputGate("Clear_blocked", effect=[E.set_tokens(blocked, 0)])],
         )
     )
 

@@ -46,6 +46,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..schedulers.interface import VCPUStatus
 from .states import (
     PRIORITY_ACQUIRE,
@@ -54,16 +55,6 @@ from .states import (
     PRIORITY_PROCESS,
     new_slot,
 )
-
-
-def _spin(tick: Place, spin_ticks: Place):
-    """Gate function: burn the tick token and count it as spin waste."""
-
-    def spin() -> None:
-        tick.remove()
-        spin_ticks.add()
-
-    return spin
 
 
 def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
@@ -91,6 +82,10 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
     lock = model.add_place(ExtendedPlace("Lock", None))
     spin_ticks = model.add_place(Place("Spin_ticks"))
     me = int(lock_owner_id)
+    has_tick = E.tokens(tick) > 0
+    busy = E.field(slot, "status") == VCPUStatus.BUSY
+    critical = E.field(slot, "critical")
+    holder = E.field(lock)
 
     def apply_schedule_in() -> None:
         schedule_in.remove()
@@ -106,7 +101,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             "Handle_Schedule_In",
             priority=PRIORITY_APPLY_SCHEDULE_IN,
             input_gates=[
-                InputGate("Has_schedule_in", lambda: schedule_in.tokens > 0)
+                InputGate("Has_schedule_in", expr=E.tokens(schedule_in) > 0)
             ],
             output_gates=[OutputGate("Apply_schedule_in", apply_schedule_in)],
         )
@@ -124,17 +119,13 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             "Handle_Schedule_Out",
             priority=PRIORITY_APPLY_SCHEDULE_OUT,
             input_gates=[
-                InputGate("Has_schedule_out", lambda: schedule_out.tokens > 0)
+                InputGate("Has_schedule_out", expr=E.tokens(schedule_out) > 0)
             ],
             output_gates=[OutputGate("Apply_schedule_out", apply_schedule_out)],
         )
     )
 
     # -- critical sections (paper §V future-work extension) ---------------
-
-    def may_process() -> bool:
-        """A critical job only progresses while this VCPU holds the lock."""
-        return slot.value["critical"] == 0 or lock.value == me
 
     model.add_activity(
         InstantaneousActivity(
@@ -143,9 +134,7 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Wants_lock",
-                    lambda: slot.value["status"] == VCPUStatus.BUSY
-                    and slot.value["critical"] == 1
-                    and lock.value is None,
+                    expr=busy & (critical == 1) & (holder == E.const(None)),
                 )
             ],
             output_gates=[
@@ -161,14 +150,17 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Spinning",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] == VCPUStatus.BUSY
-                    and slot.value["critical"] == 1
-                    and lock.value is not None
-                    and lock.value != me,
+                    expr=has_tick
+                    & busy
+                    & (critical == 1)
+                    & (holder != E.const(None))
+                    & (holder != me),
                 )
             ],
-            output_gates=[OutputGate("Spin_gate", _spin(tick, spin_ticks))],
+            # Burn the tick token and count it as spin waste.
+            output_gates=[
+                OutputGate("Spin_gate", effect=(E.remove(tick), E.add(spin_ticks)))
+            ],
         )
     )
 
@@ -191,11 +183,11 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             "Processing_load",
             priority=PRIORITY_PROCESS,
             input_gates=[
+                # A critical job only progresses while this VCPU holds
+                # the lock.
                 InputGate(
                     "Busy_with_tick",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] == VCPUStatus.BUSY
-                    and may_process(),
+                    expr=has_tick & busy & ((critical == 0) | (holder == me)),
                 )
             ],
             output_gates=[OutputGate("Processing_load_gate", process_one_unit)],
@@ -209,11 +201,10 @@ def build_vcpu_model(name: str, lock_owner_id: int = 0) -> SANModel:
             input_gates=[
                 InputGate(
                     "Idle_with_tick",
-                    lambda: tick.tokens > 0
-                    and slot.value["status"] != VCPUStatus.BUSY,
+                    expr=has_tick & (E.field(slot, "status") != VCPUStatus.BUSY),
                 )
             ],
-            output_gates=[OutputGate("Discard_tick_gate", tick.remove)],
+            output_gates=[OutputGate("Discard_tick_gate", effect=(E.remove(tick),))],
         )
     )
 

@@ -485,21 +485,24 @@ def build_vcpu_scheduler(
         # ticks, so a degraded tenure does strictly less guest work.
 
         def tick_fanout() -> None:
+            # Peek, and take ``.value`` (a write) only where a debt or a
+            # degraded core's bucket changes: a pristine tick must not
+            # re-stale the health and maintenance gates.
             timestamp.add()
-            health_entries = health.value if health is not None else None
-            debts = hv_debts.value if hv_debts is not None else None
+            health_entries = health.peek() if health is not None else None
+            debts = hv_debts.peek() if hv_debts is not None else None
             for g in range(total_vcpus):
-                pcpu_index = pcpu_places[g].value
+                pcpu_index = pcpu_places[g].peek()
                 if pcpu_index is None:
                     tick_places[g].add()
                     continue
                 if debts is not None and debts[g] > 0:
-                    debts[g] -= 1
+                    hv_debts.value[g] -= 1
                     continue
                 if health_entries is not None:
-                    entry = health_entries[pcpu_index]
-                    h = entry["health"]
+                    h = health_entries[pcpu_index]["health"]
                     if h:
+                        entry = health.value[pcpu_index]
                         acc = entry["acc"] + capacity[h]
                         if acc < 1.0:
                             entry["acc"] = acc
@@ -674,21 +677,16 @@ def build_vcpu_scheduler(
         threshold = maintenance.threshold
         h_max = degradation.h_max
 
-        def maint_needed(i: int) -> bool:
-            entry = health.value[i]
-            if entry["maint"]:
-                return False
-            h = entry["health"]
-            if h >= h_max:
-                # Every policy repairs a dead core: corrective repair
-                # of terminal failures is the baseline all policies
-                # build on.
-                return True
+        def maint_needed(i: int) -> E.Expr:
+            h = E.field(health, i, "health")
+            # Every policy repairs a dead core: corrective repair of
+            # terminal failures is the baseline all policies build on.
+            trigger = h >= h_max
             if policy == "condition_based":
-                return h >= threshold
-            if policy == "periodic":
-                return bool(entry["due"])
-            return False
+                trigger = trigger | (h >= threshold)
+            elif policy == "periodic":
+                trigger = trigger | (E.field(health, i, "due") != 0)
+            return (E.field(health, i, "maint") == 0) & trigger
 
         for pcpu_index in range(num_pcpus):
 
@@ -733,16 +731,16 @@ def build_vcpu_scheduler(
                     f"Maint_Start{pcpu_index}",
                     priority=PRIORITY_MAINT,
                     input_gates=[
-                        # Two gates preserve the closure's short-circuit:
-                        # the IR crew guard is scanned first, so the
-                        # policy closure only runs when a crew is free.
+                        # The crew guard comes first, so the fused
+                        # conjunction tests the policy only when a crew
+                        # is free.
                         InputGate(
                             f"Maint_crew_free{pcpu_index}",
                             expr=E.tokens(crews) > 0,
                         ),
                         InputGate(
                             f"Maint_trigger{pcpu_index}",
-                            lambda i=pcpu_index: maint_needed(i),
+                            expr=maint_needed(pcpu_index),
                         ),
                     ],
                     output_gates=[
@@ -787,9 +785,9 @@ def build_vcpu_scheduler(
 
     def _status_of(g: int) -> str:
         """Hypervisor view of a slot's status (authoritative mid-tick)."""
-        if pcpu_places[g].value is None:
+        if pcpu_places[g].peek() is None:
             return VCPUStatus.INACTIVE
-        if slot_value_places[g].value["remaining_load"] > 0:
+        if slot_value_places[g].peek()["remaining_load"] > 0:
             return VCPUStatus.BUSY
         return VCPUStatus.READY
 
@@ -811,7 +809,7 @@ def build_vcpu_scheduler(
 
         # 1. Timeslice accounting: expire VCPUs whose tenure ran out.
         for g in range(total_vcpus):
-            if pcpu_places[g].value is None:
+            if pcpu_places[g].peek() is None:
                 continue
             remaining = timeslice_places[g].tokens - 1
             if remaining <= 0:
@@ -819,11 +817,13 @@ def build_vcpu_scheduler(
             else:
                 timeslice_places[g].tokens = remaining
 
-        # 2. Build the in/out view arrays the C interface passes.
+        # 2. Build the in/out view arrays the C interface passes.  The
+        # views copy what they show, so every read here is a peek: an
+        # observation must not invalidate the gates watching the slots.
         views: List[VCPUHostView] = []
         for g in range(total_vcpus):
             vm_id, vcpu_index = slot_map[g]
-            slot = slot_value_places[g].value
+            slot = slot_value_places[g].peek()
             views.append(
                 VCPUHostView(
                     vcpu_id=g,
@@ -832,18 +832,18 @@ def build_vcpu_scheduler(
                     status=_status_of(g),
                     remaining_load=slot["remaining_load"],
                     sync_point=slot["sync_point"],
-                    last_scheduled_in=last_in_places[g].value,
+                    last_scheduled_in=last_in_places[g].peek(),
                     timeslice=timeslice_places[g].tokens,
-                    pcpu=pcpu_places[g].value,
+                    pcpu=pcpu_places[g].peek(),
                 )
             )
         if health is None:
             pcpu_views = [
                 PCPUView(pcpu_id=i, state=entry["state"], vcpu=entry["vcpu"])
-                for i, entry in enumerate(pcpus.value)
+                for i, entry in enumerate(pcpus.peek())
             ]
         else:
-            health_entries = health.value
+            health_entries = health.peek()
             pcpu_views = [
                 PCPUView(
                     pcpu_id=i,
@@ -852,7 +852,7 @@ def build_vcpu_scheduler(
                     health=health_entries[i]["health"],
                     capacity=capacity[health_entries[i]["health"]],
                 )
-                for i, entry in enumerate(pcpus.value)
+                for i, entry in enumerate(pcpus.peek())
             ]
 
         # 3. Call the plugged scheduling function.
@@ -873,7 +873,7 @@ def build_vcpu_scheduler(
         for view in views:
             if not view.schedule_out:
                 continue
-            if pcpu_places[view.vcpu_id].value is None:
+            if pcpu_places[view.vcpu_id].peek() is None:
                 raise SchedulingError(
                     f"{algorithm.name}: schedule_out for VCPU {view.vcpu_id}, "
                     "which holds no PCPU"
@@ -883,7 +883,7 @@ def build_vcpu_scheduler(
             if not view.schedule_in:
                 continue
             g = view.vcpu_id
-            if pcpu_places[g].value is not None:
+            if pcpu_places[g].peek() is not None:
                 raise SchedulingError(
                     f"{algorithm.name}: schedule_in for VCPU {g}, "
                     "which already holds a PCPU"
@@ -893,7 +893,7 @@ def build_vcpu_scheduler(
                 pcpu_index = next(
                     (
                         i
-                        for i, entry in enumerate(pcpus.value)
+                        for i, entry in enumerate(pcpus.peek())
                         if entry["state"] == PCPUState.IDLE
                     ),
                     None,
@@ -909,7 +909,7 @@ def build_vcpu_scheduler(
                         f"{algorithm.name}: VCPU {g} requested PCPU "
                         f"{pcpu_index}, outside 0..{num_pcpus - 1}"
                     )
-                if pcpus.value[pcpu_index]["state"] != PCPUState.IDLE:
+                if pcpus.peek()[pcpu_index]["state"] != PCPUState.IDLE:
                     raise SchedulingError(
                         f"{algorithm.name}: VCPU {g} requested PCPU "
                         f"{pcpu_index}, which is not idle"

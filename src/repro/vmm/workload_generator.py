@@ -25,6 +25,7 @@ from ..san import (
     Place,
     SANModel,
 )
+from ..san import exprs as E
 from ..workloads.generators import WorkloadModel
 from .states import PRIORITY_GENERATE, new_workload
 
@@ -52,13 +53,11 @@ def build_workload_generator(
     blocked = model.add_place(Place("Blocked"))
     num_ready = model.add_place(Place("Num_VCPUs_ready"))
     num_generated = model.add_place(Place("Num_Generated"))
-
-    def can_generate() -> bool:
-        return (
-            workload.value is None
-            and blocked.tokens == 0
-            and num_ready.tokens > 0
-        )
+    can_generate = (
+        (E.field(workload) == E.const(None))
+        & (E.tokens(blocked) == 0)
+        & (E.tokens(num_ready) > 0)
+    )
 
     def wl_output() -> None:
         index = num_generated.tokens
@@ -75,7 +74,7 @@ def build_workload_generator(
         InstantaneousActivity(
             "WL_gen",
             priority=PRIORITY_GENERATE,
-            input_gates=[InputGate("Can_generate", can_generate)],
+            input_gates=[InputGate("Can_generate", expr=can_generate)],
             output_gates=[OutputGate("WL_Output", wl_output)],
         )
     )

@@ -3,8 +3,8 @@
 The integration-level guarantees (bit-identity against the other three
 engines, dispatch fallback rules) live in
 ``tests/property/test_engine_equivalence.py``; this file covers the
-lane driver itself: :func:`repro.san.run_lanes` on closure-gate models
-(serial compiled, lane by lane), :func:`repro.san.place_matrix`
+lane driver itself: :func:`repro.san.run_lanes` on models the vector
+planner refuses (serial compiled, lane by lane), :func:`repro.san.place_matrix`
 snapshots, and the error paths.
 """
 
@@ -49,9 +49,10 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("scheduler", ["rrs", "rcs"])
     def test_closure_gate_lanes_run_as_serial_compiled(self, scheduler):
-        # The VMM model's closure gates keep it off the vectorized
-        # kernels; every lane must then be its standalone compiled run,
-        # engine counters included, not only its metrics.
+        # The VMM model's extended-place gates and procedural output
+        # gates keep it off the vectorized kernels; every lane must then
+        # be its standalone compiled run, engine counters included, not
+        # only its metrics.
         spec = _spec(scheduler)
         sims, lanes = _lanes(range(3), spec)
         stats = run_lanes(lanes, spec.sim_time)

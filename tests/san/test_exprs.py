@@ -464,3 +464,82 @@ class TestGateIntegration:
         p, _, _ = _places()
         with pytest.raises(ModelError, match="not both"):
             OutputGate("out", lambda: None, effect=E.effects(E.add(p)))
+
+
+class TestCodegenCache:
+    """One code object per generated source, one env per gate."""
+
+    @staticmethod
+    def _simulation():
+        from repro.core import Simulation, SystemSpec, VMSpec, WorkloadSpec
+
+        spec = SystemSpec(
+            vms=[VMSpec(2, WorkloadSpec()), VMSpec(1, WorkloadSpec())],
+            pcpus=2,
+            scheduler="rrs",
+            sim_time=50,
+            warmup=5,
+        )
+        return Simulation(spec)
+
+    @staticmethod
+    def _gates(model):
+        return {
+            a.qualified_name: a.input_gates[0]
+            for a in model.activities()
+            if a.input_gates[0].constant_verdict is None
+        }
+
+    def test_two_builds_share_code_but_bind_their_own_places(self):
+        a, b = self._simulation(), self._simulation()
+        gates_a, gates_b = self._gates(a.system), self._gates(b.system)
+        assert gates_a.keys() == gates_b.keys()
+        for name, gate in gates_a.items():
+            other = gates_b[name]
+            assert gate._predicate is not other._predicate
+            assert gate._predicate.__code__ is other._predicate.__code__, name
+        name = next(n for n in gates_a if n.endswith("VM_Job_Scheduler.Scheduling"))
+        assert not gates_a[name].holds() and not gates_b[name].holds()
+        workload, num_ready = E.expr_places(gates_a[name].expr)
+        workload.value = {"load": 1}
+        num_ready.tokens = 1
+        assert gates_a[name].holds()
+        assert not gates_b[name].holds()
+
+    def test_compiled_engine_reuses_single_gate_predicates(self):
+        sim = self._simulation().simulator
+        for index, activity in enumerate(sim._acts):
+            (gate,) = activity.input_gates
+            if gate.constant_verdict is None:
+                assert sim._ir_preds[index] is gate._predicate
+
+    def test_lanes_share_code_but_bind_their_own_places(self):
+        from repro.san.refmodels import build_ir_reference_model
+
+        params = dict(topology=(2, 2), num_pcpus=2, timeslice=3, job_size=5)
+        lane_a = build_ir_reference_model(**params)
+        lane_b = build_ir_reference_model(**params)
+        gates_a, gates_b = self._gates(lane_a), self._gates(lane_b)
+        for name, gate in gates_a.items():
+            assert gate._predicate.__code__ is gates_b[name]._predicate.__code__
+        first, second = [
+            n for n, g in gates_a.items() if g.name in ("Running_0", "Running_1")
+        ]
+        # Same shape inside one lane as well: one code object, two places.
+        code = gates_a[first]._predicate.__code__
+        assert gates_a[second]._predicate.__code__ is code
+        (run_a,) = E.expr_places(gates_a[first].expr)
+        run_a.tokens = 1
+        assert gates_a[first].holds()
+        assert not gates_a[second].holds()
+        assert not gates_b[first].holds()
+
+    def test_family_kernels_share_code_but_not_columns(self):
+        p, q, _ = _places()
+        template = E.tokens(p) > 0
+        fam_a = E.compile_family_predicate(template, [[0], [1]])
+        fam_b = E.compile_family_predicate(template, [[2], [3]])
+        assert fam_a.__code__ is fam_b.__code__
+        M = numpy.array([[1, 0, 0, 1]], dtype=numpy.int64)
+        assert fam_a(M).tolist() == [[True, False]]
+        assert fam_b(M).tolist() == [[False, True]]

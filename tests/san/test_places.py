@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ModelError, SimulationError
 from repro.san import ExtendedPlace, Marking, Place, share
+from repro.san.places import capturing_writes, tracking_reads, write_epoch
 
 
 class TestPlace:
@@ -84,6 +85,45 @@ class TestExtendedPlace:
         wl.value = {"load": 5}
         wl.reset()
         assert wl.value is None
+
+
+class TestPeek:
+    def test_records_the_cell_under_a_read_sink(self):
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        with tracking_reads(set()) as reads:
+            slot.peek()
+        assert reads == {slot._cell}
+
+    def test_is_not_a_write_outside_a_read_sink(self):
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        before = write_epoch()
+        with capturing_writes(set()) as written:
+            slot.peek()
+        assert write_epoch() == before
+        assert written == set()
+
+    def test_value_read_outside_a_sink_is_a_write(self):
+        # The contrast peek() exists for: .value hands out a mutable
+        # reference, so it conservatively counts as a write.
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        before = write_epoch()
+        with capturing_writes(set()) as written:
+            slot.value
+        assert write_epoch() == before + 1
+        assert written == {slot._cell}
+
+    def test_returns_the_live_value(self):
+        slot = ExtendedPlace("slot", {"status": "READY"})
+        slot.value["status"] = "BUSY"
+        assert slot.peek() is slot.value
+        assert slot.peek()["status"] == "BUSY"
+
+    def test_sees_the_shared_cell(self):
+        a = ExtendedPlace("a", None)
+        b = ExtendedPlace("b", None)
+        share([a, b])
+        a.value = {"load": 3}
+        assert b.peek() == {"load": 3}
 
 
 class TestShare:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.des import Deterministic, StreamFactory
 from repro.metrics import mean_goodput, mean_spin_fraction, spin_tick_counts
-from repro.san import SANSimulator
+from repro.san import SANSimulator, build_simulator
 from repro.schedulers import BUILTIN_ALGORITHMS, VCPUStatus
 from repro.vmm import build_vcpu_model, build_virtual_system
 from repro.workloads import Job, JobKind, LockingWorkloadModel, WorkloadModel
@@ -151,7 +151,9 @@ class TestLockingWorkloadModel:
 
 
 class TestEndToEnd:
-    def run_system(self, scheduler, topology=(2, 3), pcpus=4, critical_ratio=2):
+    def run_system(
+        self, scheduler, topology=(2, 3), pcpus=4, critical_ratio=2, engine="rescan"
+    ):
         workloads = [
             LockingWorkloadModel(critical_ratio=critical_ratio) for _ in topology
         ]
@@ -161,11 +163,24 @@ class TestEndToEnd:
             pcpus,
             StreamFactory(3),
         )
-        sim = SANSimulator(system, StreamFactory(3))
+        sim = build_simulator(system, StreamFactory(3), engine=engine)
         spin = sim.add_reward(mean_spin_fraction(system, warmup=100))
         goodput = sim.add_reward(mean_goodput(system, warmup=100))
         sim.run(until=1200)
         return system, spin.result(), goodput.result()
+
+    @pytest.mark.parametrize("scheduler", ["rrs", "scs", "rcs"])
+    def test_compiled_engine_matches_rescan(self, scheduler):
+        # Lock hand-offs are where a write the compiled engine missed
+        # would show: a dispatched critical job must re-enable
+        # Acquire_lock although nothing else its gate reads changes.
+        runs = {
+            engine: self.run_system(scheduler, engine=engine)
+            for engine in ("rescan", "compiled")
+        }
+        (rescan_system, *rescan), (compiled_system, *compiled) = runs.values()
+        assert compiled == rescan
+        assert spin_tick_counts(compiled_system) == spin_tick_counts(rescan_system)
 
     def test_spin_waste_is_measurable_under_rrs(self):
         system, spin, goodput = self.run_system("rrs")
