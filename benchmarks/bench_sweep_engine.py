@@ -10,9 +10,9 @@ cache.  This bench quantifies all three against the status quo.
 Run directly (``python benchmarks/bench_sweep_engine.py``) the module
 executes the Figure 8 sweep four ways and writes ``BENCH_pr5.json``:
 
-* ``serial`` — the baseline: one experiment per point in order, each
-  spinning up its own ``ResilienceConfig(jobs=J)`` worker pool and
-  blindly topping the pool up past the convergence cut;
+* ``serial`` — the baseline: one ``run_experiment`` per point in
+  order, each spinning up its own ``ResilienceConfig(jobs=J)`` worker
+  pool, so only that point's floor replications run in parallel;
 * ``interleaved`` — the shared-pool adaptive engine, no cache;
 * ``interleaved_cold`` — same, writing a fresh result cache;
 * ``interleaved_warm`` — rerun against that cache, which must execute
@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 
-from repro.core import run_sweep
+from repro.core import run_experiment
 from repro.core.experiment import resolve_sweep_points
 from repro.core.sweeps import run_interleaved_sweep
 from repro.paper import figure8_sweep
@@ -65,15 +65,18 @@ def _stats_entry(outcome):
 
 
 def run_serial(base, points, jobs, sim_args):
-    """Baseline: serial ``run_sweep``, a fresh J-worker pool per point."""
+    """Baseline: one ``run_experiment`` per point, a fresh J-worker pool each."""
+    resolved = resolve_sweep_points(base, points)
     start = time.perf_counter()
-    results = run_sweep(
-        base,
-        points,
-        sweep_engine="serial",
-        resilience=ResilienceConfig(jobs=jobs, engine="compiled"),
-        **sim_args,
-    )
+    results = []
+    for point, spec in resolved:
+        result = run_experiment(
+            spec,
+            resilience=ResilienceConfig(jobs=jobs, engine="compiled"),
+            **sim_args,
+        )
+        result.parameters.update(point)
+        results.append(result)
     elapsed = time.perf_counter() - start
     return results, {"wall_seconds": elapsed, "jobs": jobs}
 

@@ -7,9 +7,10 @@ Commands:
   spec (the dict form of :class:`~repro.core.config.SystemSpec`),
   printing every metric with its confidence interval; ``--csv`` emits
   machine-readable output instead.  Resilience flags: ``--jobs N``
-  (parallel replications), ``--timeout S`` (per-attempt wall clock),
-  ``--retries K`` (reseeded retries), ``--checkpoint F`` / ``--resume``
-  (stream/reuse finished replications).
+  (worker processes for the floor replications), ``--timeout S``
+  (per-attempt wall clock), ``--retries K`` (reseeded retries),
+  ``--checkpoint F`` / ``--resume`` (stream/reuse finished
+  replications).
 * ``tables`` — print the paper's Tables 1 and 2.
 * ``figures [--figure 8|9|10|all] [--full]`` — regenerate the paper's
   figures (quick fidelity by default).
@@ -300,12 +301,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if "REPRO_FIGURES_REPS" in os.environ:
         reps = int(os.environ["REPRO_FIGURES_REPS"])
         knobs["replications"] = (reps, reps)
+    knobs["sweep_jobs"] = args.sweep_jobs
     cache_dir = _cache_dir_from_args(args)
-    if args.sweep_jobs is not None or cache_dir is not None:
-        knobs["sweep_engine"] = "interleaved"
-        knobs["sweep_jobs"] = args.sweep_jobs
-        if cache_dir is not None:
-            knobs["resilience"] = ResilienceConfig(cache_dir=cache_dir)
+    if cache_dir is not None:
+        knobs["resilience"] = ResilienceConfig(cache_dir=cache_dir)
     runners = {"8": run_figure8, "9": run_figure9, "10": run_figure10}
     wanted = list(runners) if args.figure == "all" else [args.figure]
     for key in wanted:
@@ -352,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for parallel replications (default: 1, in-process)",
+        help="worker processes for the floor replications; adaptive "
+        "replications past the floor run one at a time "
+        "(default: 1, in-process)",
     )
     run_parser.add_argument(
         "--timeout",
@@ -472,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="sweep_jobs",
-        help="run each figure through the interleaved sweep engine with "
-        "this many shared-pool workers (1 = in-process scheduling)",
+        help="worker processes shared by every point of a figure "
+        "(default 1 = in-process)",
     )
     figures_parser.add_argument(
         "--cache-dir",
         default=None,
         dest="cache_dir",
-        help="persistent result cache for the sweep (implies the "
-        "interleaved engine); reruns skip finished replications",
+        help="persistent result cache for the sweep; reruns skip "
+        "finished replications",
     )
     figures_parser.add_argument(
         "--no-cache",

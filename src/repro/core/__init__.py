@@ -21,7 +21,6 @@ from .config import SystemSpec, VMSpec, WorkloadSpec
 from .experiment import (
     DEFAULT_CONFIDENCE,
     DEFAULT_TARGET_HALF_WIDTH,
-    SWEEP_ENGINES,
     resolve_sweep_points,
     run_experiment,
     run_sweep,
@@ -49,7 +48,6 @@ __all__ = [
     "SweepOutcome",
     "SweepPool",
     "SweepStats",
-    "SWEEP_ENGINES",
     "DEFAULT_CONFIDENCE",
     "DEFAULT_TARGET_HALF_WIDTH",
     "Simulation",

@@ -6,17 +6,17 @@ independent replications (distinct random streams per replication, same
 root seed for reproducibility) continue until every watched metric's
 CI half-width is below the target or the replication budget runs out.
 
-Replications execute through the resilient executor
-(:mod:`repro.resilience.executor`): pass a
-:class:`~repro.resilience.ResilienceConfig` to fan replications out
-over worker processes, bound each attempt with a wall-clock timeout,
-retry crashed replications under deterministically reseeded streams,
-stream every resolved replication to a JSONL checkpoint, and isolate
-faults in user-plugged schedulers.  With no config the behavior (and
-the sample path) is exactly the legacy serial loop.
-
-:func:`run_sweep` layers parameter sweeps on top, which is how the
-figure benches express "PCPUs from 1 to 4" or "sync ratio 1:5 to 1:2".
+One driver runs every replication: the sweep scheduler
+(:mod:`repro.core.sweeps`).  :func:`run_experiment` hands it a single
+point through :func:`~repro.resilience.executor.run_replications`;
+:func:`run_sweep` hands it every point of a parameter sweep at once,
+which is how the figure benches express "PCPUs from 1 to 4" or "sync
+ratio 1:5 to 1:2".  Pass a :class:`~repro.resilience.ResilienceConfig`
+to spread floors and points over worker processes, bound each attempt
+with a wall-clock timeout, retry crashed replications under
+deterministically reseeded streams, stream every resolved replication
+to a JSONL checkpoint, and isolate faults in user-plugged schedulers.
+With no config the run is in-process with no retries.
 """
 
 from __future__ import annotations
@@ -74,10 +74,11 @@ def run_experiment(
             is below this (paper: 0.1).
         root_seed: root of the replication seed family.
         extra_probes: also collect blocked-fraction and throughput probes.
-        resilience: executor configuration — parallel jobs, per-attempt
-            timeout, retry/reseed, checkpoint/resume, decision guard,
-            chaos injection.  ``None`` runs the legacy serial protocol
-            (in-process, no retries) with identical results.
+        resilience: executor configuration — worker processes,
+            per-attempt timeout, retry/reseed, checkpoint/resume,
+            decision guard, chaos injection.  ``None`` runs in-process
+            with no retries; every configuration gives identical
+            estimates.
         engine: enablement engine for every replication —
             ``"compiled"`` (the default, ``None``), ``"rescan"`` (the
             reference) or ``"batch"``; results are bit-identical.  When
@@ -100,7 +101,7 @@ def run_experiment(
     if watch_metrics is None:
         watch_metrics = list(DEFAULT_WATCH_METRICS)
     if resilience is None:
-        # Legacy protocol: in-process, one attempt, fail on first error.
+        # In-process, one attempt, fail on the first error.
         resilience = ResilienceConfig(
             jobs=1, timeout=None, retries=0, engine=engine
         )
@@ -143,9 +144,8 @@ def result_from_execution(
 ) -> ExperimentResult:
     """Assemble the result table from an executor outcome.
 
-    The single assembly path for both the serial runner and the
-    interleaved sweep engine — identical samples in, identical
-    :class:`ExperimentResult` out.
+    The single assembly path for experiments and sweep points —
+    identical samples in, identical :class:`ExperimentResult` out.
     """
     samples: Dict[str, List[float]] = {}
     for metrics in execution.samples:
@@ -169,25 +169,6 @@ def result_from_execution(
     )
 
 
-def _converged(
-    samples: Dict[str, List[float]],
-    watch_metrics: Sequence[str],
-    confidence: float,
-    target_half_width: float,
-) -> bool:
-    for name in watch_metrics:
-        values = samples.get(name)
-        if values is None:
-            raise ConfigurationError(
-                f"watched metric {name!r} is not produced by this system; "
-                f"available: {sorted(samples)}"
-            )
-        estimate = MetricEstimate(name=name, values=values, confidence=confidence)
-        if estimate.half_width >= target_half_width:
-            return False
-    return True
-
-
 def _default_label(spec: SystemSpec) -> str:
     topology = "+".join(str(n) for n in spec.topology())
     return f"{spec.scheduler}/vms={topology}/pcpus={spec.pcpus}"
@@ -199,8 +180,6 @@ def _default_label(spec: SystemSpec) -> str:
 # over a method silently shadows it on the instance.
 _SPEC_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(SystemSpec))
 
-SWEEP_ENGINES = ("serial", "interleaved")
-
 
 def resolve_sweep_points(
     base_spec: SystemSpec,
@@ -210,8 +189,9 @@ def resolve_sweep_points(
     """Materialize a sweep into ``(point overrides, concrete spec)`` pairs.
 
     Field keys are applied with ``with_overrides``; any other key needs
-    the ``mutate`` hook.  Shared by the serial loop and the interleaved
-    engine so both see byte-identical specs per point.
+    the ``mutate`` hook.  ``run_sweep`` and direct callers of the sweep
+    engine (the service, the benchmarks) share it, so both see
+    byte-identical specs per point.
     """
     points: List[Tuple[Dict[str, Any], SystemSpec]] = []
     for point in sweep:
@@ -235,11 +215,10 @@ def run_sweep(
     base_spec: SystemSpec,
     sweep: Iterable[Dict[str, Any]],
     mutate: Optional[Callable[[SystemSpec, Dict[str, Any]], SystemSpec]] = None,
-    sweep_engine: str = "serial",
     sweep_jobs: Optional[int] = None,
     **experiment_kwargs,
 ) -> List[ExperimentResult]:
-    """Run one experiment per parameter point.
+    """Run one experiment per parameter point, all on one scheduler.
 
     Args:
         base_spec: the spec every point starts from.
@@ -249,46 +228,22 @@ def run_sweep(
             names such as ``topology``) must be handled by ``mutate``.
         mutate: optional ``(spec, point) -> spec`` hook for overrides
             beyond plain fields (e.g. changing every VM's sync ratio).
-        sweep_engine: ``"serial"`` — one :func:`run_experiment` per
-            point, in order; ``"interleaved"`` — the shared-pool
-            adaptive engine (:mod:`repro.core.sweeps`), which produces
-            metric values exactly ``==`` the serial path for any fixed
-            replication set.
-        sweep_jobs: worker-process count for the interleaved engine's
-            shared pool (default: the resilience config's ``jobs``).
-        **experiment_kwargs: forwarded to :func:`run_experiment`.  A
-            ``resilience`` config with a checkpoint is automatically
-            re-scoped per sweep point, so one checkpoint file resumes
-            the whole sweep.
+        sweep_jobs: worker-process count of the shared pool (default:
+            the resilience config's ``jobs``).
+        **experiment_kwargs: the :func:`run_experiment` parameters,
+            applied to every point.  A ``resilience`` checkpoint gets
+            one scope per point, so one checkpoint file resumes the
+            whole sweep.
 
     Returns:
         One :class:`ExperimentResult` per sweep point, in order; each
-        result's ``parameters`` records the point's overrides.
+        result's ``parameters`` records the point's overrides.  The
+        estimates are exactly ``==`` those of one :func:`run_experiment`
+        per point.
     """
-    if sweep_engine not in SWEEP_ENGINES:
-        raise ConfigurationError(
-            f"sweep_engine must be one of {SWEEP_ENGINES}, got {sweep_engine!r}"
-        )
-    points = resolve_sweep_points(base_spec, sweep, mutate)
-    if sweep_engine == "interleaved":
-        from .sweeps import run_interleaved_sweep  # local: sweeps imports us
+    from .sweeps import run_interleaved_sweep  # local: sweeps imports us
 
-        return run_interleaved_sweep(
-            points, sweep_jobs=sweep_jobs, **experiment_kwargs
-        ).results
-    base_resilience = experiment_kwargs.pop("resilience", None)
-    results = []
-    for index, (point, spec) in enumerate(points):
-        resilience = base_resilience
-        if resilience is not None and resilience.checkpoint:
-            # Later points must append to the file the first point opened
-            # (resume=False truncates), whatever the caller's resume flag.
-            resilience = dataclasses.replace(
-                resilience,
-                checkpoint_scope=f"point{index}",
-                resume=resilience.resume or index > 0,
-            )
-        result = run_experiment(spec, resilience=resilience, **experiment_kwargs)
-        result.parameters.update(point)
-        results.append(result)
-    return results
+    points = resolve_sweep_points(base_spec, sweep, mutate)
+    return run_interleaved_sweep(
+        points, sweep_jobs=sweep_jobs, **experiment_kwargs
+    ).results

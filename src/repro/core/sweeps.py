@@ -1,27 +1,31 @@
-"""The sweep-scale execution engine: one pool, all points, no waste.
+"""The replication driver: one scheduler for every experiment and sweep.
 
 The paper's whole evaluation is sweep-shaped — every figure is a
 parameter sweep whose points replicate until their 95% CI half-width
-drops below 0.1 — yet the serial :func:`~repro.core.experiment.run_sweep`
-loop runs each point as its own island: its own process-pool spin-up,
-its own blind parallel over-run past the convergence cut.  This module
-replaces the loop with a campaign scheduler built from three pieces:
+drops below 0.1.  Every replicated run in this package, from a single
+``run_experiment`` (a one-point sweep) to a 36-point figure grid or a
+service job, is driven by the :class:`_SweepScheduler` here, built from
+three pieces:
 
-* **Shared-pool interleaved scheduling** — one long-lived worker pool
-  serves the entire sweep.  Replication tasks from *all* points share a
-  single dispatch path with spec-affinity placement: replications of
-  the same spec prefer workers that already hold its compiled model in
-  the per-process :data:`~repro.core.framework._MODEL_CACHE`, so the
+* **Shared-pool interleaved scheduling** — one worker pool serves the
+  entire sweep.  Replication tasks from *all* points share a single
+  dispatch path with spec-affinity placement: replications of the same
+  spec prefer workers that already hold its compiled model in the
+  per-process :data:`~repro.core.framework._MODEL_CACHE`, so the
   build/lower cost is paid once per (spec, worker) instead of once per
   task.
-* **Adaptive cross-point budget allocation** — after every completed
-  replication the point's CI half-widths are recomputed incrementally
-  (one-pass :class:`~repro.metrics.stats.ConvergenceMonitor`), and the
-  next grant goes to the point *furthest* from the half-width target.
-  Converged points stop at their ``min_replications``-respecting floor
-  instead of burning budget; beyond the floor each point keeps at most
-  one speculative replication in flight, so on a clean run the engine
-  executes exactly the convergence cut — no parallel over-run at all.
+* **Adaptive cross-point budget allocation** — floors first: every
+  point is entitled to its ``min_replications``, granted point-major
+  (all of point 0's floor before point 1's), so an in-process sweep
+  builds each spec's model once.  After every completed replication the
+  point's CI half-widths are recomputed incrementally (one-pass
+  :class:`~repro.metrics.stats.ConvergenceMonitor`), and the next
+  speculative grant goes to the point *furthest* from the half-width
+  target.  Beyond its floor each point keeps at most one speculative
+  replication in flight, so on a clean run the engine executes exactly
+  the convergence cut — no parallel over-run at all.  Worker processes
+  therefore parallelise floors and points, not the speculative
+  replications of one point.
 * **Reproducible stopping** — each grant is appended to an allocation
   log (and emitted as a ``sweep.dispatch`` trace record), so the
   scheduling decisions behind a result table can be replayed and
@@ -29,12 +33,12 @@ replaces the loop with a campaign scheduler built from three pieces:
 
 Determinism: a replication's value depends only on (spec, replication
 index, root seed, attempt) — never on which worker ran it or when — and
-convergence is judged over the same contiguous resolved prefixes as the
-serial path, so for any fixed replication set the interleaved engine's
-metric tables are exactly ``==`` the serial ones (asserted by
-``tests/core/test_sweeps.py``).  The persistent result cache
-(:mod:`repro.resilience.result_cache`) and the PR-1 checkpoint both
-plug in underneath: a warm rerun of a finished sweep executes zero
+convergence is judged over contiguous resolved prefixes in replication
+order, so the metric tables are exactly ``==`` a plain
+``simulate_once`` loop that stops at the monitor's cut, for any
+``jobs`` (asserted by ``tests/core/test_sweeps.py``).  The persistent
+result cache (:mod:`repro.resilience.result_cache`) and the checkpoint
+both plug in underneath: a warm rerun of a finished sweep executes zero
 replications.
 """
 
@@ -54,13 +58,10 @@ from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.executor import (
-    ReplicationOutcome,
     ResilienceConfig,
     _execute_task,
     _Run,
     _Task,
-    bind_cache,
-    scope_fingerprint,
     spec_payload,
 )
 from ..resilience.failures import FailureKind, ReplicationFailure
@@ -125,10 +126,10 @@ class _WorkerSlot:
 class _AffinityPool:
     """A process pool with per-worker queues for affinity placement.
 
-    ``ProcessPoolExecutor`` feeds one shared queue, so a task cannot be
-    routed to the worker whose model cache is already warm; this pool
-    gives every worker its own task queue and a parent-side mirror of
-    which specs it has recently executed.  Workers are daemonic: a
+    A pool fed from one shared queue cannot route a task to the worker
+    whose model cache is already warm; this pool gives every worker its
+    own task queue and a parent-side mirror of which specs it has
+    recently executed.  Workers are daemonic: a
     stalled worker is *abandoned* (replaced, its late result dropped by
     dispatch-id dedup) rather than killed mid-write, which could corrupt
     the shared result pipe.
@@ -413,26 +414,16 @@ ProgressCallback = Callable[[Dict[str, Any]], None]
 class _PointState:
     """One sweep point: its executor run plus the scheduler's view of it."""
 
-    def __init__(
-        self,
-        index: int,
-        point: Dict[str, Any],
-        spec: SystemSpec,
-        run: _Run,
-        min_replications: int,
-        max_replications: int,
-    ) -> None:
+    def __init__(self, index: int, run: _Run) -> None:
         self.index = index
-        self.point = point
-        self.spec = spec
         self.run = run
-        self.min_replications = min_replications
-        self.max_replications = max_replications
+        self.min_replications = run.min_replications
+        self.max_replications = run.max_replications
         self.next_index = 0
         self.inflight = 0
         self.ready: Deque[_Task] = deque()  # retry tasks owed to this point
         self.done = False
-        self.affinity_key = f"{spec_payload(spec)!r}|{run.config.engine!r}"
+        self.affinity_key = f"{spec_payload(run.spec)!r}|{run.config.engine!r}"
 
     def peek_fresh(self) -> Optional[int]:
         """Next never-dispatched replication index, skipping resolved ones."""
@@ -464,7 +455,7 @@ class _PointState:
 
         Floor replications (< ``min_replications``) execute no matter
         what the convergence monitor later says, so grouping them into
-        one batch dispatch never over-runs the budget the serial path
+        one batch dispatch never over-runs the budget an in-order loop
         would spend.  Speculative (adaptive) grants stay
         single so ``executed == cut`` is preserved.
         """
@@ -483,7 +474,7 @@ class _PointState:
         return self.run.batch_task(group)
 
     def distance(self) -> float:
-        return self.run.monitor.distance() if self.run.monitor else float("inf")
+        return self.run.monitor.distance()
 
     def refresh_done(self) -> None:
         """Re-derive the finished flag from the run's current state."""
@@ -534,18 +525,13 @@ class _SweepScheduler:
             if state.ready:
                 return state, state.ready.popleft(), REASON_RETRY
         # 2. Floors: every point is entitled to min_replications
-        #    concurrently (the serial path executes those regardless),
-        #    interleaved lowest-replication-first across points.
-        floors = [
-            state
-            for state in self.states
-            if not state.done
-            and state.peek_fresh() is not None
-            and state.peek_fresh() < state.min_replications
-        ]
-        if floors:
-            state = min(floors, key=lambda s: (s.peek_fresh(), s.index))
-            return state, state.take_fresh_floor(), REASON_FLOOR
+        #    concurrently (they execute whatever the monitor says),
+        #    granted point-major so consecutive grants share a spec and
+        #    the per-process model cache builds each spec once.
+        for state in self.states:
+            fresh = None if state.done else state.peek_fresh()
+            if fresh is not None and fresh < state.min_replications:
+                return state, state.take_fresh_floor(), REASON_FLOOR
         # 3. Adaptive: one speculative grant at a time per unconverged
         #    point, to whichever is furthest from the half-width target.
         #    The one-in-flight cap is what makes executed == cut.
@@ -656,7 +642,7 @@ class _SweepScheduler:
             ReplicationFailure(
                 kind=kind or payload.get("kind", FailureKind.EXCEPTION),
                 message=payload["error"],
-                scheduler=getattr(state.spec, "scheduler", ""),
+                scheduler=getattr(state.run.spec, "scheduler", ""),
             ),
         )
         if retry is not None:
@@ -755,6 +741,38 @@ class _SweepScheduler:
             self._reap_dead()
 
 
+def drive_runs(
+    runs: Sequence[_Run],
+    jobs: int,
+    timeout: Optional[float],
+    pool: Optional[SweepPool] = None,
+    progress: Optional[ProgressCallback] = None,
+) -> List[Dict[str, Any]]:
+    """Drive primed runs (one per point) to their stopping rule.
+
+    Runs in-process when ``jobs == 1`` and no timeout must be enforced,
+    otherwise on ``jobs`` worker processes; a borrowed ``pool`` is used
+    as it is and left open.  Returns the allocation log.
+    """
+    owned = pool is None
+    if owned:
+        pool = SweepPool(jobs, timeout)
+    else:
+        pool.drain_stale()
+    scheduler = _SweepScheduler(
+        [_PointState(index, run) for index, run in enumerate(runs)],
+        pool._impl,
+        timeout,
+        progress,
+    )
+    try:
+        scheduler.drive()
+    finally:
+        if owned:
+            pool.close()
+    return scheduler.allocation_log
+
+
 def run_interleaved_sweep(
     points: Sequence[Tuple[Dict[str, Any], SystemSpec]],
     label: Optional[str] = None,
@@ -818,25 +836,23 @@ def run_interleaved_sweep(
                 "shared pool with SweepPool(jobs=..., timeout=...)"
             )
 
+    points = list(points)
     checkpoint: Optional[CheckpointStore] = None
     if resilience.checkpoint:
         checkpoint = CheckpointStore(resilience.checkpoint, resume=resilience.resume)
-
-    states: List[_PointState] = []
+    runs: List[_Run] = []
     try:
-        for index, (point, spec) in enumerate(points):
+        for index, (_point, spec) in enumerate(points):
             spec.validate()
-            point_config = dataclasses.replace(
-                resilience, checkpoint_scope=f"point{index}"
-            )
             run = _Run(
                 spec=spec,
                 root_seed=root_seed,
                 extra_probes=extra_probes,
                 min_replications=min_replications,
                 max_replications=max_replications,
-                converged=None,
-                config=point_config,
+                config=dataclasses.replace(
+                    resilience, checkpoint_scope=f"point{index}"
+                ),
                 checkpoint=checkpoint,
                 monitor=ConvergenceMonitor(
                     watch_metrics,
@@ -844,64 +860,28 @@ def run_interleaved_sweep(
                     target_half_width=target_half_width,
                     min_replications=min_replications,
                 ),
-                cache=bind_cache(spec, point_config, root_seed, extra_probes),
             )
-            if checkpoint is not None:
-                checkpoint.begin_scope(
-                    point_config.checkpoint_scope,
-                    scope_fingerprint(spec, root_seed, extra_probes, point_config),
-                )
-                for rep, record in checkpoint.replications(
-                    point_config.checkpoint_scope
-                ).items():
-                    if rep < max_replications:
-                        run.resolved[rep] = ReplicationOutcome.from_record(record)
-            run.preload_cache()
-            states.append(
-                _PointState(
-                    index=index,
-                    point=point,
-                    spec=spec,
-                    run=run,
-                    min_replications=min_replications,
-                    max_replications=max_replications,
-                )
-            )
-
-        if pool is not None:
-            pool.drain_stale()
-            impl: Any = pool._impl
-            owned = False
-        elif jobs == 1 and resilience.timeout is None:
-            impl = _InlineExecutor()
-            owned = True
-        else:
-            impl = _AffinityPool(jobs)
-            owned = True
-        scheduler = _SweepScheduler(states, impl, resilience.timeout, progress)
-        try:
-            scheduler.drive()
-        finally:
-            if owned:
-                impl.close()
+            run.prime()
+            runs.append(run)
+        allocation_log = drive_runs(
+            runs, jobs=jobs, timeout=resilience.timeout, pool=pool, progress=progress
+        )
     finally:
         if checkpoint is not None:
             checkpoint.close()
 
     results: List[ExperimentResult] = []
-    executed_per_point: List[int] = []
-    for state in states:
-        execution = state.run.assemble()
-        result = result_from_execution(state.spec, label, execution, confidence)
-        result.parameters.update(state.point)
+    for (point, spec), run in zip(points, runs):
+        result = result_from_execution(spec, label, run.assemble(), confidence)
+        result.parameters.update(point)
         results.append(result)
-        executed_per_point.append(state.run.executed)
+    executed_per_point = [run.executed for run in runs]
     stats = SweepStats(
-        points=len(states),
+        points=len(runs),
         executed=sum(executed_per_point),
-        cache_hits=sum(state.run.cache_hits for state in states),
-        dispatches=len(scheduler.allocation_log),
+        cache_hits=sum(run.cache_hits for run in runs),
+        dispatches=len(allocation_log),
         executed_per_point=executed_per_point,
-        allocation_log=scheduler.allocation_log,
+        allocation_log=allocation_log,
     )
     return SweepOutcome(results=results, stats=stats)

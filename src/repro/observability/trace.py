@@ -102,8 +102,11 @@ RECORD_FIELDS: Dict[str, tuple] = {
     CHAOS_CORRUPT: ("replication", "corrupt_kind"),
     EXECUTOR_RETRY: ("replication", "attempt", "seed"),
     # One record per sweep-engine grant: which point got the next
-    # replication, why (floor/adaptive/retry), and on which worker.
-    SWEEP_DISPATCH: ("point", "replication", "attempt", "worker", "reason", "distance"),
+    # replication, why (floor/adaptive/retry), on which worker, and how
+    # many replications it covers (batch-engine floor groups).
+    SWEEP_DISPATCH: (
+        "point", "replication", "attempt", "worker", "reason", "batch", "distance",
+    ),
     CACHE_HIT: ("scope", "replication", "key"),
     # Service-layer job lifecycle records (the NDJSON wire format the
     # simulation server streams to clients; ``t`` is seconds since the

@@ -85,7 +85,6 @@ def _sweep(
     replications: Tuple[int, int],
     root_seed: int,
     resilience: Optional[ResilienceConfig],
-    sweep_engine: str,
     sweep_jobs: Optional[int],
 ) -> List[ExperimentResult]:
     min_reps, max_reps = replications
@@ -93,7 +92,6 @@ def _sweep(
         base_spec,
         points,
         mutate=mutate,
-        sweep_engine=sweep_engine,
         sweep_jobs=sweep_jobs,
         min_replications=min_reps,
         max_replications=max_reps,
@@ -158,8 +156,8 @@ def figure8_sweep(
 ) -> Tuple[SystemSpec, List[Dict]]:
     """The Figure-8 campaign as a ``run_sweep`` input: base spec + points.
 
-    Shared by :func:`run_figure8`, the sweep-engine differential tests,
-    and ``benchmarks/bench_sweep_engine.py`` — all three must benchmark
+    Shared by :func:`run_figure8`, the sweep differential tests, and
+    the sweep benchmark in ``benchmarks/`` — all three must benchmark
     and verify the *same* sweep.
     """
     base = _spec(
@@ -181,7 +179,6 @@ def run_figure8(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_engine: str = "serial",
     sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 8: per-VCPU availability, VMs 2+1+1, sync 1:5.
@@ -192,7 +189,7 @@ def run_figure8(
     labels = ["VCPU1.1", "VCPU1.2", "VCPU2.1", "VCPU3.1"]
     base, points = figure8_sweep(schedulers, pcpu_range, sim_time, warmup)
     results = _sweep(
-        base, points, None, replications, root_seed, resilience, sweep_engine, sweep_jobs
+        base, points, None, replications, root_seed, resilience, sweep_jobs
     )
     rows = []
     for result in results:
@@ -225,7 +222,6 @@ def run_figure9(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_engine: str = "serial",
     sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 9: averaged PCPU utilization, 4 PCPUs, sync 1:5."""
@@ -247,7 +243,7 @@ def run_figure9(
         )
 
     results = _sweep(
-        base, points, mutate, replications, root_seed, resilience, sweep_engine, sweep_jobs
+        base, points, mutate, replications, root_seed, resilience, sweep_jobs
     )
     series: Dict[str, List[Tuple[float, float]]] = {s: [] for s in schedulers}
     for result in results:
@@ -277,7 +273,6 @@ def run_figure10(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_engine: str = "serial",
     sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 10: averaged VCPU utilization, 4 PCPUs,
@@ -302,7 +297,7 @@ def run_figure10(
         )
 
     results = _sweep(
-        base, points, mutate, replications, root_seed, resilience, sweep_engine, sweep_jobs
+        base, points, mutate, replications, root_seed, resilience, sweep_jobs
     )
     rows = []
     cursor = iter(results)

@@ -1,37 +1,43 @@
-"""The resilient replication executor.
+"""The resilient replication executor: the shared vocabulary of runs.
 
-``run_experiment`` used to be a bare serial loop: one hung or crashing
-replication killed the whole sweep and lost every completed sample.
-This module is the production-infrastructure replacement:
+The paper replicates every configuration until each watched metric's
+95% CI half-width drops below 0.1.  This module holds what one such
+replicated experiment is made of, and what survives faults:
 
-* **parallelism** — replications fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs=N``);
 * **timeouts** — each replication attempt gets a wall-clock budget; a
-  stalled worker is abandoned (its slot recycles when the stall ends)
-  and the attempt is treated as failed;
+  stalled worker is abandoned (replaced, its late result dropped) and
+  the attempt is treated as failed;
 * **retry with reseed** — a failed attempt re-runs under a fresh seed
   drawn deterministically from the same seed family
   (:func:`retry_seed`), so results are reproducible and independent of
   which other replications ran or failed;
 * **checkpointing** — every resolved replication streams to a JSONL
   :class:`~repro.resilience.checkpoint.CheckpointStore`, so an
-  interrupted run resumes without recomputation.
+  interrupted run resumes without recomputation;
+* **result caching** — clean first attempts are memoized in the
+  persistent :class:`~repro.resilience.result_cache.ResultCache`.
+
+:class:`_Run` is one experiment's state; *which* replication runs next,
+on which worker, and when the experiment stops is decided by one
+driver only, the sweep scheduler in :mod:`repro.core.sweeps`.
+:func:`run_replications` drives a single experiment there as a
+one-point sweep, exactly as the simulation service runs its jobs.
 
 Determinism contract: replication *r*, attempt 0 uses exactly the
-streams the legacy serial loop used, and the convergence decision is
-taken over samples in replication order — so ``jobs=8`` produces the
-same :class:`~repro.core.results.ExperimentResult` as ``jobs=1``, and a
+streams :func:`~repro.core.framework.simulate_once` uses for *r*, and
+the convergence decision is taken over samples in replication order —
+so ``jobs=8`` produces the same
+:class:`~repro.core.results.ExperimentResult` as ``jobs=1``, and a
 killed-then-resumed run the same tables as an uninterrupted one.
-Replications computed beyond the convergence cut (parallel over-run)
-are discarded, never mixed in.
+Replications computed beyond the convergence cut are discarded, never
+mixed in.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..des.random_streams import derive_seed
 from ..errors import ConfigurationError, ReplicationError
@@ -44,18 +50,20 @@ from .failures import FailureKind, ReplicationFailure, failure_summary
 from .guard import GuardPolicy
 from .result_cache import ResultCache, cacheable_spec_payload, shared_cache
 
-ConvergenceCheck = Callable[[List[Dict[str, float]]], bool]
-
 
 @dataclass
 class ResilienceConfig:
     """Knobs of the resilient executor (all opt-in; defaults are safe).
 
     Attributes:
-        jobs: worker processes (1 = run in-process; >1 or a timeout
-            switches to a :class:`ProcessPoolExecutor`).
+        jobs: worker processes of the sweep scheduler (1 = run
+            in-process).  Workers take floor replications (the first
+            ``min_replications`` of every point) and different points
+            in parallel; past its floor a point keeps at most one
+            speculative replication in flight, so a single point's
+            adaptive replications run one at a time at any ``jobs``.
         timeout: wall-clock seconds per replication attempt (``None``
-            disables; setting it forces process isolation even at
+            disables; setting it forces process workers even at
             ``jobs=1`` so a stall can actually be abandoned).
         retries: extra attempts per replication after the first.
         backoff: base of the exponential retry backoff in seconds
@@ -73,9 +81,9 @@ class ResilienceConfig:
         engine: enablement engine for every replication —
             ``"compiled"`` (the default, ``None``), ``"rescan"`` or
             ``"batch"``; results are bit-identical across all three.
-            ``"batch"`` additionally lets the serial driver and the
-            sweep pool dispatch groups of clean (unguarded, chaos-free)
-            replications as one group of lanes.
+            ``"batch"`` additionally lets the sweep scheduler dispatch
+            a point's clean (unguarded, chaos-free) floor replications
+            as one group of lanes.
         batch_width: lanes per batch-dispatch group (``None`` = the
             framework default); only meaningful with ``engine="batch"``.
         reuse: reuse the built (and, for compiled, lowered) model across
@@ -131,11 +139,11 @@ class ResilienceConfig:
 def retry_seed(root_seed: int, replication: int, attempt: int) -> int:
     """The seed-family member for one replication attempt.
 
-    Attempt 0 keeps the experiment's root seed (bit-identical to the
-    legacy serial runner); retries derive a fresh root from
-    ``(root_seed, replication, attempt)`` alone, so the reseed is
-    deterministic and independent of execution order or of which other
-    replications failed.
+    Attempt 0 keeps the experiment's root seed (bit-identical to
+    ``simulate_once(spec, replication, root_seed)``); retries derive a
+    fresh root from ``(root_seed, replication, attempt)`` alone, so the
+    reseed is deterministic and independent of execution order or of
+    which other replications failed.
     """
     if attempt == 0:
         return root_seed
@@ -276,10 +284,10 @@ def spec_payload(spec: Any) -> Any:
 def scope_fingerprint(
     spec: Any, root_seed: int, extra_probes: bool, config: ResilienceConfig
 ) -> str:
-    """The checkpoint-scope fingerprint of one experiment.
+    """The checkpoint-scope fingerprint of one experiment (sweep point).
 
-    Shared by the per-experiment executor and the sweep engine so a
-    checkpoint written by either resumes under the other.
+    Resuming refuses a scope whose fingerprint differs, so a checkpoint
+    can never feed samples into a different experiment.
     """
     return fingerprint(
         {
@@ -297,7 +305,7 @@ class CacheBinding:
     """A :class:`ResultCache` bound to one experiment's identity.
 
     Collapses the five-part cache key down to "which replication index",
-    which is all the executor and the sweep engine ever vary.
+    which is all one run ever varies.
     """
 
     def __init__(
@@ -353,7 +361,7 @@ def bind_cache(
 
 
 class _Run:
-    """State of one run_replications call (serial or pooled)."""
+    """State of one replicated experiment (one sweep point)."""
 
     def __init__(
         self,
@@ -362,22 +370,19 @@ class _Run:
         extra_probes: bool,
         min_replications: int,
         max_replications: int,
-        converged: Optional[ConvergenceCheck],
         config: ResilienceConfig,
         checkpoint: Optional[CheckpointStore],
-        monitor: Optional[ConvergenceMonitor] = None,
-        cache: Optional[CacheBinding] = None,
+        monitor: ConvergenceMonitor,
     ) -> None:
         self.spec = spec
         self.root_seed = root_seed
         self.extra_probes = extra_probes
         self.min_replications = min_replications
         self.max_replications = max_replications
-        self.converged = converged
         self.config = config
         self.checkpoint = checkpoint
         self.monitor = monitor
-        self.cache = cache
+        self.cache = bind_cache(spec, config, root_seed, extra_probes)
         self.executed = 0
         self.cache_hits = 0
         self.resolved: Dict[int, ReplicationOutcome] = {}
@@ -444,7 +449,7 @@ class _Run:
             and not outcome.failures
         ):
             # Only clean first-attempt results are memoized — a hit must
-            # be exactly what the legacy serial runner would compute.
+            # be exactly what a fresh attempt 0 would compute.
             self.cache.store(task.replication, outcome.to_payload())
 
     def fail_attempt(self, task: _Task, failure: ReplicationFailure) -> Optional[_Task]:
@@ -503,8 +508,24 @@ class _Run:
                 self.resolved[replication].to_payload(),
             )
 
-    def preload_cache(self) -> None:
-        """Fill unresolved replications from the persistent result cache."""
+    def prime(self) -> None:
+        """Resolve what is already known before anything executes.
+
+        Opens this run's checkpoint scope (resuming its records when
+        the store was opened with ``resume``), then fills the remaining
+        replications from the persistent result cache.
+        """
+        scope = self.config.checkpoint_scope
+        if self.checkpoint is not None:
+            self.checkpoint.begin_scope(
+                scope,
+                scope_fingerprint(
+                    self.spec, self.root_seed, self.extra_probes, self.config
+                ),
+            )
+            for rep, record in self.checkpoint.replications(scope).items():
+                if rep < self.max_replications:
+                    self.resolved[rep] = ReplicationOutcome.from_record(record)
         if self.cache is None:
             return
         for replication in range(self.max_replications):
@@ -522,7 +543,7 @@ class _Run:
             if tracer is not None:
                 tracer.emit(
                     _trace.CACHE_HIT,
-                    scope=self.config.checkpoint_scope,
+                    scope=scope,
                     replication=replication,
                     key=self.cache.key(replication),
                 )
@@ -539,21 +560,17 @@ class _Run:
         return [self.resolved[i] for i in range(prefix) if self.resolved[i].ok]
 
     def converged_cut(self) -> Optional[int]:
-        """Smallest sample count >= min that converges, scanning the
-        resolved prefix in replication order; None if not converged yet."""
+        """Smallest sample count >= min that converges over the resolved
+        prefix in replication order; None if not converged yet.
+
+        Feeds the monitor only the samples it has not seen.  Each prefix
+        is judged exactly once, which is sound because a prefix's
+        samples never change after the fact.
+        """
         surviving = self._surviving(self._contiguous_prefix())
-        if self.monitor is not None:
-            # One-pass path: feed the monitor only the samples it has not
-            # seen.  Each prefix is judged exactly once, which is sound
-            # because a prefix's samples never change after the fact —
-            # bit-identical stopping decisions to the rescan below.
-            for outcome in surviving[self.monitor.n :]:
-                self.monitor.push(outcome.metrics)
-            return self.monitor.cut
-        for count in range(self.min_replications, len(surviving) + 1):
-            if self.converged([o.metrics for o in surviving[:count]]):
-                return count
-        return None
+        for outcome in surviving[self.monitor.n :]:
+            self.monitor.push(outcome.metrics)
+        return self.monitor.cut
 
     def assemble(self) -> ExecutionOutcome:
         prefix = self._contiguous_prefix()
@@ -579,217 +596,6 @@ class _Run:
             cache_hits=self.cache_hits,
         )
 
-    # -- serial driver -------------------------------------------------------
-
-    def run_serial(self) -> None:
-        if self.batch_eligible():
-            self._run_serial_batched()
-            return
-        self._run_serial_single()
-
-    def _run_serial_batched(self) -> None:
-        """Serial driver, batch engine: dispatch clean replication groups.
-
-        Groups run as batch lanes (see ``simulate_batch``); convergence
-        is judged between groups, so a group may over-run the cut — the
-        surplus is discarded by ``assemble`` exactly as the pool
-        driver's over-run is.  A faulted group falls back to the
-        per-replication driver for those indices, which restores the
-        full retry/reseed machinery.
-        """
-        from ..core.framework import BATCH_WIDTH_DEFAULT, simulate_batch
-
-        width = self.config.batch_width or BATCH_WIDTH_DEFAULT
-        next_index = 0
-        while True:
-            if self.converged_cut() is not None:
-                return
-            group: List[int] = []
-            while next_index < self.max_replications and len(group) < width:
-                if next_index not in self.resolved:
-                    group.append(next_index)
-                next_index += 1
-            if not group:
-                return
-            try:
-                runs = simulate_batch(
-                    self.spec,
-                    group,
-                    root_seed=self.root_seed,
-                    extra_probes=self.extra_probes,
-                    engine="batch",
-                    reuse=self.config.reuse,
-                    width=width,
-                )
-            except Exception:  # noqa: BLE001 — group fault: isolate per lane
-                self._run_serial_single(group)
-                continue
-            task = self.batch_task(group)
-            self.resolve_batch(task, {"ok": True, "batch": [
-                {
-                    "metrics": run.metrics,
-                    "completions": run.completions,
-                    "degraded": run.degraded,
-                    "failures": [f.to_dict() for f in run.failures],
-                }
-                for run in runs
-            ]})
-
-    def _run_serial_single(self, only: Optional[List[int]] = None) -> None:
-        replications = only if only is not None else range(self.max_replications)
-        for replication in replications:
-            if replication not in self.resolved:
-                task = self.task(replication)
-                while task is not None:
-                    payload = _execute_task(task)
-                    if payload["ok"]:
-                        self.resolve_success(task, payload)
-                        task = None
-                    else:
-                        task = self.fail_attempt(
-                            task,
-                            ReplicationFailure(
-                                kind=FailureKind.EXCEPTION,
-                                message=payload["error"],
-                                scheduler=getattr(self.spec, "scheduler", ""),
-                            ),
-                        )
-                if replication not in self.resolved:
-                    continue  # permanently failed, keep_partial
-            if (
-                replication + 1 >= self.min_replications
-                and self.converged_cut() is not None
-            ):
-                return
-
-    # -- pooled driver --------------------------------------------------------
-
-    def run_pool(self) -> None:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        jobs = max(1, self.config.jobs)
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        pending: Dict[Any, Tuple[_Task, Optional[float]]] = {}
-        ready: Deque[_Task] = deque()
-        next_index = 0
-        try:
-            while True:
-                if self.converged_cut() is not None:
-                    return
-                # Top up: retries first, then fresh replications in order.
-                while len(pending) < jobs:
-                    if ready:
-                        task = ready.popleft()
-                    else:
-                        while (
-                            next_index < self.max_replications
-                            and next_index in self.resolved
-                        ):
-                            next_index += 1
-                        if next_index >= self.max_replications:
-                            break
-                        task = self.task(next_index)
-                        next_index += 1
-                    deadline = (
-                        time.monotonic() + self.config.timeout
-                        if self.config.timeout is not None
-                        else None
-                    )
-                    try:
-                        future = pool.submit(_execute_task, task)
-                    except (BrokenProcessPool, RuntimeError):
-                        # Pool died between batches: rebuild, requeue.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(max_workers=jobs)
-                        future = pool.submit(_execute_task, task)
-                    pending[future] = (task, deadline)
-                if not pending:
-                    return
-                deadlines = [d for (_t, d) in pending.values() if d is not None]
-                budget = (
-                    max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                )
-                done, _ = wait(
-                    set(pending), timeout=budget, return_when=FIRST_COMPLETED
-                )
-                pool_broken = False
-                for future in done:
-                    task, _deadline = pending.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        payload = {
-                            "ok": False,
-                            "kind": FailureKind.WORKER_CRASH,
-                            "error": "worker process died (pool broken)",
-                        }
-                    except Exception as exc:  # noqa: BLE001
-                        payload = {
-                            "ok": False,
-                            "kind": FailureKind.WORKER_CRASH,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    if payload["ok"]:
-                        self.resolve_success(task, payload)
-                    else:
-                        retry = self.fail_attempt(
-                            task,
-                            ReplicationFailure(
-                                kind=payload.get("kind", FailureKind.EXCEPTION),
-                                message=payload["error"],
-                                scheduler=getattr(self.spec, "scheduler", ""),
-                            ),
-                        )
-                        if retry is not None:
-                            ready.append(retry)
-                # Abandon attempts that blew their wall-clock budget.  The
-                # worker itself cannot be interrupted, but its slot recycles
-                # once the stall ends, and the attempt is failed *now*.
-                now = time.monotonic()
-                for future in [
-                    f
-                    for f, (_t, deadline) in pending.items()
-                    if deadline is not None and now >= deadline
-                ]:
-                    task, _deadline = pending.pop(future)
-                    future.cancel()
-                    retry = self.fail_attempt(
-                        task,
-                        ReplicationFailure(
-                            kind=FailureKind.TIMEOUT,
-                            message=(
-                                f"replication attempt exceeded the "
-                                f"{self.config.timeout:g}s wall-clock timeout"
-                            ),
-                            scheduler=getattr(self.spec, "scheduler", ""),
-                        ),
-                    )
-                    if retry is not None:
-                        ready.append(retry)
-                if pool_broken:
-                    # Every in-flight future is poisoned; fail them as
-                    # worker crashes, rebuild the pool, requeue retries.
-                    for future in list(pending):
-                        task, _deadline = pending.pop(future)
-                        retry = self.fail_attempt(
-                            task,
-                            ReplicationFailure(
-                                kind=FailureKind.WORKER_CRASH,
-                                message="worker process died (pool broken)",
-                                scheduler=getattr(self.spec, "scheduler", ""),
-                            ),
-                        )
-                        if retry is not None:
-                            ready.append(retry)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=jobs)
-        finally:
-            # wait=False: a stalled worker must not hold the experiment
-            # hostage past its timeout; the processes reap at interpreter exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-
 
 def run_replications(
     spec: Any,
@@ -798,26 +604,25 @@ def run_replications(
     extra_probes: bool,
     min_replications: int,
     max_replications: int,
-    converged: Optional[ConvergenceCheck] = None,
     config: ResilienceConfig,
-    monitor: Optional[ConvergenceMonitor] = None,
+    monitor: ConvergenceMonitor,
 ) -> ExecutionOutcome:
     """Resolve replications until convergence or budget, resiliently.
+
+    The experiment runs as a one-point sweep on the sweep scheduler
+    (:func:`repro.core.sweeps.drive_runs`), so it shares every
+    scheduling, retry and timeout decision with the sweep engine.
 
     Args:
         spec: the (validated) system spec.
         root_seed: seed-family root; attempt 0 of replication *r* is
-            bit-identical to the legacy serial runner.
+            bit-identical to ``simulate_once(spec, r, root_seed)``.
         extra_probes: forwarded to ``simulate_once``.
         min_replications / max_replications: the replication protocol.
-        converged: callback receiving the ordered list of per-replication
-            metric dicts collected so far; True stops the run.
         config: executor knobs (parallelism, timeout, retries,
             checkpointing, guard, chaos, result cache).
-        monitor: one-pass :class:`ConvergenceMonitor` stopping rule —
-            the O(n) alternative to the ``converged`` rescan callback.
-            Exactly one of ``converged`` / ``monitor`` must be given,
-            and a monitor must be fresh (never fed) per call.
+        monitor: the one-pass :class:`ConvergenceMonitor` stopping
+            rule; it must be fresh (never fed) per call.
 
     Returns:
         An :class:`ExecutionOutcome` with the included samples (in
@@ -829,11 +634,9 @@ def run_replications(
             ``config.keep_partial`` is False.
         CheckpointError: resuming against a mismatched checkpoint.
     """
+    from ..core.sweeps import drive_runs  # local: core imports this module
+
     config.validate()
-    if (converged is None) == (monitor is None):
-        raise ConfigurationError(
-            "exactly one of converged= / monitor= must be given"
-        )
     checkpoint: Optional[CheckpointStore] = None
     if config.checkpoint:
         checkpoint = CheckpointStore(config.checkpoint, resume=config.resume)
@@ -843,28 +646,13 @@ def run_replications(
         extra_probes=extra_probes,
         min_replications=min_replications,
         max_replications=max_replications,
-        converged=converged,
         config=config,
         checkpoint=checkpoint,
         monitor=monitor,
-        cache=bind_cache(spec, config, root_seed, extra_probes),
     )
     try:
-        if checkpoint is not None:
-            checkpoint.begin_scope(
-                config.checkpoint_scope,
-                scope_fingerprint(spec, root_seed, extra_probes, config),
-            )
-            for rep, record in checkpoint.replications(
-                config.checkpoint_scope
-            ).items():
-                if rep < max_replications:
-                    run.resolved[rep] = ReplicationOutcome.from_record(record)
-        run.preload_cache()
-        if config.jobs > 1 or config.timeout is not None:
-            run.run_pool()
-        else:
-            run.run_serial()
+        run.prime()
+        drive_runs([run], jobs=config.jobs, timeout=config.timeout)
     finally:
         if checkpoint is not None:
             checkpoint.close()

@@ -267,6 +267,9 @@ class TestTraceAndProfileFlags:
         assert records, "trace file is empty"
         kinds = {r["kind"] for r in records}
         assert {"run.start", "run.end", "sched.in", "activity.fire"} <= kinds
+        # the driver's grants precede each replication they start
+        dispatches = [r for r in records if r["kind"] == "sweep.dispatch"]
+        assert [r["replication"] for r in dispatches] == [0, 1]
         # schema: every record carries kind/t/seq plus exactly its fields
         last_seq, last_t = -1, None
         for record in records:
@@ -275,6 +278,8 @@ class TestTraceAndProfileFlags:
             ), record["kind"]
             assert record["seq"] > last_seq
             last_seq = record["seq"]
+            if record["kind"] == "sweep.dispatch":
+                continue  # between replication segments
             # timestamps are monotone within each replication segment
             if record["kind"] == "run.start":
                 last_t = record["t"]

@@ -1,9 +1,16 @@
 """Unit tests for the experiment runner (replications + sweeps)."""
 
+import os
+
 import pytest
 
+import repro.core.framework as framework
+import repro.core.registry as registry
 from repro.core import SystemSpec, VMSpec, WorkloadSpec, run_experiment, run_sweep
 from repro.errors import ConfigurationError
+from repro.resilience import ResilienceConfig
+from repro.resilience.failures import FailureKind
+from repro.schedulers.round_robin import RoundRobinScheduler
 
 
 @pytest.fixture
@@ -84,6 +91,60 @@ class TestRunExperiment:
         assert half >= 0.0
         with pytest.raises(KeyError):
             result.mean("nope")
+
+
+#: (replication, attempt) the current process is simulating; set by the
+#: ``simulate_once`` wrapper the worker-death test installs.
+_CURRENT = [None]
+
+
+class _DiesInReplicationOne(RoundRobinScheduler):
+    """Round-robin that kills its worker process in replication 1, attempt 0."""
+
+    parent = os.getpid()
+
+    def schedule(self, vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
+        if _CURRENT[0] == (1, 0) and os.getpid() != self.parent:
+            os._exit(1)
+        return super().schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
+
+
+class TestWorkerDeath:
+    def test_run_experiment_worker_death_is_retried(self, monkeypatch):
+        monkeypatch.setitem(
+            registry._REGISTRY, "test-dies-in-rep1", _DiesInReplicationOne
+        )
+        spec = SystemSpec(
+            vms=[VMSpec(2), VMSpec(1)],
+            pcpus=1,
+            scheduler="test-dies-in-rep1",
+            sim_time=300,
+            warmup=50,
+        )
+        protocol = dict(
+            min_replications=3, max_replications=3, target_half_width=1e-9
+        )
+        clean = run_experiment(spec, **protocol)
+
+        original = framework.simulate_once
+
+        def tracked(spec, replication=0, root_seed=0, **kwargs):
+            _CURRENT[0] = (replication, kwargs.get("attempt", 0))
+            return original(spec, replication, root_seed, **kwargs)
+
+        # Installed before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(framework, "simulate_once", tracked)
+        result = run_experiment(
+            spec, resilience=ResilienceConfig(jobs=2, backoff=0), **protocol
+        )
+        assert result.replications == 3
+        crashes = [f for f in result.failures if f.kind == FailureKind.WORKER_CRASH]
+        assert [(f.replication, f.attempt) for f in crashes] == [(1, 0)]
+        # Replication 1 re-ran under a reseeded stream; the survivors
+        # are exactly the clean run's.
+        for name, estimate in clean.estimates.items():
+            values = result.estimates[name].values
+            assert [values[0], values[2]] == [estimate.values[0], estimate.values[2]]
 
 
 class TestRunSweep:

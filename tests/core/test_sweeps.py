@@ -1,17 +1,25 @@
-"""Tests for the interleaved sweep engine (shared pool, adaptive budget).
+"""Tests for the sweep scheduler (shared pool, adaptive budget).
 
 The engine's core contract: for any fixed replication set, the metric
-estimates are exactly ``==`` the serial per-point path — scheduling
-order, worker placement, caching, and resume must never change a
-number.  The differential tests here assert that equality on the
-paper's Figure 8 sweep across all three schedulers, with and without a
-warm result cache, plus the accounting the engine reports on top.
+estimates are exactly ``==`` a plain reference loop — ``simulate_once``
+per replication, in order, fed to a ``ConvergenceMonitor`` and stopped
+at its cut.  Scheduling order, worker placement, caching, and resume
+must never change a number.  The differential tests here assert that
+equality on the paper's Figure 8 sweep across all three schedulers,
+with and without a warm result cache, plus the accounting the engine
+reports on top.
 """
 
 import pytest
 
-from repro.core import SystemSpec, VMSpec, run_sweep
-from repro.core.experiment import resolve_sweep_points
+import repro.core.framework as framework
+from repro.core import SystemSpec, VMSpec, run_sweep, simulate_once
+from repro.core.experiment import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_TARGET_HALF_WIDTH,
+    DEFAULT_WATCH_METRICS,
+    resolve_sweep_points,
+)
 from repro.core.sweeps import (
     REASON_ADAPTIVE,
     REASON_FLOOR,
@@ -19,11 +27,12 @@ from repro.core.sweeps import (
     SweepPool,
     run_interleaved_sweep,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.metrics.stats import ConvergenceMonitor
 from repro.observability import SimTracer, tracing
 from repro.observability import trace as trace_mod
 from repro.paper import figure8_sweep
-from repro.resilience import ChaosSpec, ResilienceConfig
+from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
 
 
 def extract(results):
@@ -35,6 +44,45 @@ def extract(results):
         }
         for r in results
     ]
+
+
+def _oracle_metrics(spec, replication, root_seed, config):
+    """One replication, retried under the executor's reseed rule."""
+    for attempt in range(config.retries + 1):
+        try:
+            return simulate_once(
+                spec,
+                replication=replication,
+                root_seed=retry_seed(root_seed, replication, attempt),
+                chaos=config.chaos,
+                attempt=attempt,
+                engine=config.engine,
+            ).metrics
+        except SimulationError:  # the gate wraps the injected crash
+            if attempt == config.retries:
+                raise
+
+
+def oracle(base_spec, points, min_replications, max_replications, root_seed,
+           resilience=None):
+    """The serial reference: each point replicated in order to its cut."""
+    config = resilience or ResilienceConfig(retries=0)
+    results = []
+    for _point, spec in resolve_sweep_points(base_spec, points):
+        monitor = ConvergenceMonitor(
+            DEFAULT_WATCH_METRICS,
+            confidence=DEFAULT_CONFIDENCE,
+            target_half_width=DEFAULT_TARGET_HALF_WIDTH,
+            min_replications=min_replications,
+        )
+        values = {}
+        while monitor.cut is None and monitor.n < max_replications:
+            metrics = _oracle_metrics(spec, monitor.n, root_seed, config)
+            monitor.push(metrics)
+            for name, value in metrics.items():
+                values.setdefault(name, []).append(value)
+        results.append({"replications": monitor.n, "values": values})
+    return results
 
 
 @pytest.fixture
@@ -62,23 +110,21 @@ ARGS = {"min_replications": 2, "max_replications": 4, "root_seed": 0}
 
 class TestDifferential:
     def test_interleaved_equals_serial(self, base, points):
-        serial = run_sweep(base, points, sweep_engine="serial", **ARGS)
-        interleaved = run_sweep(base, points, sweep_engine="interleaved", **ARGS)
-        assert extract(interleaved) == extract(serial)
+        swept = run_sweep(base, points, **ARGS)
+        assert extract(swept) == oracle(base, points, **ARGS)
 
     def test_figure8_sweep_with_and_without_warm_cache(self, tmp_path):
         # The acceptance differential: the Figure 8 campaign (rrs, scs,
-        # rcs across the PCPU range), serial vs interleaved, cold cache
-        # vs warm cache — every variant exactly equal.
+        # rcs across the PCPU range) against the reference loop, cold
+        # cache vs warm cache — every variant exactly equal.
         fig_base, fig_points = figure8_sweep(sim_time=200, warmup=40)
         fig_points = fig_points[:6]  # 1 and 2 PCPUs x three schedulers
-        serial = run_sweep(fig_base, fig_points, sweep_engine="serial", **ARGS)
         resolved = resolve_sweep_points(fig_base, fig_points)
         plain = run_interleaved_sweep(resolved, **ARGS)
         cache = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
         cold = run_interleaved_sweep(resolved, resilience=cache, **ARGS)
         warm = run_interleaved_sweep(resolved, resilience=cache, **ARGS)
-        reference = extract(serial)
+        reference = oracle(fig_base, fig_points, **ARGS)
         assert extract(plain.results) == reference
         assert extract(cold.results) == reference
         assert extract(warm.results) == reference
@@ -93,65 +139,43 @@ class TestDifferential:
             retries=1,
             chaos=ChaosSpec(crash_replications=(1,), inject_after=100.0),
         )
-        serial = run_sweep(
-            base, points[:3], sweep_engine="serial", resilience=config, **ARGS
-        )
-        interleaved = run_sweep(
-            base, points[:3], sweep_engine="interleaved", resilience=config, **ARGS
-        )
-        assert extract(interleaved) == extract(serial)
+        swept = run_sweep(base, points[:3], resilience=config, **ARGS)
+        reference = oracle(base, points[:3], resilience=config, **ARGS)
+        assert extract(swept) == reference
 
     @pytest.mark.slow
     def test_shared_pool_equals_serial(self, base, points):
-        serial = run_sweep(base, points[:4], sweep_engine="serial", **ARGS)
-        pooled = run_sweep(
-            base, points[:4], sweep_engine="interleaved", sweep_jobs=2, **ARGS
-        )
-        assert extract(pooled) == extract(serial)
+        pooled = run_sweep(base, points[:4], sweep_jobs=2, **ARGS)
+        assert extract(pooled) == oracle(base, points[:4], **ARGS)
 
 
 class TestRunSweepPlumbing:
     def test_order_preserved_and_parameters_recorded(self, base, points):
-        results = run_sweep(base, points, sweep_engine="interleaved", **ARGS)
+        results = run_sweep(base, points, **ARGS)
         assert [
             (r.parameters["pcpus"], r.parameters["scheduler"]) for r in results
         ] == [(p["pcpus"], p["scheduler"]) for p in points]
 
     def test_non_field_key_without_mutate_rejected(self, base):
         with pytest.raises(ConfigurationError, match="mutate"):
-            run_sweep(
-                base, [{"sync_ratio": 2}], sweep_engine="interleaved", **ARGS
-            )
-
-    def test_unknown_engine_rejected(self, base, points):
-        with pytest.raises(ConfigurationError, match="sweep_engine"):
-            run_sweep(base, points, sweep_engine="pipelined", **ARGS)
+            run_sweep(base, [{"sync_ratio": 2}], **ARGS)
 
     def test_bad_jobs_rejected(self, base, points):
         with pytest.raises(ConfigurationError, match="sweep_jobs"):
-            run_sweep(
-                base, points, sweep_engine="interleaved", sweep_jobs=0, **ARGS
-            )
+            run_sweep(base, points, sweep_jobs=0, **ARGS)
 
     def test_budget_validation_shared_with_runner(self, base, points):
         with pytest.raises(ConfigurationError, match="min_replications"):
-            run_sweep(
-                base, points, sweep_engine="interleaved",
-                min_replications=1, max_replications=4,
-            )
+            run_sweep(base, points, min_replications=1, max_replications=4)
 
 
 class TestCheckpointInterop:
-    """One checkpoint file spans the sweep; either engine resumes it."""
+    """One checkpoint file spans the sweep; every entry point resumes it."""
 
-    def test_serial_checkpoint_resumed_by_interleaved(self, base, points, tmp_path):
+    def test_run_sweep_checkpoint_resumed_by_interleaved(self, base, points, tmp_path):
         ckpt = str(tmp_path / "sweep.jsonl")
-        serial = run_sweep(
-            base,
-            points[:3],
-            sweep_engine="serial",
-            resilience=ResilienceConfig(checkpoint=ckpt),
-            **ARGS,
+        first = run_sweep(
+            base, points[:3], resilience=ResilienceConfig(checkpoint=ckpt), **ARGS
         )
         resumed = run_interleaved_sweep(
             resolve_sweep_points(base, points[:3]),
@@ -159,34 +183,32 @@ class TestCheckpointInterop:
             **ARGS,
         )
         assert resumed.stats.executed == 0
-        assert extract(resumed.results) == extract(serial)
+        assert extract(resumed.results) == extract(first)
 
-    def test_interleaved_checkpoint_resumed_by_serial(self, base, points, tmp_path):
+    def test_interleaved_checkpoint_resumed_by_run_sweep(self, base, points, tmp_path):
         ckpt = str(tmp_path / "sweep.jsonl")
-        first = run_sweep(
-            base,
-            points[:3],
-            sweep_engine="interleaved",
+        first = run_interleaved_sweep(
+            resolve_sweep_points(base, points[:3]),
             resilience=ResilienceConfig(checkpoint=ckpt),
             **ARGS,
         )
+        with open(ckpt, encoding="utf-8") as handle:
+            before = handle.read()
         resumed = run_sweep(
             base,
             points[:3],
-            sweep_engine="serial",
             resilience=ResilienceConfig(checkpoint=ckpt, resume=True),
             **ARGS,
         )
-        assert extract(resumed) == extract(first)
+        assert extract(resumed) == extract(first.results)
+        # Every replication came from the checkpoint: nothing was added.
+        with open(ckpt, encoding="utf-8") as handle:
+            assert handle.read() == before
 
     def test_each_point_gets_its_own_scope(self, base, points, tmp_path):
         ckpt = str(tmp_path / "sweep.jsonl")
         run_sweep(
-            base,
-            points[:2],
-            sweep_engine="interleaved",
-            resilience=ResilienceConfig(checkpoint=ckpt),
-            **ARGS,
+            base, points[:2], resilience=ResilienceConfig(checkpoint=ckpt), **ARGS
         )
         import json
 
@@ -274,6 +296,43 @@ class TestAccounting:
         }
 
 
+class TestFloorOrder:
+    def test_floor_grants_are_point_major(self, base, points):
+        outcome = run_interleaved_sweep(
+            resolve_sweep_points(base, points[:3]), **ARGS
+        )
+        floors = [
+            e["point"] for e in outcome.stats.allocation_log
+            if e["reason"] == REASON_FLOOR
+        ]
+        # All of point 0's floor, then point 1's, then point 2's.
+        assert floors == [0, 0, 1, 1, 2, 2]
+
+    def test_inline_sweep_builds_each_spec_once(self, monkeypatch):
+        # Replication-first floors cycled the 12 Figure-8 specs through
+        # the 8-entry model cache, rebuilding a model on most grants.
+        # At this shape every point converges at its floor, so the floor
+        # order alone decides how often a model is built.
+        fig_base, fig_points = figure8_sweep(sim_time=300, warmup=30)
+        registered = []
+        original = framework._cache_register
+
+        def counting(key, entry):
+            registered.append(key)
+            original(key, entry)
+
+        framework.clear_model_cache()
+        monkeypatch.setattr(framework, "_cache_register", counting)
+        outcome = run_interleaved_sweep(
+            resolve_sweep_points(fig_base, fig_points),
+            min_replications=5,
+            max_replications=30,
+        )
+        assert [r.replications for r in outcome.results] == [5] * 12
+        assert len(registered) == 12
+        assert len(set(registered)) == 12
+
+
 class TestPoolLifecycle:
     @pytest.mark.slow
     def test_back_to_back_pools_leave_no_children(self, base, points):
@@ -297,15 +356,15 @@ class TestSharedSweepPool:
     def test_borrowed_pool_across_sequential_sweeps_equals_serial(
         self, base, points
     ):
-        serial = run_sweep(base, points[:3], sweep_engine="serial", **ARGS)
+        serial = oracle(base, points[:3], **ARGS)
         resolved = resolve_sweep_points(base, points[:3])
         with SweepPool(jobs=1) as pool:
             first = run_interleaved_sweep(resolved, pool=pool, **ARGS)
             second = run_interleaved_sweep(resolved, pool=pool, **ARGS)
             assert not pool.closed
         assert pool.closed
-        assert extract(first.results) == extract(serial)
-        assert extract(second.results) == extract(serial)
+        assert extract(first.results) == serial
+        assert extract(second.results) == serial
 
     def test_closed_pool_is_rejected(self, base, points):
         resolved = resolve_sweep_points(base, points[:1])
@@ -353,9 +412,8 @@ class TestSharedSweepPool:
         with SweepPool(jobs=1) as pool:
             with pytest.raises(Abort):
                 run_interleaved_sweep(resolved, pool=pool, progress=bomb, **ARGS)
-            serial = run_sweep(base, points[:2], sweep_engine="serial", **ARGS)
             retry = run_interleaved_sweep(resolved, pool=pool, **ARGS)
-            assert extract(retry.results) == extract(serial)
+            assert extract(retry.results) == oracle(base, points[:2], **ARGS)
 
     @pytest.mark.slow
     def test_borrowed_process_pool_equals_serial(self, base, points):
@@ -364,13 +422,13 @@ class TestSharedSweepPool:
         # Gate on children the pool creates: other suites may leave
         # deliberately-abandoned stalled workers in the shared process.
         before = {child.pid for child in multiprocessing.active_children()}
-        serial = run_sweep(base, points[:3], sweep_engine="serial", **ARGS)
+        serial = oracle(base, points[:3], **ARGS)
         resolved = resolve_sweep_points(base, points[:3])
         with SweepPool(jobs=2) as pool:
             first = run_interleaved_sweep(resolved, pool=pool, **ARGS)
             second = run_interleaved_sweep(resolved, pool=pool, **ARGS)
-        assert extract(first.results) == extract(serial)
-        assert extract(second.results) == extract(serial)
+        assert extract(first.results) == serial
+        assert extract(second.results) == serial
         assert [
             child
             for child in multiprocessing.active_children()
@@ -380,15 +438,13 @@ class TestSharedSweepPool:
 
 class TestBatchEngine:
     def test_batch_interleaved_equals_serial_compiled(self, base, points):
-        serial = run_sweep(
-            base, points[:3], sweep_engine="serial",
-            resilience=ResilienceConfig(engine="compiled"), **ARGS,
+        serial = oracle(
+            base, points[:3], resilience=ResilienceConfig(engine="compiled"), **ARGS
         )
         batched = run_sweep(
-            base, points[:3], sweep_engine="interleaved",
-            resilience=ResilienceConfig(engine="batch"), **ARGS,
+            base, points[:3], resilience=ResilienceConfig(engine="batch"), **ARGS
         )
-        assert extract(batched) == extract(serial)
+        assert extract(batched) == serial
 
     def test_floor_grants_are_batched(self, base, points):
         outcome = run_interleaved_sweep(
@@ -413,15 +469,14 @@ class TestBatchEngine:
     def test_batch_pooled_equals_serial(self, base, points):
         import multiprocessing
 
-        serial = run_sweep(
-            base, points[:3], sweep_engine="serial",
-            resilience=ResilienceConfig(engine="compiled"), **ARGS,
+        serial = oracle(
+            base, points[:3], resilience=ResilienceConfig(engine="compiled"), **ARGS
         )
         pooled = run_sweep(
-            base, points[:3], sweep_engine="interleaved", sweep_jobs=2,
+            base, points[:3], sweep_jobs=2,
             resilience=ResilienceConfig(engine="batch"), **ARGS,
         )
-        assert extract(pooled) == extract(serial)
+        assert extract(pooled) == serial
         assert multiprocessing.active_children() == []
 
     def test_batch_width_override_respected(self, base, points):
