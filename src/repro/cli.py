@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="batch_width",
         metavar="N",
-        help="replications per batch-dispatch group (engine=batch only; "
-        "default: framework default)",
+        help="most floor replications per grouped dispatch, on any engine "
+        "(default: framework default)",
     )
     run_parser.add_argument(
         "--degradation",

@@ -429,23 +429,24 @@ def simulate_once(
 
 # -- replication-batched dispatch ---------------------------------------------
 #
-# The batch engine runs R replications of one spec as one group of lanes
-# (see repro.san.compiled.run_lanes: vectorized when every gate and reward
-# has an IR form, otherwise serial compiled, lane by lane).  Guarded or
-# chaos-wrapped replications carry per-replication wrapper state that the
-# trace/guard contract defines in terms of a single serial run, so those fall
-# back to the serial compiled engine, one replication at a time; the
-# module-level counters let tests and stats assert which path actually
-# executed.
+# simulate_batch runs a group of replications of one spec — the unit the
+# sweep scheduler dispatches for a point's floor, on every engine.  On the
+# batch engine a fully-IR model runs the group as vectorized lanes (see
+# repro.san.compiled.run_lanes); anything else runs one replication at a
+# time on one reused model.  Guarded or chaos-wrapped replications carry
+# per-replication wrapper state that the trace/guard contract defines in
+# terms of a single serial run, so those run on the serial compiled
+# engine; the module-level counters let tests and stats assert which path
+# a batch-engine group actually took.
 
-#: Lanes per group (bounds peak model memory).
+#: Replications per group (bounds peak model memory on the lane path).
 BATCH_WIDTH_DEFAULT = 8
 
 _BATCH_DISPATCH = {"groups": 0, "batched": 0, "fallback": 0}
 
 
 def batch_dispatch_stats() -> Dict[str, int]:
-    """Counters for the batch dispatcher: groups run, replications per path."""
+    """Counters for the batch engine: lane groups run, replications per path."""
     return dict(_BATCH_DISPATCH)
 
 
@@ -466,25 +467,28 @@ def simulate_batch(
     reuse: bool = False,
     width: Optional[int] = None,
 ) -> List[RunResult]:
-    """Run several replications of one spec in groups of batch lanes.
+    """Run several replications of one spec as one group.
 
-    Groups of up to ``width`` replications each get their own model lane
-    (own marking, event wheel, and per-replication streams — the exact
-    serial sample paths) and go to :func:`~repro.san.compiled.run_lanes`
-    together.  Results are returned in ``replications`` order and are
-    bit-identical to ``[simulate_once(spec, r, ...) for r in
-    replications]``.
+    Results are returned in ``replications`` order and are bit-identical
+    to ``[simulate_once(spec, r, ...) for r in replications]``, which is
+    exactly what runs unless the batch engine can vectorize: with
+    ``engine="batch"`` and a model whose gates and rewards all have a
+    vectorizable IR form, groups of up to ``width`` replications each
+    get their own model lane (own marking, event wheel and
+    per-replication streams) and go to
+    :func:`~repro.san.compiled.run_lanes` together.
 
-    Fallback rules (each replication counted in
-    :func:`batch_dispatch_stats`): a ``guard`` or ``chaos`` wrapper, or
-    an active tracer, forces the serial ``compiled`` engine per
-    replication (the trace contract is defined per serial run, one
-    replication at a time); a non-batch ``engine`` simply loops
-    :func:`simulate_once` with that engine.
+    Batch-engine path selection (each replication counted in
+    :func:`batch_dispatch_stats`): lane 0's eligibility is checked
+    first; a model that cannot be vectorized runs serially on that one
+    (reused) model, and a ``guard`` or ``chaos`` wrapper, or an active
+    tracer, forces the serial ``compiled`` engine (the trace contract
+    is defined per serial run) — all counted as ``fallback``.
     """
     replication_list = [int(r) for r in replications]
     engine_name = resolve_engine(engine)
-    if engine_name != "batch":
+
+    def serial(name: str, indices: Sequence[int]) -> List[RunResult]:
         return [
             simulate_once(
                 spec,
@@ -494,45 +498,47 @@ def simulate_batch(
                 guard=guard,
                 chaos=chaos,
                 attempt=attempt,
-                engine=engine_name,
+                engine=name,
                 reuse=reuse,
             )
-            for r in replication_list
+            for r in indices
         ]
+
+    if engine_name != "batch":
+        return serial(engine_name, replication_list)
+    if not replication_list:
+        return []
     if guard is not None or chaos is not None or _trace._ACTIVE is not None:
         _BATCH_DISPATCH["fallback"] += len(replication_list)
-        return [
-            simulate_once(
-                spec,
-                replication=r,
-                root_seed=root_seed,
-                extra_probes=extra_probes,
-                guard=guard,
-                chaos=chaos,
-                attempt=attempt,
-                engine="compiled",
-                reuse=reuse,
-            )
-            for r in replication_list
-        ]
+        return serial("compiled", replication_list)
     lane_width = int(width) if width is not None else BATCH_WIDTH_DEFAULT
     if lane_width < 1:
         raise ConfigurationError(f"batch width must be >= 1, got {lane_width}")
+
+    def lane(replication: int) -> Simulation:
+        return Simulation(
+            spec,
+            replication=replication,
+            root_seed=root_seed,
+            extra_probes=extra_probes,
+            engine="batch",
+            reuse=reuse,
+        )
+
+    from ..san import vector  # deferred: only this path can vectorize
+
+    first = lane(replication_list[0])
+    if vector.plan_lanes([first.simulator]) is None:
+        # Not vectorizable: lane 0's model serves the whole group, one
+        # replication at a time (checked back out of the model cache).
+        _BATCH_DISPATCH["fallback"] += len(replication_list)
+        return [first.run()] + serial("batch", replication_list[1:])
     results: List[RunResult] = []
     for start in range(0, len(replication_list), lane_width):
         group = replication_list[start : start + lane_width]
-        sims = [
-            Simulation(
-                spec,
-                replication=r,
-                root_seed=root_seed,
-                extra_probes=extra_probes,
-                engine="batch",
-                reuse=reuse,
-            )
-            for r in group
-        ]
+        sims = [first] if start == 0 else []
         try:
+            sims.extend(lane(r) for r in group[len(sims) :])
             run_lanes([sim.simulator for sim in sims], spec.sim_time)
             results.extend(sim._collect_result() for sim in sims)
         finally:

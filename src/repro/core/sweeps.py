@@ -16,8 +16,12 @@ three pieces:
   task.
 * **Adaptive cross-point budget allocation** — floors first: every
   point is entitled to its ``min_replications``, granted point-major
-  (all of point 0's floor before point 1's), so an in-process sweep
-  builds each spec's model once.  After every completed replication the
+  (all of point 0's floor before point 1's) as grouped tasks — one
+  parent/worker round trip for up to ``batch_width`` replications,
+  split finely enough that every worker gets a share.  With a single
+  worker each point instead runs to its stopping rule before the next
+  starts, so an in-process sweep builds each spec's model once.  After
+  every completed replication the
   point's CI half-widths are recomputed incrementally (one-pass
   :class:`~repro.metrics.stats.ConvergenceMonitor`), and the next
   speculative grant goes to the point *furthest* from the half-width
@@ -162,6 +166,9 @@ class _AffinityPool:
         process.start()
         self._slots[worker] = _WorkerSlot(process, tasks)
         return worker
+
+    def workers(self) -> int:
+        return len(self._slots)
 
     def idle_workers(self) -> List[int]:
         return [w for w, slot in self._slots.items() if slot.busy is None]
@@ -310,6 +317,9 @@ class _InlineExecutor:
     def live_processes(self) -> List[Any]:
         return []
 
+    def workers(self) -> int:
+        return 1
+
     def idle_workers(self) -> List[int]:
         return [] if self._busy else [0]
 
@@ -442,24 +452,32 @@ class _PointState:
         self.next_index += 1
         return self.run.task(index)
 
-    def batch_width(self) -> int:
-        """Lanes per floor grant (1 = batching off for this point)."""
+    def group_cap(self) -> int:
+        """Most replications per floor grant (1 = grouping off here)."""
         if not self.run.batch_eligible():
             return 1
         from .framework import BATCH_WIDTH_DEFAULT  # local: lazy, no cycle
 
         return self.run.config.batch_width or BATCH_WIDTH_DEFAULT
 
-    def take_fresh_floor(self) -> _Task:
-        """One floor grant: a batch of entitled replications when eligible.
+    def floor_left(self) -> int:
+        """Floor replications not yet granted (nor resolved)."""
+        resolved = self.run.resolved
+        return sum(
+            1
+            for index in range(self.next_index, self.min_replications)
+            if index not in resolved
+        )
+
+    def take_fresh_floor(self, width: int) -> _Task:
+        """One floor grant: up to ``width`` entitled replications.
 
         Floor replications (< ``min_replications``) execute no matter
         what the convergence monitor later says, so grouping them into
-        one batch dispatch never over-runs the budget an in-order loop
-        would spend.  Speculative (adaptive) grants stay
-        single so ``executed == cut`` is preserved.
+        one dispatch never over-runs the budget an in-order loop would
+        spend.  Speculative (adaptive) grants stay single so
+        ``executed == cut`` is preserved.
         """
-        width = self.batch_width()
         group: List[int] = []
         while len(group) < width:
             index = self.peek_fresh()
@@ -519,7 +537,46 @@ class _SweepScheduler:
 
     # -- admission ---------------------------------------------------------
 
+    def _floor_width(self, state: _PointState) -> int:
+        """Replications in ``state``'s next floor grant.
+
+        The point's cap, but no more than an even share of the floor
+        still ungranted across the sweep per worker — so a one-point
+        run still spreads its floor over every worker, while a wide
+        sweep sends each point's floor as one task.
+        """
+        cap = state.group_cap()
+        if cap == 1:
+            return 1
+        ungranted = sum(s.floor_left() for s in self.states if not s.done)
+        share = -(-ungranted // self.pool.workers())
+        return max(1, min(cap, share))
+
+    def _next_in_point_order(self) -> Optional[Tuple[_PointState, _Task, str]]:
+        """One worker: run each point to its stopping rule in turn.
+
+        A point's cut depends only on its own replication prefix, so the
+        results are those of any other order, and each spec's model is
+        built once instead of being evicted from the model cache by
+        later points' floors and rebuilt for its adaptive grants.
+        """
+        for state in self.states:
+            if state.done:
+                continue
+            if state.ready:
+                return state, state.ready.popleft(), REASON_RETRY
+            fresh = state.peek_fresh()
+            if fresh is None:
+                continue
+            if fresh < state.min_replications:
+                task = state.take_fresh_floor(self._floor_width(state))
+                return state, task, REASON_FLOOR
+            return state, state.take_fresh(), REASON_ADAPTIVE
+        return None
+
     def _next_choice(self) -> Optional[Tuple[_PointState, _Task, str]]:
+        if self.pool.workers() == 1:
+            return self._next_in_point_order()
         # 1. Retries are owed work: point order, oldest first.
         for state in self.states:
             if state.ready:
@@ -531,7 +588,8 @@ class _SweepScheduler:
         for state in self.states:
             fresh = None if state.done else state.peek_fresh()
             if fresh is not None and fresh < state.min_replications:
-                return state, state.take_fresh_floor(), REASON_FLOOR
+                task = state.take_fresh_floor(self._floor_width(state))
+                return state, task, REASON_FLOOR
         # 3. Adaptive: one speculative grant at a time per unconverged
         #    point, to whichever is furthest from the half-width target.
         #    The one-in-flight cap is what makes executed == cut.
@@ -552,9 +610,11 @@ class _SweepScheduler:
         # dispatch id (which may have served earlier runs) routes results.
         dispatch_id = self.pool.next_dispatch_id()
         worker = self.pool.submit(dispatch_id, task, state.affinity_key)
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
+        deadline = None
+        if self.timeout is not None:
+            # A group runs its members back to back: each gets the budget.
+            width = len(task.batch) if task.batch else 1
+            deadline = time.monotonic() + self.timeout * width
         self.outstanding[dispatch_id] = (state, task, worker, deadline)
         state.inflight += 1
         distance = state.distance()

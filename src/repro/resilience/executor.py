@@ -64,7 +64,8 @@ class ResilienceConfig:
             adaptive replications run one at a time at any ``jobs``.
         timeout: wall-clock seconds per replication attempt (``None``
             disables; setting it forces process workers even at
-            ``jobs=1`` so a stall can actually be abandoned).
+            ``jobs=1`` so a stall can actually be abandoned).  A grouped
+            floor task gets ``timeout`` per member.
         retries: extra attempts per replication after the first.
         backoff: base of the exponential retry backoff in seconds
             (attempt *a* sleeps ``backoff * 2**a``).
@@ -81,11 +82,14 @@ class ResilienceConfig:
         engine: enablement engine for every replication —
             ``"compiled"`` (the default, ``None``), ``"rescan"`` or
             ``"batch"``; results are bit-identical across all three.
-            ``"batch"`` additionally lets the sweep scheduler dispatch
-            a point's clean (unguarded, chaos-free) floor replications
-            as one group of lanes.
-        batch_width: lanes per batch-dispatch group (``None`` = the
-            framework default); only meaningful with ``engine="batch"``.
+            On every engine the sweep scheduler dispatches a point's
+            clean (unguarded, chaos-free) floor replications as grouped
+            tasks, which a worker runs through
+            :func:`~repro.core.framework.simulate_batch`; ``"batch"``
+            additionally runs a group as vectorized lanes when the
+            model is fully IR.
+        batch_width: the most replications one grouped floor task may
+            carry (``None`` = the framework default); on any engine.
         reuse: reuse the built (and, for compiled, lowered) model across
             replications of the same spec — once per process, so each
             pool worker compiles once and resets thereafter.
@@ -404,12 +408,12 @@ class _Run:
         )
 
     def batch_eligible(self) -> bool:
-        """Clean batch-engine runs may dispatch replication groups."""
-        return (
-            self.config.engine == "batch"
-            and self.config.guard is None
-            and self.config.chaos is None
-        )
+        """Clean runs may dispatch floor replications as one group.
+
+        Any engine qualifies; guarded and chaos runs stay single, since
+        their wrapper state is defined per serial replication.
+        """
+        return self.config.guard is None and self.config.chaos is None
 
     def batch_task(self, group: List[int]) -> _Task:
         return replace(self.task(group[0]), batch=tuple(group))

@@ -17,7 +17,12 @@ parallel arrays indexed by a dense integer activity index:
   dirty sink installed during completions flips stale bytes directly,
   so there is no deferred flush pass at all;
 * timed rescheduling walks prebuilt ``(index, activity, key, rng)``
-  rows — no attribute lookups or stream-cache probes per event.
+  rows — no attribute lookups or stream-cache probes per event;
+* a single-case activity completes through a tuple of its gate
+  functions (input, then output) built at its first completion, and
+  the settle loop evaluates
+  fused IR conjunctions inline, flushing its refresh and
+  gate-evaluation counts once per settle.
 
 Verdicts are cached at activity granularity (the conjunction over the
 gates) and refreshed under a read sink (see :mod:`repro.san.places`),
@@ -32,9 +37,10 @@ On top of the lowered form the engine implements **clock-tick
 fast-forward** for models that publish a ``tick_fast_forward`` spec
 (see :class:`repro.vmm.vcpu_scheduler.ClockFastForward`): when the
 model certifies that the next ``k`` ticks of its deterministic clock
-are pure countdown — every PCPU assigned, every running VCPU burning
-load outside critical sections, timeslices and loads at least ``k``
-from expiry — and no other timed event intervenes, the engine fires the
+are pure countdown — every PCPU assigned, every holder burning load
+(BUSY) or idling on it (READY) outside critical sections, timeslices
+and loads at least ``k`` from expiry — and no other timed event
+intervenes, the engine fires the
 clock ``k`` times in closed form: rewards accumulate per unit interval
 with the (provably constant) rate evaluated once, markings receive the
 net arithmetic update, the completion counter advances by the exact
@@ -214,6 +220,9 @@ class CompiledSANSimulator(SANSimulator):
             for cell in activity.declared_read_cells():
                 self._watch(index, cell)
         self._bind_compiled_rows()
+        # Flat completion rows, built on an activity's first completion
+        # (vectorized lanes never complete through this engine).
+        self._fires: Dict[Activity, Optional[Tuple[Tuple[Any, Any], ...]]] = {}
         # Clock fast-forward: the model publishes the spec (or not).
         spec = getattr(self.model, "tick_fast_forward", None)
         self._ff_spec = spec
@@ -338,6 +347,23 @@ class CompiledSANSimulator(SANSimulator):
 
     # -- completions ---------------------------------------------------------
 
+    def _fire_row(self, activity: Activity) -> Optional[Tuple[Tuple[Any, Any], ...]]:
+        """``(function, gate)`` pairs completing a single-case activity.
+
+        Its non-noop input-gate functions, then its output-gate
+        functions: the ``Activity.complete`` sequence without the
+        per-gate ``fire()`` and case-selection calls.  ``None`` for a
+        multi-case activity, which still draws its case in
+        ``Activity.complete``.
+        """
+        row = None
+        if len(activity.cases) == 1:
+            gates = [g for g in activity.input_gates if g._function is not _gates._noop]
+            gates += activity.cases[0].output_gates
+            row = tuple((gate._function, gate) for gate in gates)
+        self._fires[activity] = row
+        return row
+
     def _complete(self, activity: Activity) -> None:
         if activity is self._tick_activity:
             self.ticks_fired += 1
@@ -348,11 +374,29 @@ class CompiledSANSimulator(SANSimulator):
         previous = _places._dirty_sink
         _places._dirty_sink = self._dirty
         try:
-            activity.complete(self._rngs[activity])
+            try:
+                fires = self._fires[activity]
+            except KeyError:
+                fires = self._fire_row(activity)
+            if fires is None:
+                activity.complete(self._rngs[activity])
+            else:
+                gate = None
+                try:
+                    for function, gate in fires:
+                        function()
+                except SimulationError:
+                    raise
+                except Exception as exc:
+                    kind = "input" if isinstance(gate, _gates.InputGate) else "output"
+                    raise SimulationError(
+                        f"{kind} gate {gate.name!r} function raised: {exc}"
+                    ) from exc
         finally:
             _places._dirty_sink = previous
         self._completions += 1
-        self._notify_impulse(activity)
+        if self._impulse_rewards:
+            self._notify_impulse(activity)
 
     def _complete_traced(self, activity: Activity, tracer: "_trace.SimTracer") -> None:
         tracer._now = self.clock.now
@@ -392,32 +436,54 @@ class CompiledSANSimulator(SANSimulator):
         always = self._always_inst
         refresh = self._refresh
         complete = self._complete
+        ir_preds = self._ir_preds
+        ir_costs = self._ir_costs
         chain = 0
-        while True:
-            for index in always:
-                stale[index] = 1
-            fired = -1
-            cursor = 0
+        # Fused IR conjunctions are evaluated inline (the _refresh IR
+        # branch without the call); their refresh and gate-evaluation
+        # counts are summed here and flushed once per settle.
+        refreshes = 0
+        evaluations = 0
+        try:
             while True:
-                first_stale = stale.find(1, cursor, n)
-                if first_stale == -1:
-                    fired = enabled.find(1, cursor, n)
-                    break
-                first_enabled = enabled.find(1, cursor, first_stale)
-                if first_enabled != -1:
-                    fired = first_enabled
-                    break
-                if refresh(first_stale):
-                    fired = first_stale
-                    break
-                cursor = first_stale + 1
-            if fired == -1:
-                return
-            fired_activity = acts[fired]
-            complete(fired_activity)
-            chain += 1
-            if chain > self.max_instantaneous_chain:
-                raise self._chain_error(fired_activity)
+                for index in always:
+                    stale[index] = 1
+                fired = -1
+                cursor = 0
+                while True:
+                    first_stale = stale.find(1, cursor, n)
+                    if first_stale == -1:
+                        fired = enabled.find(1, cursor, n)
+                        break
+                    first_enabled = enabled.find(1, cursor, first_stale)
+                    if first_enabled != -1:
+                        fired = first_enabled
+                        break
+                    pred = ir_preds[first_stale]
+                    if pred is not None:
+                        refreshes += 1
+                        evaluations += ir_costs[first_stale]
+                        verdict = pred()
+                        stale[first_stale] = 0
+                        if verdict:
+                            enabled[first_stale] = 1
+                            fired = first_stale
+                            break
+                        enabled[first_stale] = 0
+                    elif refresh(first_stale):
+                        fired = first_stale
+                        break
+                    cursor = first_stale + 1
+                if fired == -1:
+                    return
+                fired_activity = acts[fired]
+                complete(fired_activity)
+                chain += 1
+                if chain > self.max_instantaneous_chain:
+                    raise self._chain_error(fired_activity)
+        finally:
+            self.refreshes += refreshes
+            _gates._EVALUATIONS += evaluations
 
     def _reschedule_timed(self) -> None:
         stale = self._stale

@@ -26,7 +26,8 @@ class BalanceScheduler(SchedulingAlgorithm):
 
     name = "balance"
     # Per-PCPU queues only change when a VCPU goes inactive or a PCPU
-    # idles; a fully assigned, fully busy host offers neither.
+    # idles; a fully assigned host offers neither, whether its holders
+    # are BUSY or READY (placement reads only ``active``).
     tick_skip_safe = True
 
     def __init__(self, timeslice: int = 30) -> None:

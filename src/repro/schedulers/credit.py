@@ -40,7 +40,8 @@ class CreditScheduler(SchedulingAlgorithm):
 
     name = "credit"
     # Virtual time is charged at dispatch, not per tick; with zero free
-    # PCPUs schedule() returns before touching any state.
+    # PCPUs schedule() returns before touching any state, whatever the
+    # holders' status.
     tick_skip_safe = True
 
     def __init__(self, timeslice: int = 30, weights: Optional[Dict[int, float]] = None) -> None:

@@ -23,9 +23,10 @@ class FifoScheduler(SchedulingAlgorithm):
     """Arrival-order dispatch, release on workload completion."""
 
     name = "fifo"
-    # All PCPUs assigned + every assigned VCPU BUSY: no READY active to
-    # release, nothing newly inactive, zero free PCPUs — a value-level
-    # no-op (the queue is rebuilt but unchanged).
+    # All PCPUs assigned to BUSY VCPUs: no READY active to release,
+    # nothing newly inactive, zero free PCPUs — a value-level no-op (the
+    # queue is rebuilt but unchanged).  A READY holder is released on
+    # the next tick, so quiet_ticks refuses any span holding one.
     tick_skip_safe = True
 
     # Effectively "no preemption": the granted timeslice exceeds any
@@ -44,6 +45,9 @@ class FifoScheduler(SchedulingAlgorithm):
         super().reset()
         self._queue.clear()
         self._queued.clear()
+
+    def quiet_ticks(self, active, slot_map, now, limit, ready=()) -> int:
+        return 0 if ready else limit
 
     def schedule(
         self,

@@ -80,8 +80,8 @@ class HealthAwareScheduler(SchedulingAlgorithm):
         super().reset()
         self.inner.reset()
 
-    def quiet_ticks(self, active, slot_map, now, limit) -> int:
-        return self.inner.quiet_ticks(active, slot_map, now, limit)
+    def quiet_ticks(self, active, slot_map, now, limit, ready=()) -> int:
+        return self.inner.quiet_ticks(active, slot_map, now, limit, ready)
 
     def trace_quiet_ticks(self, active, slot_map, now, ticks) -> None:
         self.inner.trace_quiet_ticks(active, slot_map, now, ticks)

@@ -37,7 +37,8 @@ class HybridScheduler(SchedulingAlgorithm):
     name = "hybrid"
     # Same argument as scs for the gang half and credit for the
     # proportional half: with zero free PCPUs and no partial gangs the
-    # candidate loop breaks before charging any virtual time.
+    # candidate loop breaks before charging any virtual time.  Only
+    # ``active`` is read, so READY holders are as quiet as BUSY ones.
     tick_skip_safe = True
 
     def __init__(

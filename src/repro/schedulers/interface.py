@@ -150,11 +150,15 @@ class SchedulingAlgorithm:
             the algorithm does not set ``next_timeslice``.
         tick_skip_safe: a subclass sets this True to certify that its
             ``schedule()`` makes no decision and mutates no internal
-            state on a tick where every PCPU is ASSIGNED and every
-            assigned VCPU is BUSY — the precondition under which the
-            compiled engine may coalesce clock ticks (see
-            :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).  The
-            flag is what the default :meth:`quiet_ticks` consults.
+            state on a tick where every PCPU is ASSIGNED to an ACTIVE
+            (BUSY or READY) VCPU and every other VCPU is INACTIVE — the
+            precondition under which the compiled engine may coalesce
+            clock ticks (see
+            :class:`repro.vmm.vcpu_scheduler.ClockFastForward`).  A
+            holder that is READY (no load) counts: an algorithm that
+            reacts to READY holders (fifo releases them) must refuse
+            such spans in :meth:`quiet_ticks`.  The flag is what the
+            default :meth:`quiet_ticks` consults.
             Algorithms whose per-tick bookkeeping can be replayed in
             closed form (skew accounting) leave it False and override
             :meth:`quiet_ticks` instead; algorithms that cannot (deadline
@@ -198,14 +202,17 @@ class SchedulingAlgorithm:
         slot_map: Sequence[Tuple[int, int]],
         now: float,
         limit: int,
+        ready: Sequence[int] = (),
     ) -> int:
         """How many of the next ``limit`` ticks certifiably decide nothing.
 
         Asked by the clock fast-forward only in a marking where every
         PCPU is ASSIGNED, every VCPU in ``active`` (slot indices, i.e.
-        ``vcpu_id``) holds one and stays BUSY, every other VCPU is
-        INACTIVE, and no timeslice expires and no load completes within
-        ``limit`` ticks.  ``slot_map`` maps each VCPU id to its
+        ``vcpu_id``) holds one and keeps its status for the whole span,
+        every other VCPU is INACTIVE, and no timeslice expires and no
+        load completes within ``limit`` ticks.  ``ready`` lists the
+        members of ``active`` that are READY (they hold a PCPU with no
+        load); the rest are BUSY.  ``slot_map`` maps each VCPU id to its
         ``(vm_id, vcpu_index)``; ``now`` is the timestamp of the last
         tick, so the candidate ticks are ``now + 1 .. now + limit``.
 

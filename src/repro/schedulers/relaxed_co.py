@@ -151,8 +151,11 @@ class RelaxedCoScheduler(SchedulingAlgorithm):
             groups.setdefault(vm_id, []).append(vcpu_id)
         return [(vm_id, ids) for vm_id, ids in groups.items() if len(ids) >= 2]
 
-    def quiet_ticks(self, active, slot_map, now, limit) -> int:
+    def quiet_ticks(self, active, slot_map, now, limit, ready=()) -> int:
         """Leading ticks of ``now + 1 .. now + limit`` that decide nothing.
+
+        ``ready`` needs no check: progress counts ticks a VCPU holds a
+        PCPU, so a READY holder gains it exactly like a BUSY one.
 
         Refuses (0) unless skipping is replayable: a tick has been seen,
         the last tick's active set is the span's (so the next real

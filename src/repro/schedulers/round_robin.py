@@ -30,9 +30,10 @@ class RoundRobinScheduler(SchedulingAlgorithm):
     """
 
     name = "rrs"
-    # All PCPUs assigned + every assigned VCPU BUSY: nothing is newly
-    # inactive (inactive VCPUs are already queued) and no PCPU is free,
-    # so schedule() neither decides nor mutates the queue.
+    # All PCPUs assigned (to BUSY or READY holders alike — schedule()
+    # never reads status): nothing is newly inactive (inactive VCPUs are
+    # already queued) and no PCPU is free, so schedule() neither decides
+    # nor mutates the queue.
     tick_skip_safe = True
 
     def __init__(self, timeslice: int = 30) -> None:

@@ -37,6 +37,7 @@ class StrictCoScheduler(SchedulingAlgorithm):
     # At a fast-forwardable marking every gang is fully active or fully
     # idle (a partial gang implies a FAILED/IDLE PCPU, which blocks the
     # certificate), so co-stop, admission and dispatch are all no-ops.
+    # Only ``active`` is read, so a READY holder counts like a BUSY one.
     tick_skip_safe = True
 
     def __init__(self, timeslice: int = 30) -> None:

@@ -133,20 +133,25 @@ class ClockFastForward:
     * the algorithm certifies the ticks quiet through
       :meth:`~repro.schedulers.interface.SchedulingAlgorithm.quiet_ticks`
       — by default, when it declares ``tick_skip_safe`` (its
-      ``schedule()`` is a no-op whenever every PCPU is assigned and
-      every assigned VCPU is BUSY); RCS bounds the span by its skew
-      thresholds instead.  The algorithm is resolved through
+      ``schedule()`` is a no-op whenever every PCPU is assigned to an
+      active VCPU); RCS bounds the span by its skew thresholds instead,
+      and FIFO refuses any span with a READY holder (it releases one on
+      the next tick).  The algorithm is resolved through
       ``model.algorithm``, so guard/chaos wrappers — which neither
       declare the flag nor override the method — automatically disable
       fast-forward;
     * every PCPU is ASSIGNED (no idle PCPU an algorithm could fill, no
       FAILED PCPU mid-repair);
-    * every assigned slot is BUSY outside its critical section, and no
-      non-assigned slot is BUSY (so each slot's tick consumer is fixed
-      for the whole span: ``Processing_load`` for assigned slots,
-      ``Discard_tick`` otherwise);
+    * every assigned slot is BUSY or READY outside a critical section,
+      and no non-assigned slot is BUSY — so each slot's tick consumer is
+      fixed for the whole span: ``Processing_load`` for BUSY holders,
+      ``Discard_tick`` for READY holders and unassigned slots.  A READY
+      holder stays READY: a workload could only reach it through the
+      job scheduler, whose dispatch already fired if one was pending,
+      and generation is stalled (barrier) or needs another event;
     * no timeslice expires and no load completes strictly inside the
-      span — the returned bound is the smallest distance to either;
+      span — the returned bound is the smallest distance to either
+      (a READY holder has only its timeslice);
     * no degradation-layer state can change delivery inside the span:
       every PCPU is at pristine health with no maintenance pending and
       no hypervisor-overhead debt outstanding.  A degraded core
@@ -175,6 +180,8 @@ class ClockFastForward:
         "_hv_debts",
         "_total",
         "_span",
+        "_busy",
+        "_ready",
         "_now",
         "clock",
         "per_tick_completions",
@@ -209,6 +216,8 @@ class ClockFastForward:
         #: exactly one tick consumer per plugged slot.
         self.per_tick_completions = total_vcpus + 2
         self._span: List[int] = []
+        self._busy: List[int] = []
+        self._ready: List[int] = []
         self._now = 0.0
 
     def max_skip(self, limit: int) -> int:
@@ -217,8 +226,8 @@ class ClockFastForward:
         ``limit`` is the engine's own bound (horizon and other pending
         events); the result never exceeds it.  Called at quiescence
         under a read sink, so the extended-place reads below are pure
-        observation.  Also records which slots are burning load and the
-        current timestamp, for :meth:`apply`.
+        observation.  Also records which slots hold a PCPU (and which of
+        those burn load) and the current timestamp, for :meth:`apply`.
         """
         for entry in self._pcpus.value:
             if entry["state"] != PCPUState.ASSIGNED:
@@ -232,23 +241,30 @@ class ClockFastForward:
                 if debt:
                     return 0
         span = self._span
-        del span[:]
+        busy_span = self._busy
+        ready = self._ready
+        del span[:], busy_span[:], ready[:]
         bound: Optional[int] = None
         for g in range(self._total):
             slot = self._slot_values[g].value
             if slot["critical"]:
                 return 0
-            busy = slot["status"] == VCPUStatus.BUSY
+            status = slot["status"]
             if self._pcpu_refs[g].value is None:
-                if busy:
+                if status == VCPUStatus.BUSY:
                     # A BUSY slot without a PCPU would burn load it was
                     # never granted time for — only a transient state;
                     # never certify it.
                     return 0
                 continue
-            if not busy:
+            if status == VCPUStatus.BUSY:
+                room = min(slot["remaining_load"], self._timeslices[g].tokens) - 1
+                busy_span.append(g)
+            elif status == VCPUStatus.READY:
+                room = self._timeslices[g].tokens - 1
+                ready.append(g)
+            else:
                 return 0
-            room = min(slot["remaining_load"], self._timeslices[g].tokens) - 1
             if bound is None or room < bound:
                 bound = room
             span.append(g)
@@ -258,21 +274,23 @@ class ClockFastForward:
             bound = limit
         self._now = float(self._timestamp.tokens)
         return self._model.algorithm.quiet_ticks(
-            span, self._model.slot_map, self._now, bound
+            span, self._model.slot_map, self._now, bound, ready
         )
 
     def apply(self, k: int) -> None:
         """Net marking change of ``k`` countdown ticks.
 
-        Per tick: ``Timestamp`` gains a token (Clock), every burning
-        slot's timeslice drops by one (Scheduling_Func accounting) and
-        its remaining load drops by one (Processing_load).  Tick and
-        Sched_tick tokens are deposited and consumed within each tick,
-        so their net change is zero.
+        Per tick: ``Timestamp`` gains a token (Clock), every holder's
+        timeslice drops by one (Scheduling_Func accounting) and a BUSY
+        holder's remaining load drops by one (Processing_load; a READY
+        holder's tick goes to Discard_tick).  Tick and Sched_tick tokens
+        are deposited and consumed within each tick, so their net change
+        is zero.
         """
         self._timestamp.add(k)
         for g in self._span:
             self._timeslices[g].remove(k)
+        for g in self._busy:
             slot = self._slot_values[g].value  # mutable ref: marks the cell written
             slot["remaining_load"] -= k
         if _trace._ACTIVE is not None:

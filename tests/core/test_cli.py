@@ -223,6 +223,33 @@ class TestBatchEngineFlag:
         assert main(base + ["--engine", "batch", "--batch-width", "2"]) == 0
         assert capsys.readouterr().out == compiled
 
+    def test_degraded_csv_byte_identical_across_engines(self, tmp_path, capsys):
+        # The Figure-8 shape under live degradation, condition-based
+        # maintenance and hypervisor overhead: every engine must print
+        # the same bytes.  The compiled engine fast-forwards the pristine
+        # spans between health events, so this guards the certificate's
+        # health and overhead checks end to end.
+        spec = tmp_path / "fig8.json"
+        spec.write_text(json.dumps({
+            "vms": [{"vcpus": 2}, {"vcpus": 1}, {"vcpus": 1}], "pcpus": 2,
+            "scheduler": "rrs", "sim_time": 600, "warmup": 100,
+        }))
+        outputs = {}
+        for engine in ("rescan", "compiled", "batch"):
+            assert main([
+                "run", "--spec", str(spec), "--seed", "7",
+                "--min-replications", "2", "--max-replications", "2",
+                "--engine", engine, "--csv",
+                "--degradation", "p=0.2,h_max=4,mtbe=100",
+                "--maintenance",
+                "policy=condition_based,crews=1,mttr=15,threshold=2",
+                "--hv-overhead", "2",
+            ]) == 0
+            outputs[engine] = capsys.readouterr().out
+        assert outputs["rescan"].startswith("label,")
+        assert outputs["compiled"] == outputs["rescan"]
+        assert outputs["batch"] == outputs["rescan"]
+
     def test_bad_batch_width_rejected(self, spec_file, capsys):
         assert main(["run", "--spec", spec_file,
                      "--engine", "batch", "--batch-width", "0"]) == 1
@@ -267,9 +294,9 @@ class TestTraceAndProfileFlags:
         assert records, "trace file is empty"
         kinds = {r["kind"] for r in records}
         assert {"run.start", "run.end", "sched.in", "activity.fire"} <= kinds
-        # the driver's grants precede each replication they start
+        # the driver grants the whole floor (replications 0-1) as one group
         dispatches = [r for r in records if r["kind"] == "sweep.dispatch"]
-        assert [r["replication"] for r in dispatches] == [0, 1]
+        assert [(r["replication"], r["batch"]) for r in dispatches] == [(0, 2)]
         # schema: every record carries kind/t/seq plus exactly its fields
         last_seq, last_t = -1, None
         for record in records:

@@ -10,6 +10,8 @@ with and without a warm result cache, plus the accounting the engine
 reports on top.
 """
 
+import time
+
 import pytest
 
 import repro.core.framework as framework
@@ -31,8 +33,9 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.stats import ConvergenceMonitor
 from repro.observability import SimTracer, tracing
 from repro.observability import trace as trace_mod
-from repro.paper import figure8_sweep
+from repro.paper import figure8_sweep, run_figure8
 from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
+from repro.resilience.failures import FailureKind
 
 
 def extract(results):
@@ -235,16 +238,20 @@ class TestAccounting:
                 "reason", "batch", "distance",
             }
             assert entry["reason"] in (REASON_FLOOR, REASON_ADAPTIVE, REASON_RETRY)
-            assert entry["batch"] == 1  # default engine never groups
+            assert entry["batch"] >= 1
+            if entry["reason"] != REASON_FLOOR:
+                assert entry["batch"] == 1  # only floors are grouped
         # Every point draws its floor entitlement, and the per-point
         # execution counts reconcile with the returned results.
         floors = [e for e in log if e["reason"] == REASON_FLOOR]
         assert {e["point"] for e in floors} == {0, 1, 2}
         per_point = {index: 0 for index in range(3)}
         for entry in log:
-            per_point[entry["point"]] += 1
+            per_point[entry["point"]] += entry["batch"]
+        assert sum(e["batch"] for e in log) == outcome.stats.executed
         for index, result in enumerate(outcome.results):
             assert per_point[index] >= ARGS["min_replications"]
+            assert per_point[index] == outcome.stats.executed_per_point[index]
             assert outcome.stats.executed_per_point[index] == result.replications
 
     def test_executed_matches_dispatches_on_clean_run(self, base, points):
@@ -252,7 +259,10 @@ class TestAccounting:
             resolve_sweep_points(base, points[:3]), **ARGS
         )
         assert outcome.stats.points == 3
-        assert outcome.stats.dispatches == outcome.stats.executed
+        log = outcome.stats.allocation_log
+        assert outcome.stats.dispatches == len(log)
+        # A grouped floor dispatch executes every member it carries.
+        assert sum(e["batch"] for e in log) == outcome.stats.executed
         assert outcome.stats.executed == sum(
             r.replications for r in outcome.results
         )
@@ -302,11 +312,13 @@ class TestFloorOrder:
             resolve_sweep_points(base, points[:3]), **ARGS
         )
         floors = [
-            e["point"] for e in outcome.stats.allocation_log
+            (e["point"], e["replication"], e["batch"])
+            for e in outcome.stats.allocation_log
             if e["reason"] == REASON_FLOOR
         ]
-        # All of point 0's floor, then point 1's, then point 2's.
-        assert floors == [0, 0, 1, 1, 2, 2]
+        # All of point 0's floor, then point 1's, then point 2's — each
+        # as one group covering replications 0-1.
+        assert floors == [(0, 0, 2), (1, 0, 2), (2, 0, 2)]
 
     def test_inline_sweep_builds_each_spec_once(self, monkeypatch):
         # Replication-first floors cycled the 12 Figure-8 specs through
@@ -331,6 +343,127 @@ class TestFloorOrder:
         assert [r.replications for r in outcome.results] == [5] * 12
         assert len(registered) == 12
         assert len(set(registered)) == 12
+
+
+    @pytest.mark.parametrize("root_seed", [0, 1, 2])
+    def test_inline_sweep_builds_each_point_once_with_adaptive_grants(
+        self, monkeypatch, root_seed
+    ):
+        # Points here need replications past their floor.  Granted after
+        # every floor, those adaptive replications revisited points the
+        # 8-entry model cache had evicted (14-20 builds for 12 points);
+        # one worker now runs each point to its cut before the next.
+        registered = []
+        original = framework._cache_register
+
+        def counting(key, entry):
+            registered.append(key)
+            original(key, entry)
+
+        framework.clear_model_cache()
+        monkeypatch.setattr(framework, "_cache_register", counting)
+        figure = run_figure8(
+            sim_time=100, warmup=10, replications=(2, 4), root_seed=root_seed
+        )
+        assert any(r.replications > 2 for r in figure.results)
+        assert len(registered) == 12
+        # Same numbers as the interleaved order: each cut depends only
+        # on its point's own replication prefix.
+        fig_base, fig_points = figure8_sweep(sim_time=100, warmup=10)
+        reference = oracle(fig_base, fig_points, 2, 4, root_seed)
+        assert extract(figure.results) == reference
+
+
+class TestGroupedFloors:
+    """Floor replications go out as grouped tasks on every engine."""
+
+    def test_width_splits_a_lone_point_across_workers(self, base):
+        # One point, two workers: ceil(5 / 2) = 3, then the remaining 2
+        # split 1 + 1, so both workers get floor work.
+        config = ResilienceConfig(jobs=2, retries=0)
+        outcome = run_interleaved_sweep(
+            resolve_sweep_points(base, [{"pcpus": 1}]),
+            resilience=config, min_replications=5, max_replications=5,
+        )
+        floors = [e["batch"] for e in outcome.stats.allocation_log
+                  if e["reason"] == REASON_FLOOR]
+        assert floors == [3, 1, 1]
+        assert len({e["worker"] for e in outcome.stats.allocation_log}) == 2
+
+    def test_guarded_and_chaos_runs_stay_single(self, base, points):
+        config = ResilienceConfig(
+            retries=1, chaos=ChaosSpec(crash_replications=(7,)),
+        )
+        outcome = run_interleaved_sweep(
+            resolve_sweep_points(base, points[:2]), resilience=config, **ARGS
+        )
+        assert {e["batch"] for e in outcome.stats.allocation_log} == {1}
+
+    @pytest.mark.slow
+    def test_grouped_floor_timeout_scales_with_width(self, base, monkeypatch):
+        # Workers fork after the patch, so they inherit the slow
+        # simulate_once.  Each member takes ~0.6 x timeout: a group of
+        # two overruns one timeout but not two.
+        original = framework.simulate_once
+
+        def slow(spec, replication=0, root_seed=0, *args, **kwargs):
+            time.sleep(0.6)
+            return original(spec, replication, root_seed, *args, **kwargs)
+
+        monkeypatch.setattr(framework, "simulate_once", slow)
+        resolved = resolve_sweep_points(base, [{"pcpus": 1}])
+        config = ResilienceConfig(timeout=1.0, retries=0, backoff=0)
+        with SweepPool(jobs=1, timeout=1.0) as pool:
+            outcome = run_interleaved_sweep(
+                resolved, resilience=config, pool=pool,
+                min_replications=2, max_replications=2,
+            )
+            abandoned = len(pool._impl._abandoned)
+        log = outcome.stats.allocation_log
+        assert [(e["reason"], e["batch"]) for e in log] == [(REASON_FLOOR, 2)]
+        assert outcome.results[0].failures == []
+        assert abandoned == 0
+
+    @pytest.mark.slow
+    def test_stalled_group_member_times_out_and_group_reruns_singly(
+        self, base, monkeypatch
+    ):
+        # Replication 1 stalls whenever it runs on the root seed, so the
+        # group overruns its widened deadline, both members re-run as
+        # single attempt-0 tasks, and replication 1 stalls again, times
+        # out and succeeds on its reseeded retry.
+        original = framework.simulate_once
+
+        def stalling(spec, replication=0, root_seed=0, *args, **kwargs):
+            if replication == 1 and root_seed == 0:
+                time.sleep(30.0)
+            return original(spec, replication, root_seed, *args, **kwargs)
+
+        monkeypatch.setattr(framework, "simulate_once", stalling)
+        resolved = resolve_sweep_points(base, [{"pcpus": 1}])
+        config = ResilienceConfig(timeout=0.5, retries=1, backoff=0)
+        start = time.monotonic()
+        with SweepPool(jobs=1, timeout=0.5) as pool:
+            outcome = run_interleaved_sweep(
+                resolved, resilience=config, pool=pool,
+                min_replications=2, max_replications=2,
+            )
+            abandoned = len(pool._impl._abandoned)
+        assert time.monotonic() - start < 20.0
+        log = [(e["reason"], e["replication"], e["attempt"], e["batch"])
+               for e in outcome.stats.allocation_log]
+        assert log == [
+            (REASON_FLOOR, 0, 0, 2),
+            (REASON_RETRY, 0, 0, 1),
+            (REASON_RETRY, 1, 0, 1),
+            (REASON_RETRY, 1, 1, 1),
+        ]
+        result = outcome.results[0]
+        assert result.replications == 2
+        assert [(f.kind, f.replication) for f in result.failures] == [
+            (FailureKind.TIMEOUT, 1)
+        ]
+        assert abandoned == 2
 
 
 class TestPoolLifecycle:

@@ -120,6 +120,15 @@ class TestEverySchedulerBitIdentical:
     def test_with_extra_probes(self, scheduler):
         assert_engines_agree(small_spec(scheduler), extra_probes=True)
 
+    def test_over_provisioned(self, scheduler):
+        # More PCPUs than a VM's siblings keep busy: VCPUs sit READY on
+        # their PCPUs at barriers, the spans the fast-forward certifies
+        # through READY holders.
+        spec = make_spec([2, 1, 1], pcpus=4, scheduler=scheduler,
+                         sim_time=400, warmup=20)
+        for replication in range(3):
+            assert_engines_agree(spec, replication=replication, root_seed=3)
+
     def test_under_decision_guard(self, scheduler):
         assert_engines_agree(
             small_spec(scheduler), guard=GuardPolicy(mode="degrade")
@@ -303,6 +312,27 @@ def test_traced_rcs_fast_forwards_and_keeps_its_skew_records(spec_id):
         assert _kind_count(tracers[engine], "sched.skew") == skews, engine
 
 
+def test_fifo_refuses_ready_holder_spans():
+    # FIFO releases a READY holder on the next tick; certifying such a
+    # span would skip that release and diverge from rescan.
+    spec = make_spec([2, 1, 1], pcpus=4, scheduler="fifo", sim_time=400,
+                     warmup=20)
+    for replication in range(3):
+        assert_engines_agree(spec, replication=replication, root_seed=3)
+
+
+@pytest.mark.parametrize("scheduler", ["rrs", "scs", "rcs"])
+def test_ready_holder_spans_fast_forward(scheduler):
+    # Sync every job on an over-provisioned host: some VCPU always
+    # holds its PCPU READY at the barrier, which used to refuse every
+    # span (0 ticks skipped).  READY holders only burn their timeslice.
+    spec = make_spec([2, 1, 1], pcpus=4, scheduler=scheduler, sync_ratio=1,
+                     sim_time=300, warmup=50)
+    _result, stats = _compiled_stats(spec)
+    assert stats["ticks_fast_forwarded"] > 0
+    assert_engines_agree(spec)
+
+
 def test_fast_forward_off_for_unsafe_schedulers():
     # sedf does per-tick deadline bookkeeping, so it never certifies a skip.
     _result, stats = _compiled_stats(small_spec("sedf"))
@@ -389,16 +419,64 @@ def test_simulate_batch_lane_width_is_irrelevant():
         )
 
 
-def test_batch_dispatch_counts_groups():
+def test_batch_dispatch_counts_groups(monkeypatch):
     from repro.core import framework
 
+    # The VMM model has closure gates: its groups run serially, and are
+    # counted as such.
     spec = small_spec("rrs")
     framework.reset_batch_dispatch_stats()
     framework.simulate_batch(spec, list(range(5)), root_seed=7, width=2)
-    stats = framework.batch_dispatch_stats()
-    assert stats["groups"] == 3  # 2 + 2 + 1
-    assert stats["batched"] == 5
-    assert stats["fallback"] == 0
+    assert framework.batch_dispatch_stats() == {
+        "groups": 0, "batched": 0, "fallback": 5,
+    }
+    # A lane 0 that passes the eligibility check takes the lane path,
+    # in groups of ``width`` (run_lanes itself then runs them serially).
+    from repro.san import vector
+
+    screen = vector.plan_lanes
+    calls = []
+
+    def lane0_accepted(lanes):
+        calls.append(len(lanes))
+        return object() if len(calls) == 1 else screen(lanes)
+
+    monkeypatch.setattr(vector, "plan_lanes", lane0_accepted)
+    framework.reset_batch_dispatch_stats()
+    runs = framework.simulate_batch(spec, list(range(5)), root_seed=7, width=2)
+    assert framework.batch_dispatch_stats() == {
+        "groups": 3, "batched": 5, "fallback": 0,  # 2 + 2 + 1
+    }
+    assert calls == [1, 2, 2, 1]
+    assert_runs_identical(runs, _serial_compiled(spec, list(range(5))))
+
+
+def test_simulate_batch_builds_one_model_when_not_vectorizable(monkeypatch):
+    # Building a lane per replication for a model run_lanes then runs
+    # serially churned the model cache (22 builds for three 8-groups of
+    # this Figure-8 spec).  Lane 0's model now serves the whole group.
+    from repro.core import framework
+
+    spec = make_spec([2, 1, 1], pcpus=2, sim_time=300, warmup=50)
+    registered = []
+    original = framework._cache_register
+
+    def counting(key, entry):
+        registered.append(key)
+        original(key, entry)
+
+    clear_model_cache()
+    monkeypatch.setattr(framework, "_cache_register", counting)
+    framework.reset_batch_dispatch_stats()
+    runs = []
+    for start in (0, 8, 16):
+        runs.extend(framework.simulate_batch(
+            spec, range(start, start + 8), root_seed=7, reuse=True,
+        ))
+    clear_model_cache()
+    assert len(registered) == 1
+    assert framework.batch_dispatch_stats()["fallback"] == 24
+    assert_runs_identical(runs, _serial_compiled(spec, range(24)))
 
 
 @pytest.mark.parametrize(

@@ -361,3 +361,107 @@ class TestReactivation:
             if pending is not None:
                 times.add(pending.time)
         assert len(times) == 1  # race semantics: the sample survives
+
+
+class TestCompletionErrors:
+    """A raising gate function surfaces as a SimulationError naming it.
+
+    The compiled engine completes single-case activities through a
+    prebuilt tuple of gate functions instead of ``Activity.complete``;
+    the error a user sees must not depend on the engine.
+    """
+
+    @staticmethod
+    def one_shot(input_function=None, output_function=None):
+        from repro.san import exprs as E
+
+        m = SANModel("one_shot")
+        p = m.add_place(Place("p", initial=1))
+        q = m.add_place(Place("q"))
+        m.add_activity(
+            InstantaneousActivity(
+                "move",
+                input_gates=[
+                    InputGate("has_token", expr=E.tokens(p) > 0,
+                              function=input_function or p.remove)
+                ],
+                output_gates=[OutputGate("deposit", output_function or q.add)],
+            )
+        )
+        return m
+
+    @staticmethod
+    def boom():
+        raise ValueError("boom")
+
+    @pytest.mark.parametrize("engine", ["rescan", "compiled"])
+    def test_raising_input_gate_function_names_the_gate(self, engine):
+        from repro.san import build_simulator
+
+        sim = build_simulator(self.one_shot(input_function=self.boom),
+                              StreamFactory(1), engine=engine)
+        with pytest.raises(SimulationError) as info:
+            sim.run(until=1)
+        assert str(info.value) == "input gate 'has_token' function raised: boom"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("engine", ["rescan", "compiled"])
+    def test_raising_output_gate_function_names_the_gate(self, engine):
+        from repro.san import build_simulator
+
+        sim = build_simulator(self.one_shot(output_function=self.boom),
+                              StreamFactory(1), engine=engine)
+        with pytest.raises(SimulationError) as info:
+            sim.run(until=1)
+        assert str(info.value) == "output gate 'deposit' function raised: boom"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("engine", ["rescan", "compiled"])
+    def test_simulation_error_from_a_gate_is_not_rewrapped(self, engine):
+        from repro.san import build_simulator
+
+        def fail():
+            raise SimulationError("model says no")
+
+        sim = build_simulator(self.one_shot(output_function=fail),
+                              StreamFactory(1), engine=engine)
+        with pytest.raises(SimulationError, match="^model says no$"):
+            sim.run(until=1)
+
+    def test_inline_ir_evaluations_are_counted_exactly(self):
+        # Every activity of the ticker-with-IR-gates model has exactly one
+        # expression gate, so each refresh costs one evaluation; the
+        # settle loop's batched counting must add up at the boundary.
+        from repro.san import build_simulator
+        from repro.san import exprs as E
+        from repro.san import gates as gates_module
+
+        m = SANModel("pipeline")
+        src = m.add_place(Place("src"))
+        mid = m.add_place(Place("mid"))
+        dst = m.add_place(Place("dst"))
+        m.add_activity(TimedActivity(
+            "arrive", Deterministic(1.0),
+            input_gates=[InputGate("always", expr=E.TRUE)],
+            output_gates=[OutputGate("put", src.add)],
+        ))
+        m.add_activity(InstantaneousActivity(
+            "stage", input_gates=[InputGate("staged", expr=E.tokens(src) > 0,
+                                            function=src.remove)],
+            output_gates=[OutputGate("to_mid", mid.add)],
+        ))
+        m.add_activity(InstantaneousActivity(
+            "finish", input_gates=[InputGate("ready", expr=E.tokens(mid) > 0,
+                                             function=mid.remove)],
+            output_gates=[OutputGate("to_dst", dst.add)],
+        ))
+        sim = build_simulator(m, StreamFactory(1), engine="compiled")
+        before = gates_module.evaluation_count()
+        sim.run(until=5.5)
+        first = sim.gate_evaluations
+        assert gates_module.evaluation_count() - before == first
+        sim.run(until=10.5)
+        assert gates_module.evaluation_count() - before == sim.gate_evaluations
+        assert sim.gate_evaluations > first
+        assert sim.gate_evaluations == sim.refreshes
+        assert dst.tokens == 10
