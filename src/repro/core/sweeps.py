@@ -207,6 +207,16 @@ class _AffinityPool:
                 slot.busy = None
                 return
 
+    def drain_stale(self) -> int:
+        """Drop buffered results of abandoned runs; free their slots."""
+        dropped = 0
+        while True:
+            item = self.poll(0)
+            if item is None:
+                return dropped
+            self.release_by_dispatch(item[0])
+            dropped += 1
+
     def busy_count(self) -> int:
         return sum(1 for slot in self._slots.values() if slot.busy is not None)
 
@@ -248,7 +258,9 @@ class _AffinityPool:
     def close(self) -> None:
         """Shut every worker down and release every queue fd.
 
-        Sequence: sentinel -> join -> terminate -> join -> close queues.
+        Sequence: sentinel -> join -> terminate -> join -> close queues
+        -> join the feeder threads of the workers that took their
+        sentinel.
         Abandoned workers get the same treatment as live slots — they
         never received a sentinel when they were replaced, and a
         terminated process that is never joined stays a zombie (and its
@@ -275,7 +287,14 @@ class _AffinityPool:
         for slot in slots:
             try:
                 slot.tasks.close()
-                slot.tasks.cancel_join_thread()
+                if slot.process.exitcode == 0:
+                    # It returned on its sentinel, so the feeder thread
+                    # has flushed everything: wait for it to exit.
+                    slot.tasks.join_thread()
+                else:
+                    # Terminated or crashed: its pipe may hold unread
+                    # data the feeder would block on forever.
+                    slot.tasks.cancel_join_thread()
             except Exception:  # noqa: BLE001
                 pass
             try:
@@ -297,22 +316,29 @@ class _InlineExecutor:
     ``jobs=1`` without a timeout runs replications in-process — the
     scheduling and allocation logic is identical, only the transport
     differs, so the differential tests exercise the real scheduler
-    without fork overhead.
+    without fork overhead.  ``submit`` only queues the task and ``poll``
+    runs it, so a dispatch is recorded before its replications start,
+    as on the process pool.
     """
 
     def __init__(self) -> None:
-        self._buffer: Deque[Tuple[int, Dict[str, Any]]] = deque()
-        self._busy = False
+        self._pending: Deque[Tuple[int, _Task]] = deque()
         self._dispatch_ids = itertools.count()
 
     def next_dispatch_id(self) -> int:
         return next(self._dispatch_ids)
 
+    def drain_stale(self) -> int:
+        """Drop the tasks an aborted run queued but never polled for."""
+        dropped = len(self._pending)
+        self._pending.clear()
+        return dropped
+
     def release_by_dispatch(self, dispatch_id: int) -> None:
-        self._busy = False
+        pass  # poll already popped the task off the one slot
 
     def busy_count(self) -> int:
-        return 1 if self._busy else 0
+        return len(self._pending)
 
     def live_processes(self) -> List[Any]:
         return []
@@ -321,21 +347,23 @@ class _InlineExecutor:
         return 1
 
     def idle_workers(self) -> List[int]:
-        return [] if self._busy else [0]
+        return [] if self._pending else [0]
 
     def submit(self, dispatch_id: int, task: _Task, affinity_key: str) -> int:
-        self._busy = True
-        self._buffer.append((dispatch_id, _execute_task(task)))
+        self._pending.append((dispatch_id, task))
         return 0
 
     def release(self, worker: int) -> None:
-        self._busy = False
+        pass
 
     def poll(self, timeout: Optional[float]) -> Optional[Tuple[int, Dict[str, Any]]]:
-        return self._buffer.popleft() if self._buffer else None
+        if not self._pending:
+            return None
+        dispatch_id, task = self._pending.popleft()
+        return dispatch_id, _execute_task(task)
 
     def abandon(self, worker: int) -> None:  # pragma: no cover — no timeouts inline
-        self._busy = False
+        self._pending.clear()
 
     def dead_workers(self) -> List[int]:
         return []
@@ -380,19 +408,15 @@ class SweepPool:
             self._impl = _AffinityPool(jobs)
 
     def drain_stale(self) -> int:
-        """Consume buffered results from abandoned runs; free their slots.
+        """Drop what abandoned runs left behind; free their slots.
 
-        Returns the number of stale results dropped.  Called by
-        ``run_interleaved_sweep`` before every borrowed-pool run so a
-        cancelled predecessor cannot bleed results into it.
+        On process workers that is their buffered results; in-process,
+        the tasks they queued but never ran.  Returns how many were
+        dropped.  Called by ``run_interleaved_sweep`` before every
+        borrowed-pool run so a cancelled predecessor cannot bleed
+        results into it.
         """
-        dropped = 0
-        while True:
-            item = self._impl.poll(0)
-            if item is None:
-                return dropped
-            self._impl.release_by_dispatch(item[0])
-            dropped += 1
+        return self._impl.drain_stale()
 
     def live_children(self) -> List[Any]:
         """Worker processes still alive (empty for the in-process pool)."""

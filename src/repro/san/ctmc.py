@@ -40,32 +40,6 @@ from .model import ModelBase
 from .places import ExtendedPlace, Place
 
 
-def _linalg() -> Any:
-    """``scipy.linalg``, imported on the first solve; None without scipy.
-
-    scipy is an optional extra and the simulation engines never need
-    it; only the steady-state solve below requires a linear-algebra
-    backend, and it raises a clear error when scipy is absent.  The
-    outcome is cached as the module attribute ``linalg``.
-    """
-    try:
-        return globals()["linalg"]
-    except KeyError:
-        pass
-    try:
-        from scipy import linalg as module
-    except ImportError:  # exercised by patching ``linalg`` to None in tests
-        module = None
-    globals()["linalg"] = module
-    return module
-
-
-def __getattr__(name: str) -> Any:
-    if name == "linalg":
-        return _linalg()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _freeze(value: Any) -> Hashable:
     """Recursively convert a marking value into a hashable key."""
     if isinstance(value, dict):
@@ -215,12 +189,6 @@ class CTMCSolver:
             return self._pi
         if not self._snapshots:
             raise ModelError("call explore() before steady_state()")
-        linalg = _linalg()
-        if linalg is None:
-            raise SimulationError(
-                "CTMCSolver.steady_state() requires scipy; install the "
-                "'scipy' extra (pip install repro[scipy])"
-            )
         n = self.num_states
         q = np.zeros((n, n))
         for source, target, rate in self._transitions:
@@ -233,8 +201,8 @@ class CTMCSolver:
         b = np.zeros(n)
         b[-1] = 1.0
         try:
-            pi = linalg.solve(a, b)
-        except linalg.LinAlgError as exc:
+            pi = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
             raise ModelError(f"singular generator matrix: {exc}") from exc
         if np.any(pi < -1e-9):
             raise ModelError(

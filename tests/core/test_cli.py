@@ -297,6 +297,9 @@ class TestTraceAndProfileFlags:
         # the driver grants the whole floor (replications 0-1) as one group
         dispatches = [r for r in records if r["kind"] == "sweep.dispatch"]
         assert [(r["replication"], r["batch"]) for r in dispatches] == [(0, 2)]
+        # ... and records the grant before its replications run
+        order = [r["kind"] for r in records]
+        assert order.index("sweep.dispatch") < order.index("run.start")
         # schema: every record carries kind/t/seq plus exactly its fields
         last_seq, last_t = -1, None
         for record in records:
@@ -306,7 +309,7 @@ class TestTraceAndProfileFlags:
             assert record["seq"] > last_seq
             last_seq = record["seq"]
             if record["kind"] == "sweep.dispatch":
-                continue  # between replication segments
+                continue  # precedes the replication segments it grants
             # timestamps are monotone within each replication segment
             if record["kind"] == "run.start":
                 last_t = record["t"]

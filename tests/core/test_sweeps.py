@@ -484,6 +484,28 @@ class TestPoolLifecycle:
             else:
                 assert extract(outcome.results) == reference
 
+    def test_close_joins_task_queue_feeder_threads(self, base, points):
+        # A worker that took its sentinel has nothing left in its pipe,
+        # so close() can wait for its task queue's feeder thread: none
+        # may outlive close() (a leaked thread per pool, per service
+        # start/shutdown cycle).
+        import threading
+
+        def feeders():
+            return {
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "QueueFeederThread"
+            }
+
+        before = feeders()
+        resolved = resolve_sweep_points(base, points[:2])
+        pool = SweepPool(jobs=2)
+        run_interleaved_sweep(resolved, pool=pool, **ARGS)
+        assert feeders() - before, "the pool's task queues never fed"
+        pool.close()
+        assert feeders() - before == set()
+
 
 class TestSharedSweepPool:
     def test_borrowed_pool_across_sequential_sweeps_equals_serial(

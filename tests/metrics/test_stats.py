@@ -219,74 +219,66 @@ class TestJainFairness:
 
 
 class TestTQuantileWithoutScipy:
-    """The stdlib inverse-t fallback must track scipy to <= 1e-9."""
+    """The stdlib inverse-t: close to a reference, and pinned bit for bit."""
 
-    def test_fallback_matches_scipy_over_the_grid(self):
+    def test_t_ppf_matches_scipy_over_the_grid(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        from repro.metrics.stats import _t_ppf_fallback
+        from repro.metrics.stats import _t_ppf
 
         for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
             p = 0.5 + confidence / 2.0
             for df in list(range(1, 31)) + [50, 100, 1000]:
                 want = float(scipy_stats.t.ppf(p, df))
-                got = _t_ppf_fallback(p, df)
+                got = _t_ppf(p, df)
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (
                     confidence, df, got, want,
                 )
 
     def test_fallback_symmetry_and_median(self):
-        from repro.metrics.stats import _t_ppf_fallback
+        from repro.metrics.stats import _t_ppf
 
-        assert _t_ppf_fallback(0.5, 7) == 0.0
-        assert _t_ppf_fallback(0.25, 7) == -_t_ppf_fallback(0.75, 7)
+        assert _t_ppf(0.5, 7) == 0.0
+        assert _t_ppf(0.25, 7) == -_t_ppf(0.75, 7)
 
     def test_t_cdf_round_trip(self):
-        from repro.metrics.stats import _t_cdf, _t_ppf_fallback
+        from repro.metrics.stats import _t_cdf, _t_ppf
 
         for p in (0.6, 0.9, 0.975, 0.995):
             for df in (1, 4, 29):
-                assert abs(_t_cdf(_t_ppf_fallback(p, df), df) - p) < 1e-12
+                assert abs(_t_cdf(_t_ppf(p, df), df) - p) < 1e-12
 
-    def _fresh_stats_module_without_scipy(self, monkeypatch):
-        """Re-execute repro.metrics.stats with scipy import masked."""
-        import builtins
-        import importlib.util
+    # Bits of t_quantile(c, df); any drift in the bisection, the
+    # incomplete beta or the platform's libm changes a stopping cut.
+    PINNED = {
+        (0.90, 1): "0x1.9414813ba6618p+2",
+        (0.90, 4): "0x1.10e05b01ad864p+1",
+        (0.90, 500): "0x1.a5dd393c7c23cp+0",
+        (0.95, 1): "0x1.96993aacc4d0ap+3",
+        (0.95, 2): "0x1.135ea98e146b2p+2",
+        (0.95, 4): "0x1.63628d9efb5d8p+1",
+        (0.95, 29): "0x1.05ca15bce286cp+1",
+        (0.95, 500): "0x1.f6f7e117b9708p+0",
+        (0.99, 1): "0x1.fd410182c3bc8p+5",
+        (0.99, 29): "0x1.60d140d7b5d74p+1",
+    }
+    # sha256 of the newline-joined float.hex strings for every
+    # confidence in (0.90, 0.95, 0.99) and df 1..500, in that order.
+    GRID_SHA256 = (
+        "b623e9be6e51b2ae4b2559103dc67d2d253979cb6573441be6e5c1779dee7678"
+    )
 
-        real_import = builtins.__import__
+    def test_spot_values_are_pinned(self):
+        got = {key: float.hex(t_quantile(*key)) for key in self.PINNED}
+        assert got == self.PINNED
 
-        def masked_import(name, *args, **kwargs):
-            if name == "scipy" or name.startswith("scipy."):
-                raise ImportError("scipy masked for test")
-            return real_import(name, *args, **kwargs)
+    def test_grid_digest_is_pinned(self):
+        import hashlib
 
-        monkeypatch.setattr(builtins, "__import__", masked_import)
-        spec = importlib.util.find_spec("repro.metrics.stats")
-        fresh = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fresh)
-        return fresh
-
-    def test_module_imports_and_answers_without_scipy(self, monkeypatch):
-        fresh = self._fresh_stats_module_without_scipy(monkeypatch)
-        assert fresh._scipy_stats is None
-        from repro.metrics.stats import t_quantile as with_scipy
-
-        for confidence in (0.8, 0.95, 0.99):
-            for df in (1, 2, 9, 29):
-                want = with_scipy(confidence, df)
-                got = fresh.t_quantile(confidence, df)
-                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-    def test_confidence_interval_without_scipy(self, monkeypatch):
-        fresh = self._fresh_stats_module_without_scipy(monkeypatch)
-        values = [0.50, 0.52, 0.51, 0.49, 0.50]
-        mean, half_width = fresh.confidence_interval(values, 0.95)
-        want_mean, want_hw = confidence_interval(values, 0.95)
-        assert mean == want_mean
-        assert abs(half_width - want_hw) <= 1e-9
-
-    def test_fallback_validation_paths(self, monkeypatch):
-        fresh = self._fresh_stats_module_without_scipy(monkeypatch)
-        with pytest.raises(StatisticsError):
-            fresh.t_quantile(1.5, 3)
-        with pytest.raises(StatisticsError):
-            fresh.t_quantile(0.95, 0)
+        digest = hashlib.sha256(
+            "\n".join(
+                float.hex(t_quantile(confidence, df))
+                for confidence in (0.90, 0.95, 0.99)
+                for df in range(1, 501)
+            ).encode()
+        ).hexdigest()
+        assert digest == self.GRID_SHA256

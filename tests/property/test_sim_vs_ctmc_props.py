@@ -7,12 +7,10 @@ length must agree.  This is the §V "evaluate the fidelity of the
 model" concern turned into an executable property of the engine.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Exponential, StreamFactory
-from repro.san import ctmc as ctmc_module
 from repro.san import (
     CTMCSolver,
     InputGate,
@@ -22,13 +20,6 @@ from repro.san import (
     SANModel,
     SANSimulator,
     TimedActivity,
-)
-
-# Every property here compares simulation against an exact solve, and
-# the steady-state solve needs scipy.linalg (an optional extra).
-pytestmark = pytest.mark.skipif(
-    ctmc_module.linalg is None,
-    reason="CTMC steady-state solve requires the optional scipy extra",
 )
 
 

@@ -5,7 +5,7 @@ and simulator-vs-analytic fidelity validation (the paper's §V ask).
 import pytest
 
 from repro.des import Deterministic, Exponential, StreamFactory
-from repro.errors import ModelError, SimulationError
+from repro.errors import ModelError
 from repro.san import (
     Case,
     CTMCSolver,
@@ -17,14 +17,6 @@ from repro.san import (
     SANModel,
     SANSimulator,
     TimedActivity,
-)
-from repro.san import ctmc as ctmc_module
-
-# The steady-state solve needs scipy.linalg; exploration and validation
-# paths do not, so only the tests that solve are skipped without scipy.
-needs_scipy = pytest.mark.skipif(
-    ctmc_module.linalg is None,
-    reason="CTMC steady-state solve requires the optional scipy extra",
 )
 
 
@@ -80,7 +72,6 @@ class TestOnOff:
         solver = CTMCSolver(model)
         assert solver.explore() == 2
 
-    @needs_scipy
     def test_closed_form_availability(self):
         # pi_on = rate_up / (rate_up + rate_down)
         model, on = on_off_model(rate_up=2.0, rate_down=1.0)
@@ -89,7 +80,6 @@ class TestOnOff:
         availability = solver.expected_reward(lambda: float(on.tokens))
         assert availability == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    @needs_scipy
     def test_state_probability(self):
         model, on = on_off_model(rate_up=1.0, rate_down=1.0)
         solver = CTMCSolver(model)
@@ -109,7 +99,6 @@ class TestMM1K:
         solver = CTMCSolver(model)
         assert solver.explore() == 6  # 0..5 jobs
 
-    @needs_scipy
     @pytest.mark.parametrize("lam,mu,k", [(1.0, 1.5, 5), (2.0, 1.0, 4), (1.0, 1.0, 3)])
     def test_mean_queue_length_matches_closed_form(self, lam, mu, k):
         model, queue = mm1k_model(lam, mu, k)
@@ -119,7 +108,6 @@ class TestMM1K:
         assert mean == pytest.approx(self.closed_form_mean(lam, mu, k), abs=1e-10)
 
 
-@needs_scipy
 class TestSimulatorFidelity:
     """The §V fidelity check: simulation must agree with exact numbers."""
 
@@ -151,7 +139,6 @@ class TestSimulatorFidelity:
 
 
 class TestWithInstantaneous:
-    @needs_scipy
     def test_vanishing_states_are_eliminated(self):
         # A timed activity deposits into a staging place; an instantaneous
         # activity immediately moves the token onward.  The settled chain
@@ -226,15 +213,28 @@ class TestValidation:
         with pytest.raises(ModelError, match="explore"):
             CTMCSolver(model).steady_state()
 
-    def test_steady_state_without_scipy_raises_clear_error(self, monkeypatch):
-        model, _ = on_off_model()
-        solver = CTMCSolver(model)
-        solver.explore()
-        monkeypatch.setattr(ctmc_module, "linalg", None)
-        with pytest.raises(SimulationError, match="requires scipy"):
+    def test_two_absorbing_states_make_a_singular_generator(self):
+        # From the start state one rate-3 activity goes to either of two
+        # absorbing states; with no way between them, πQ = 0 plus Σπ = 1
+        # has no unique solution and the solve must say so.
+        m = SANModel("fork")
+        side = m.add_place(Place("side"))  # 0 = undecided, 1 / 2 = absorbed
+        m.add_activity(
+            TimedActivity(
+                "fork",
+                Exponential(3.0),
+                input_gates=[InputGate("undecided", lambda: side.tokens == 0)],
+                cases=[
+                    Case(1 / 3, [OutputGate("left", lambda: setattr_tokens(side, 1))]),
+                    Case(2 / 3, [OutputGate("right", lambda: setattr_tokens(side, 2))]),
+                ],
+            )
+        )
+        solver = CTMCSolver(m)
+        assert solver.explore() == 3
+        with pytest.raises(ModelError, match="singular generator matrix"):
             solver.steady_state()
 
-    @needs_scipy
     def test_timed_cases_split_rates(self):
         # A rate-3 activity that goes left with p=1/3 and right with
         # p=2/3 must behave like two activities of rates 1 and 2.

@@ -26,12 +26,6 @@ from repro.san import (
     SANSimulator,
     TimedActivity,
 )
-from repro.san import ctmc as ctmc_module
-
-needs_scipy = pytest.mark.skipif(
-    ctmc_module.linalg is None,
-    reason="CTMC steady-state solve requires the optional scipy extra",
-)
 
 
 def mmck_model(lam: float, mu: float, servers: int, capacity: int):
@@ -97,7 +91,6 @@ class TestDistribution:
             MarkingDependentExponential(2.0)
 
 
-@needs_scipy
 class TestCTMC:
     @pytest.mark.parametrize(
         "lam,mu,c,k", [(2.0, 1.0, 2, 6), (1.0, 1.0, 3, 5), (3.0, 0.5, 4, 8)]

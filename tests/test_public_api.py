@@ -11,17 +11,37 @@ import sys
 import repro
 
 
+# Runs an experiment through its replication stopping rule (every
+# half-width takes a t-quantile) and a CTMC steady-state solve, then
+# reports whether scipy was ever imported.
+_NO_SCIPY_PROBE = """
+import sys
+import repro, repro.cli
+from repro.san import CTMCSolver
+from tests.san.test_ctmc import on_off_model
+
+spec = repro.SystemSpec(vms=[repro.VMSpec(vcpus=2)], pcpus=1, sim_time=200, warmup=40)
+result = repro.run_experiment(spec, min_replications=2, max_replications=4)
+assert 2 <= result.replications <= 4, result.replications
+solver = CTMCSolver(on_off_model()[0])
+solver.explore()
+assert abs(solver.steady_state().sum() - 1.0) < 1e-12
+print("scipy" in sys.modules)
+"""
+
+
 def test_import_leaves_scipy_unloaded():
-    # scipy costs about a second to import and only t-quantiles and the
-    # CTMC solve use it, so they import it on first use; a fresh
-    # interpreter importing the package (and the CLI) must not.
+    # The t-quantile and the CTMC solve are stdlib and numpy only: a
+    # fresh interpreter that imports the package and the CLI, runs an
+    # adaptive experiment and solves a chain must not load scipy.
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, repro, repro.cli; print('scipy' in sys.modules)"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
     completed = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
-        text=True, timeout=120, check=True,
+        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True,
+        text=True, timeout=120,
     )
+    assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
 
 
