@@ -152,7 +152,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         and args.checkpoint is None
         and not args.resume
         and cache_dir is None
-        and args.batch_width is None
     ):
         return None
     config = ResilienceConfig(
@@ -163,7 +162,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         resume=args.resume,
         engine=args.engine,
         cache_dir=cache_dir,
-        batch_width=args.batch_width,
     )
     config.validate()
     return config
@@ -396,19 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_ENGINE,
         help="enablement engine: compiled (cached flat-array enablement "
         "with clock-tick fast-forward, the default), rescan (full "
-        "re-evaluation, the reference), or batch (replication groups "
-        "run as vectorized lanes when every gate has an expression form, "
-        "otherwise lane by lane on compiled); results are bit-identical "
-        "across all three",
-    )
-    run_parser.add_argument(
-        "--batch-width",
-        type=int,
-        default=None,
-        dest="batch_width",
-        metavar="N",
-        help="most floor replications per grouped dispatch, on any engine "
-        "(default: framework default)",
+        "re-evaluation, the reference), or batch (compiled, run as a "
+        "one-lane run_lanes); results are bit-identical across all three",
     )
     run_parser.add_argument(
         "--degradation",

@@ -20,7 +20,7 @@ import contextlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..des.random_streams import StreamFactory
 from ..errors import ConfigurationError
@@ -37,13 +37,10 @@ from ..resilience.degradation import (
 )
 from ..resilience.failures import ReplicationFailure
 from ..resilience.guard import GuardedScheduler, GuardPolicy
-from ..san import (
-    ComposedModel,
-    SANSimulator,
-    build_simulator,
-    resolve_engine,
-    run_lanes,
-)
+from ..san import ComposedModel, SANSimulator, build_simulator, resolve_engine
+# Re-exported only because perfbench/spans.py patches ``framework.run_lanes``;
+# drop it with that patch at the next change to the benchmark.
+from ..san import run_lanes  # noqa: F401
 from .config import SystemSpec
 from .registry import create_scheduler
 from ..vmm.system import build_virtual_system
@@ -75,6 +72,25 @@ def _degradation_models(spec: "SystemSpec"):
         else None
     )
     return degradation, maintenance, hv_overhead
+
+
+def _build_model(
+    spec: "SystemSpec", algorithm: Any, streams: StreamFactory
+) -> ComposedModel:
+    """The spec's composed SAN model, scheduled by ``algorithm``."""
+    degradation, maintenance, hv_overhead = _degradation_models(spec)
+    return build_virtual_system(
+        [(vm.vcpus, vm.workload.build(), vm.dispatch) for vm in spec.vms],
+        algorithm,
+        spec.pcpus,
+        streams=streams,
+        vm_slots=spec.vm_slots,
+        scheduler_slots=spec.scheduler_slots,
+        failures=_failure_model(spec),
+        degradation=degradation,
+        maintenance=maintenance,
+        hv_overhead=hv_overhead,
+    )
 
 
 # -- cross-replication model reuse -------------------------------------------
@@ -229,22 +245,7 @@ class Simulation:
             self.simulator.reset()
         else:
             self.streams = StreamFactory(root_seed=root_seed, replication=replication)
-            vm_configs = [
-                (vm.vcpus, vm.workload.build(), vm.dispatch) for vm in spec.vms
-            ]
-            degradation, maintenance, hv_overhead = _degradation_models(spec)
-            self.system = build_virtual_system(
-                vm_configs,
-                algorithm,
-                spec.pcpus,
-                streams=self.streams,
-                vm_slots=spec.vm_slots,
-                scheduler_slots=spec.scheduler_slots,
-                failures=_failure_model(spec),
-                degradation=degradation,
-                maintenance=maintenance,
-                hv_overhead=hv_overhead,
-            )
+            self.system = _build_model(spec, algorithm, self.streams)
             self.simulator = build_simulator(
                 self.system, self.streams, engine=engine_name
             )
@@ -313,64 +314,47 @@ class Simulation:
                 "(with the next replication index) for another run"
             )
         try:
-            return self._run_once()
+            with contextlib.ExitStack() as stack:
+                if self.tracer is not None:
+                    stack.enter_context(tracing(self.tracer))
+                if self.profiler is not None:
+                    stack.enter_context(profiling(self.profiler))
+                tracer = _trace._ACTIVE
+                if tracer is not None:
+                    tracer._now = 0.0
+                    tracer.emit(_trace.RUN_START, time=0.0, **self._run_header())
+                self.simulator.run(until=self.spec.sim_time)
+                if tracer is not None:
+                    tracer.emit(
+                        _trace.RUN_END,
+                        time=self.simulator.clock.now,
+                        completions=self.simulator.completions,
+                        degraded=self._guard.quarantined if self._guard else False,
+                    )
+            self._ran = True
+            metrics = {name: reward.result() for name, reward in self.rewards.items()}
+            failures: List[ReplicationFailure] = []
+            degraded = False
+            if self._guard is not None:
+                failures = list(self._guard.failures)
+                for failure in failures:
+                    failure.replication = self.replication
+                degraded = self._guard.quarantined
+            return RunResult(
+                spec=self.spec,
+                replication=self.replication,
+                root_seed=self.root_seed,
+                metrics=metrics,
+                completions=self.simulator.completions,
+                failures=failures,
+                degraded=degraded,
+            )
         finally:
             # Even a faulted run may release: the next checkout resets the
             # simulator (markings, queue, rewards, streams) from scratch.
-            self._release_cache()
-
-    def _run_once(self) -> RunResult:
-        with contextlib.ExitStack() as stack:
-            if self.tracer is not None:
-                stack.enter_context(tracing(self.tracer))
-            if self.profiler is not None:
-                stack.enter_context(profiling(self.profiler))
-            tracer = _trace._ACTIVE
-            if tracer is not None:
-                tracer._now = 0.0
-                tracer.emit(_trace.RUN_START, time=0.0, **self._run_header())
-            self.simulator.run(until=self.spec.sim_time)
-            if tracer is not None:
-                tracer.emit(
-                    _trace.RUN_END,
-                    time=self.simulator.clock.now,
-                    completions=self.simulator.completions,
-                    degraded=self._guard.quarantined if self._guard else False,
-                )
-        return self._collect_result()
-
-    def _collect_result(self) -> RunResult:
-        """Assemble the RunResult after the simulator reached sim_time.
-
-        Split out of :meth:`_run_once` so an external driver (the batch
-        dispatcher) can advance ``self.simulator`` itself and still get
-        the identical result path.
-        """
-        self._ran = True
-        metrics = {name: reward.result() for name, reward in self.rewards.items()}
-        failures: List[ReplicationFailure] = []
-        degraded = False
-        if self._guard is not None:
-            failures = list(self._guard.failures)
-            for failure in failures:
-                failure.replication = self.replication
-            degraded = self._guard.quarantined
-        return RunResult(
-            spec=self.spec,
-            replication=self.replication,
-            root_seed=self.root_seed,
-            metrics=metrics,
-            completions=self.simulator.completions,
-            failures=failures,
-            degraded=degraded,
-        )
-
-    def _release_cache(self) -> None:
-        """Return a checked-out cached model (idempotent)."""
-        entry = self._cache_entry
-        if entry is not None:
-            entry.in_use = False
-            self._cache_entry = None
+            if self._cache_entry is not None:
+                self._cache_entry.in_use = False
+                self._cache_entry = None
 
     def stats(self) -> Dict[str, Any]:
         """Engine counters plus (when enabled) profiling and trace stats."""
@@ -427,128 +411,6 @@ def simulate_once(
     ).run()
 
 
-# -- replication-batched dispatch ---------------------------------------------
-#
-# simulate_batch runs a group of replications of one spec — the unit the
-# sweep scheduler dispatches for a point's floor, on every engine.  On the
-# batch engine a fully-IR model runs the group as vectorized lanes (see
-# repro.san.compiled.run_lanes); anything else runs one replication at a
-# time on one reused model.  Guarded or chaos-wrapped replications carry
-# per-replication wrapper state that the trace/guard contract defines in
-# terms of a single serial run, so those run on the serial compiled
-# engine; the module-level counters let tests and stats assert which path
-# a batch-engine group actually took.
-
-#: Replications per group (bounds peak model memory on the lane path).
-BATCH_WIDTH_DEFAULT = 8
-
-_BATCH_DISPATCH = {"groups": 0, "batched": 0, "fallback": 0}
-
-
-def batch_dispatch_stats() -> Dict[str, int]:
-    """Counters for the batch engine: lane groups run, replications per path."""
-    return dict(_BATCH_DISPATCH)
-
-
-def reset_batch_dispatch_stats() -> None:
-    for key in _BATCH_DISPATCH:
-        _BATCH_DISPATCH[key] = 0
-
-
-def simulate_batch(
-    spec: SystemSpec,
-    replications: Sequence[int],
-    root_seed: int = 0,
-    extra_probes: bool = False,
-    guard: Optional[GuardPolicy] = None,
-    chaos: Optional[ChaosSpec] = None,
-    attempt: int = 0,
-    engine: Optional[str] = "batch",
-    reuse: bool = False,
-    width: Optional[int] = None,
-) -> List[RunResult]:
-    """Run several replications of one spec as one group.
-
-    Results are returned in ``replications`` order and are bit-identical
-    to ``[simulate_once(spec, r, ...) for r in replications]``, which is
-    exactly what runs unless the batch engine can vectorize: with
-    ``engine="batch"`` and a model whose gates and rewards all have a
-    vectorizable IR form, groups of up to ``width`` replications each
-    get their own model lane (own marking, event wheel and
-    per-replication streams) and go to
-    :func:`~repro.san.compiled.run_lanes` together.
-
-    Batch-engine path selection (each replication counted in
-    :func:`batch_dispatch_stats`): lane 0's eligibility is checked
-    first; a model that cannot be vectorized runs serially on that one
-    (reused) model, and a ``guard`` or ``chaos`` wrapper, or an active
-    tracer, forces the serial ``compiled`` engine (the trace contract
-    is defined per serial run) — all counted as ``fallback``.
-    """
-    replication_list = [int(r) for r in replications]
-    engine_name = resolve_engine(engine)
-
-    def serial(name: str, indices: Sequence[int]) -> List[RunResult]:
-        return [
-            simulate_once(
-                spec,
-                replication=r,
-                root_seed=root_seed,
-                extra_probes=extra_probes,
-                guard=guard,
-                chaos=chaos,
-                attempt=attempt,
-                engine=name,
-                reuse=reuse,
-            )
-            for r in indices
-        ]
-
-    if engine_name != "batch":
-        return serial(engine_name, replication_list)
-    if not replication_list:
-        return []
-    if guard is not None or chaos is not None or _trace._ACTIVE is not None:
-        _BATCH_DISPATCH["fallback"] += len(replication_list)
-        return serial("compiled", replication_list)
-    lane_width = int(width) if width is not None else BATCH_WIDTH_DEFAULT
-    if lane_width < 1:
-        raise ConfigurationError(f"batch width must be >= 1, got {lane_width}")
-
-    def lane(replication: int) -> Simulation:
-        return Simulation(
-            spec,
-            replication=replication,
-            root_seed=root_seed,
-            extra_probes=extra_probes,
-            engine="batch",
-            reuse=reuse,
-        )
-
-    from ..san import vector  # deferred: only this path can vectorize
-
-    first = lane(replication_list[0])
-    if vector.plan_lanes([first.simulator]) is None:
-        # Not vectorizable: lane 0's model serves the whole group, one
-        # replication at a time (checked back out of the model cache).
-        _BATCH_DISPATCH["fallback"] += len(replication_list)
-        return [first.run()] + serial("batch", replication_list[1:])
-    results: List[RunResult] = []
-    for start in range(0, len(replication_list), lane_width):
-        group = replication_list[start : start + lane_width]
-        sims = [first] if start == 0 else []
-        try:
-            sims.extend(lane(r) for r in group[len(sims) :])
-            run_lanes([sim.simulator for sim in sims], spec.sim_time)
-            results.extend(sim._collect_result() for sim in sims)
-        finally:
-            for sim in sims:
-                sim._release_cache()
-        _BATCH_DISPATCH["groups"] += 1
-        _BATCH_DISPATCH["batched"] += len(group)
-    return results
-
-
 def build_system(
     spec: SystemSpec,
     replication: int = 0,
@@ -560,19 +422,8 @@ def build_system(
     users who want to attach custom reward variables before simulating.
     """
     spec.validate()
-    streams = StreamFactory(root_seed=root_seed, replication=replication)
-    algorithm = create_scheduler(spec.scheduler, **spec.scheduler_params)
-    vm_configs = [(vm.vcpus, vm.workload.build(), vm.dispatch) for vm in spec.vms]
-    degradation, maintenance, hv_overhead = _degradation_models(spec)
-    return build_virtual_system(
-        vm_configs,
-        algorithm,
-        spec.pcpus,
-        streams=streams,
-        vm_slots=spec.vm_slots,
-        scheduler_slots=spec.scheduler_slots,
-        failures=_failure_model(spec),
-        degradation=degradation,
-        maintenance=maintenance,
-        hv_overhead=hv_overhead,
+    return _build_model(
+        spec,
+        create_scheduler(spec.scheduler, **spec.scheduler_params),
+        StreamFactory(root_seed=root_seed, replication=replication),
     )

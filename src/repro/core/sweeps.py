@@ -17,12 +17,12 @@ three pieces:
 * **Adaptive cross-point budget allocation** — floors first: every
   point is entitled to its ``min_replications``, granted point-major
   (all of point 0's floor before point 1's) as grouped tasks — one
-  parent/worker round trip for up to ``batch_width`` replications,
-  split finely enough that every worker gets a share.  With a single
-  worker each point instead runs to its stopping rule before the next
-  starts, so an in-process sweep builds each spec's model once.  After
-  every completed replication the
-  point's CI half-widths are recomputed incrementally (one-pass
+  parent/worker round trip for up to :data:`_FLOOR_GROUP_CAP`
+  replications, split finely enough that every worker gets a share.
+  With a single worker each point instead runs to its stopping rule
+  before the next starts, so an in-process sweep builds each spec's
+  model once.  After every completed replication the point's CI
+  half-widths are recomputed incrementally (one-pass
   :class:`~repro.metrics.stats.ConvergenceMonitor`), and the next
   speculative grant goes to the point *furthest* from the half-width
   target.  Beyond its floor each point keeps at most one speculative
@@ -66,10 +66,11 @@ from ..resilience.executor import (
     _execute_task,
     _Run,
     _Task,
-    spec_payload,
 )
 from ..resilience.failures import FailureKind, ReplicationFailure
+from ..san.compiled import resolve_engine
 from .config import SystemSpec
+from .framework import _reuse_key
 from .results import ExperimentResult
 
 # Dispatch reasons recorded in the allocation log.
@@ -79,6 +80,13 @@ REASON_RETRY = "retry"
 
 #: Per-worker warm-spec LRU size — mirrors the model cache's _REUSE_CAP.
 _WARM_CAP = 8
+
+#: Most floor replications one grouped task carries.  A failed group
+#: re-runs every member as a single task, and a stalled group is
+#: abandoned only at its deadline (``timeout`` × width), so the cap
+#: bounds both the work redone after a failure and how late a stall is
+#: noticed.
+_FLOOR_GROUP_CAP = 8
 
 
 @dataclass
@@ -173,18 +181,24 @@ class _AffinityPool:
     def idle_workers(self) -> List[int]:
         return [w for w, slot in self._slots.items() if slot.busy is None]
 
-    def submit(self, dispatch_id: int, task: _Task, affinity_key: str) -> int:
-        """Hand the task to an idle worker, warm one preferred."""
+    def submit(
+        self, dispatch_id: int, task: _Task, affinity_key: Optional[str]
+    ) -> int:
+        """Hand the task to an idle worker, warm one preferred.
+
+        A ``None`` key (a model the cache never holds) prefers none.
+        """
         idle = self.idle_workers()
         worker = next(
             (w for w in idle if affinity_key in self._slots[w].warm), idle[0]
         )
         slot = self._slots[worker]
         slot.busy = dispatch_id
-        slot.warm[affinity_key] = None
-        slot.warm.move_to_end(affinity_key)
-        while len(slot.warm) > _WARM_CAP:
-            slot.warm.popitem(last=False)
+        if affinity_key is not None:
+            slot.warm[affinity_key] = None
+            slot.warm.move_to_end(affinity_key)
+            while len(slot.warm) > _WARM_CAP:
+                slot.warm.popitem(last=False)
         slot.tasks.put((dispatch_id, task))
         return worker
 
@@ -349,7 +363,9 @@ class _InlineExecutor:
     def idle_workers(self) -> List[int]:
         return [] if self._pending else [0]
 
-    def submit(self, dispatch_id: int, task: _Task, affinity_key: str) -> int:
+    def submit(
+        self, dispatch_id: int, task: _Task, affinity_key: Optional[str]
+    ) -> int:
         self._pending.append((dispatch_id, task))
         return 0
 
@@ -457,7 +473,10 @@ class _PointState:
         self.inflight = 0
         self.ready: Deque[_Task] = deque()  # retry tasks owed to this point
         self.done = False
-        self.affinity_key = f"{spec_payload(run.spec)!r}|{run.config.engine!r}"
+        # The model cache's own key: tasks of one key share a built model.
+        self.affinity_key = _reuse_key(
+            run.spec, resolve_engine(run.config.engine), run.extra_probes
+        )
 
     def peek_fresh(self) -> Optional[int]:
         """Next never-dispatched replication index, skipping resolved ones."""
@@ -470,19 +489,16 @@ class _PointState:
             return None
         return self.next_index
 
-    def take_fresh(self) -> _Task:
-        index = self.peek_fresh()
-        assert index is not None
-        self.next_index += 1
-        return self.run.task(index)
-
     def group_cap(self) -> int:
-        """Most replications per floor grant (1 = grouping off here)."""
-        if not self.run.batch_eligible():
-            return 1
-        from .framework import BATCH_WIDTH_DEFAULT  # local: lazy, no cycle
+        """Most replications per floor grant (1 = grouping off here).
 
-        return self.run.config.batch_width or BATCH_WIDTH_DEFAULT
+        Guarded and chaos runs stay single: their wrapper state is
+        defined per replication attempt.
+        """
+        config = self.run.config
+        if config.guard is not None or config.chaos is not None:
+            return 1
+        return _FLOOR_GROUP_CAP
 
     def floor_left(self) -> int:
         """Floor replications not yet granted (nor resolved)."""
@@ -493,8 +509,9 @@ class _PointState:
             if index not in resolved
         )
 
-    def take_fresh_floor(self, width: int) -> _Task:
-        """One floor grant: up to ``width`` entitled replications.
+    def take(self, width: int = 1) -> _Task:
+        """The next fresh replication, plus up to ``width - 1`` more of
+        the floor.
 
         Floor replications (< ``min_replications``) execute no matter
         what the convergence monitor later says, so grouping them into
@@ -502,18 +519,17 @@ class _PointState:
         spend.  Speculative (adaptive) grants stay single so
         ``executed == cut`` is preserved.
         """
-        group: List[int] = []
+        first = self.peek_fresh()
+        assert first is not None  # the caller saw a fresh index
+        group = [first]
+        self.next_index += 1
         while len(group) < width:
             index = self.peek_fresh()
             if index is None or index >= self.min_replications:
                 break
             group.append(index)
             self.next_index += 1
-        if not group:  # caller guaranteed one floor index exists
-            return self.take_fresh()
-        if len(group) == 1:
-            return self.run.task(group[0])
-        return self.run.batch_task(group)
+        return self.run.task(tuple(group))
 
     def distance(self) -> float:
         return self.run.monitor.distance()
@@ -554,7 +570,7 @@ class _SweepScheduler:
                     "point": state.index,
                     "replication": task.replication,
                     "attempt": task.attempt,
-                    "batch": len(task.batch) if task.batch else 1,
+                    "batch": len(task.replications),
                     **extra,
                 }
             )
@@ -593,9 +609,8 @@ class _SweepScheduler:
             if fresh is None:
                 continue
             if fresh < state.min_replications:
-                task = state.take_fresh_floor(self._floor_width(state))
-                return state, task, REASON_FLOOR
-            return state, state.take_fresh(), REASON_ADAPTIVE
+                return state, state.take(self._floor_width(state)), REASON_FLOOR
+            return state, state.take(), REASON_ADAPTIVE
         return None
 
     def _next_choice(self) -> Optional[Tuple[_PointState, _Task, str]]:
@@ -612,8 +627,7 @@ class _SweepScheduler:
         for state in self.states:
             fresh = None if state.done else state.peek_fresh()
             if fresh is not None and fresh < state.min_replications:
-                task = state.take_fresh_floor(self._floor_width(state))
-                return state, task, REASON_FLOOR
+                return state, state.take(self._floor_width(state)), REASON_FLOOR
         # 3. Adaptive: one speculative grant at a time per unconverged
         #    point, to whichever is furthest from the half-width target.
         #    The one-in-flight cap is what makes executed == cut.
@@ -626,7 +640,7 @@ class _SweepScheduler:
         ]
         if candidates:
             state = max(candidates, key=lambda s: (s.distance(), -s.index))
-            return state, state.take_fresh(), REASON_ADAPTIVE
+            return state, state.take(), REASON_ADAPTIVE
         return None
 
     def _dispatch(self, state: _PointState, task: _Task, reason: str) -> None:
@@ -637,8 +651,7 @@ class _SweepScheduler:
         deadline = None
         if self.timeout is not None:
             # A group runs its members back to back: each gets the budget.
-            width = len(task.batch) if task.batch else 1
-            deadline = time.monotonic() + self.timeout * width
+            deadline = time.monotonic() + self.timeout * len(task.replications)
         self.outstanding[dispatch_id] = (state, task, worker, deadline)
         state.inflight += 1
         distance = state.distance()
@@ -649,7 +662,7 @@ class _SweepScheduler:
             "attempt": task.attempt,
             "worker": worker,
             "reason": reason,
-            "batch": len(task.batch) if task.batch else 1,
+            "batch": len(task.replications),
             "distance": None if distance == float("inf") else distance,
         }
         self.allocation_log.append(entry)
@@ -683,10 +696,7 @@ class _SweepScheduler:
         self.pool.release(worker)
         state.inflight -= 1
         if payload["ok"]:
-            if task.batch:
-                state.run.resolve_batch(task, payload)
-            else:
-                state.run.resolve_success(task, payload)
+            state.run.resolve_success(task, payload)
         else:
             self._fail_dispatch(state, task, payload)
         state.refresh_done()
@@ -699,17 +709,17 @@ class _SweepScheduler:
         payload: Dict[str, Any],
         kind: Optional[str] = None,
     ) -> None:
-        """A dispatch failed: batch groups degrade to single attempts.
+        """A dispatch failed: floor groups degrade to single attempts.
 
         One bad lane (or one group timeout) must not sink its whole
         group's accounting, so each member re-queues as an ordinary
         attempt-0 task and takes the standard retry/timeout machinery
         from there; single tasks go straight to ``fail_attempt``.
         """
-        if task.batch:
-            for replication in task.batch:
+        if len(task.replications) > 1:
+            for replication in task.replications:
                 state.ready.append(
-                    dataclasses.replace(task, replication=replication, batch=None)
+                    dataclasses.replace(task, replications=(replication,))
                 )
             return
         self._fail(state, task, payload, kind)

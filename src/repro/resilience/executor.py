@@ -82,14 +82,11 @@ class ResilienceConfig:
         engine: enablement engine for every replication —
             ``"compiled"`` (the default, ``None``), ``"rescan"`` or
             ``"batch"``; results are bit-identical across all three.
-            On every engine the sweep scheduler dispatches a point's
-            clean (unguarded, chaos-free) floor replications as grouped
-            tasks, which a worker runs through
-            :func:`~repro.core.framework.simulate_batch`; ``"batch"``
-            additionally runs a group as vectorized lanes when the
-            model is fully IR.
-        batch_width: the most replications one grouped floor task may
-            carry (``None`` = the framework default); on any engine.
+            On a spec, ``"batch"`` is the compiled engine run as a
+            one-lane :func:`~repro.san.compiled.run_lanes`.  On every
+            engine the sweep scheduler dispatches a point's clean
+            (unguarded, chaos-free) floor replications as grouped
+            tasks, which a worker runs as a ``simulate_once`` loop.
         reuse: reuse the built (and, for compiled, lowered) model across
             replications of the same spec — once per process, so each
             pool worker compiles once and resets thereafter.
@@ -113,7 +110,6 @@ class ResilienceConfig:
     engine: Optional[str] = None
     reuse: bool = True
     cache_dir: Optional[str] = None
-    batch_width: Optional[int] = None
 
     def validate(self) -> None:
         if self.jobs < 1:
@@ -133,10 +129,6 @@ class ResilienceConfig:
         if self.engine is not None and self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
-        if self.batch_width is not None and self.batch_width < 1:
-            raise ConfigurationError(
-                f"batch_width must be >= 1, got {self.batch_width}"
             )
 
 
@@ -208,16 +200,15 @@ class ExecutionOutcome:
 
 @dataclass
 class _Task:
-    """One replication attempt, picklable for the process pool.
+    """Replication attempts of one spec, picklable for the process pool.
 
-    When ``batch`` is set the task covers that whole group of
-    replication indices at attempt 0 (``replication`` holds the first
-    index, for affinity/bookkeeping); the worker answers with a
-    ``batch`` list of per-replication payloads in the same order.
+    The worker runs ``replications`` in order at ``attempt`` and answers
+    with one payload per member, in the same order.  A task of several
+    members is a point's floor group, always at attempt 0.
     """
 
     spec: Any  # SystemSpec (kept loose: no core import at module level)
-    replication: int
+    replications: Tuple[int, ...]
     attempt: int
     root_seed: int
     extra_probes: bool
@@ -225,7 +216,11 @@ class _Task:
     chaos: Optional[ChaosSpec]
     engine: Optional[str] = None
     reuse: bool = True
-    batch: Optional[Tuple[int, ...]] = None
+
+    @property
+    def replication(self) -> int:
+        """The first member: the task's index in logs and progress events."""
+        return self.replications[0]
 
 
 def _run_payload(run: Any) -> Dict[str, Any]:
@@ -239,42 +234,32 @@ def _run_payload(run: Any) -> Dict[str, Any]:
 
 
 def _execute_task(task: _Task) -> Dict[str, Any]:
-    """Worker entry: run one attempt, never raise across the boundary."""
-    # Local imports: break the core <-> resilience import cycle.
-    if task.batch:
-        from ..core.framework import simulate_batch
+    """Worker entry: run the task's members, never raise across the boundary.
 
-        try:
-            runs = simulate_batch(
+    A fault in any member fails the whole task.
+    """
+    from ..core import framework  # local: break the core <-> resilience cycle
+
+    try:
+        # framework.simulate_once is looked up per call, so a wrapper
+        # installed on the module (a completion counter) sees every run.
+        runs = [
+            framework.simulate_once(
                 task.spec,
-                list(task.batch),
-                root_seed=task.root_seed,  # batch groups are always attempt 0
+                replication=replication,
+                root_seed=retry_seed(task.root_seed, replication, task.attempt),
                 extra_probes=task.extra_probes,
                 guard=task.guard,
                 chaos=task.chaos,
+                attempt=task.attempt,
                 engine=task.engine,
                 reuse=task.reuse,
             )
-        except Exception as exc:  # noqa: BLE001 — every fault becomes a record
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        return {"ok": True, "batch": [_run_payload(run) for run in runs]}
-    from ..core.framework import simulate_once
-
-    try:
-        run = simulate_once(
-            task.spec,
-            replication=task.replication,
-            root_seed=retry_seed(task.root_seed, task.replication, task.attempt),
-            extra_probes=task.extra_probes,
-            guard=task.guard,
-            chaos=task.chaos,
-            attempt=task.attempt,
-            engine=task.engine,
-            reuse=task.reuse,
-        )
+            for replication in task.replications
+        ]
     except Exception as exc:  # noqa: BLE001 — every fault becomes a record
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-    return _run_payload(run)
+    return {"ok": True, "runs": [_run_payload(run) for run in runs]}
 
 
 def spec_payload(spec: Any) -> Any:
@@ -394,11 +379,11 @@ class _Run:
 
     # -- shared bookkeeping -------------------------------------------------
 
-    def task(self, replication: int, attempt: int = 0) -> _Task:
+    def task(self, replications: Tuple[int, ...]) -> _Task:
         return _Task(
             spec=self.spec,
-            replication=replication,
-            attempt=attempt,
+            replications=replications,
+            attempt=0,
             root_seed=self.root_seed,
             extra_probes=self.extra_probes,
             guard=self.config.guard,
@@ -407,59 +392,48 @@ class _Run:
             reuse=self.config.reuse,
         )
 
-    def batch_eligible(self) -> bool:
-        """Clean runs may dispatch floor replications as one group.
+    def resolve_success(self, task: _Task, payload: Dict[str, Any]) -> None:
+        """Record each member's run, in the task's replication order."""
+        for replication, run in zip(task.replications, payload["runs"]):
+            self.executed += 1
+            tick_failures = [
+                ReplicationFailure.from_dict(f) for f in run.get("failures", [])
+            ]
+            self._stamp(tick_failures, replication, task.attempt)
+            earlier = self._attempt_failures.pop(replication, [])
+            outcome = ReplicationOutcome(
+                replication=replication,
+                metrics=dict(run["metrics"]),
+                attempt=task.attempt,
+                completions=int(run.get("completions", 0)),
+                degraded=bool(run.get("degraded", False)),
+                failures=earlier + tick_failures,
+            )
+            self.resolved[replication] = outcome
+            self._record(replication)
+            if (
+                self.cache is not None
+                and task.attempt == 0
+                and not outcome.degraded
+                and not outcome.failures
+            ):
+                # Only clean first-attempt results are memoized — a hit
+                # must be exactly what a fresh attempt 0 would compute.
+                self.cache.store(replication, outcome.to_payload())
 
-        Any engine qualifies; guarded and chaos runs stay single, since
-        their wrapper state is defined per serial replication.
-        """
-        return self.config.guard is None and self.config.chaos is None
-
-    def batch_task(self, group: List[int]) -> _Task:
-        return replace(self.task(group[0]), batch=tuple(group))
-
-    def resolve_batch(self, task: _Task, payload: Dict[str, Any]) -> None:
-        """Unpack a batch answer into per-replication resolutions."""
-        for replication, sub in zip(task.batch, payload["batch"]):
-            self.resolve_success(replace(task, replication=replication, batch=None), sub)
-
-    def _stamp(self, failures: List[ReplicationFailure], task: _Task) -> None:
+    @staticmethod
+    def _stamp(
+        failures: List[ReplicationFailure], replication: int, attempt: int
+    ) -> None:
         for failure in failures:
             if failure.replication < 0:
-                failure.replication = task.replication
-                failure.attempt = task.attempt
-
-    def resolve_success(self, task: _Task, payload: Dict[str, Any]) -> None:
-        self.executed += 1
-        tick_failures = [
-            ReplicationFailure.from_dict(f) for f in payload.get("failures", [])
-        ]
-        self._stamp(tick_failures, task)
-        earlier = self._attempt_failures.pop(task.replication, [])
-        outcome = ReplicationOutcome(
-            replication=task.replication,
-            metrics=dict(payload["metrics"]),
-            attempt=task.attempt,
-            completions=int(payload.get("completions", 0)),
-            degraded=bool(payload.get("degraded", False)),
-            failures=earlier + tick_failures,
-        )
-        self.resolved[task.replication] = outcome
-        self._record(task.replication)
-        if (
-            self.cache is not None
-            and task.attempt == 0
-            and not outcome.degraded
-            and not outcome.failures
-        ):
-            # Only clean first-attempt results are memoized — a hit must
-            # be exactly what a fresh attempt 0 would compute.
-            self.cache.store(task.replication, outcome.to_payload())
+                failure.replication = replication
+                failure.attempt = attempt
 
     def fail_attempt(self, task: _Task, failure: ReplicationFailure) -> Optional[_Task]:
         """Register a failed attempt; return the retry task, if any."""
         self.executed += 1
-        self._stamp([failure], task)
+        self._stamp([failure], task.replication, task.attempt)
         bucket = self._attempt_failures.setdefault(task.replication, [])
         bucket.append(failure)
         if task.attempt < self.config.retries:

@@ -778,9 +778,21 @@ def _emit_scalar(expr: Expr, ctx: _Ctx) -> str:
         # bool * 1.0 is exactly 1.0/0.0 — the indicator-rate idiom.
         return f"(({_emit_scalar(expr.operand, ctx)}) * 1.0)"
     if isinstance(expr, Arith):
-        left = _emit_scalar(expr.left, ctx)
-        right = _emit_scalar(expr.right, ctx)
-        return f"(({left}) {expr.op} ({right}))"
+        # A left-nested chain of one operator is emitted flat
+        # ("a + b + c"): Python groups it to the left, so values and
+        # evaluation order are unchanged, while one paren pair per term
+        # would overflow the parser's nesting limit (a reward summing
+        # more than 97 VCPUs).  Right operands keep their parens.
+        rights: List[Expr] = []
+        node: Expr = expr
+        while isinstance(node, Arith) and node.op == expr.op:
+            rights.append(node.right)
+            node = node.left
+        head = _emit_scalar(node, ctx)
+        tail = "".join(
+            f" {expr.op} ({_emit_scalar(right, ctx)})" for right in reversed(rights)
+        )
+        return f"(({head}){tail})"
     raise ModelError(f"unknown expression node {type(expr).__name__}")
 
 

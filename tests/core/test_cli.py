@@ -220,15 +220,9 @@ class TestBatchEngineFlag:
         assert main(base + ["--engine", "batch"]) == 0
         batch = capsys.readouterr().out
         assert batch == compiled
-        assert main(base + ["--engine", "batch", "--batch-width", "2"]) == 0
-        assert capsys.readouterr().out == compiled
 
-    def test_degraded_csv_byte_identical_across_engines(self, tmp_path, capsys):
-        # The Figure-8 shape under live degradation, condition-based
-        # maintenance and hypervisor overhead: every engine must print
-        # the same bytes.  The compiled engine fast-forwards the pristine
-        # spans between health events, so this guards the certificate's
-        # health and overhead checks end to end.
+    @staticmethod
+    def assert_csv_identical_across_engines(tmp_path, capsys, reps, *health):
         spec = tmp_path / "fig8.json"
         spec.write_text(json.dumps({
             "vms": [{"vcpus": 2}, {"vcpus": 1}, {"vcpus": 1}], "pcpus": 2,
@@ -238,22 +232,29 @@ class TestBatchEngineFlag:
         for engine in ("rescan", "compiled", "batch"):
             assert main([
                 "run", "--spec", str(spec), "--seed", "7",
-                "--min-replications", "2", "--max-replications", "2",
-                "--engine", engine, "--csv",
-                "--degradation", "p=0.2,h_max=4,mtbe=100",
-                "--maintenance",
-                "policy=condition_based,crews=1,mttr=15,threshold=2",
-                "--hv-overhead", "2",
+                "--min-replications", reps, "--max-replications", reps,
+                "--engine", engine, "--csv", *health,
             ]) == 0
             outputs[engine] = capsys.readouterr().out
         assert outputs["rescan"].startswith("label,")
         assert outputs["compiled"] == outputs["rescan"]
         assert outputs["batch"] == outputs["rescan"]
 
-    def test_bad_batch_width_rejected(self, spec_file, capsys):
-        assert main(["run", "--spec", spec_file,
-                     "--engine", "batch", "--batch-width", "0"]) == 1
-        assert "error: ConfigurationError" in capsys.readouterr().err
+    def test_plain_csv_byte_identical_across_engines(self, tmp_path, capsys):
+        # The Figure-8 shape: every engine must print the same bytes.
+        self.assert_csv_identical_across_engines(tmp_path, capsys, "3")
+
+    def test_degraded_csv_byte_identical_across_engines(self, tmp_path, capsys):
+        # The same under live degradation, condition-based maintenance
+        # and hypervisor overhead.  The compiled engine fast-forwards
+        # the pristine spans between health events, so this guards the
+        # certificate's health and overhead checks end to end.
+        self.assert_csv_identical_across_engines(
+            tmp_path, capsys, "2",
+            "--degradation", "p=0.2,h_max=4,mtbe=100",
+            "--maintenance", "policy=condition_based,crews=1,mttr=15,threshold=2",
+            "--hv-overhead", "2",
+        )
 
 
 class TestTraceAndProfileFlags:
@@ -281,9 +282,10 @@ class TestTraceAndProfileFlags:
         assert code == 0
         return trace
 
-    @pytest.mark.parametrize("engine", ["compiled", "rescan"])
+    @pytest.mark.parametrize("engine", ["compiled", "rescan", "batch"])
     def test_jsonl_trace_schema_and_order(self, smp_spec_file, tmp_path,
                                           capsys, engine):
+        from repro.observability import check_trace
         from repro.observability.trace import RECORD_FIELDS
 
         trace = self.run_traced(smp_spec_file, tmp_path, "--engine", engine)
@@ -319,6 +321,7 @@ class TestTraceAndProfileFlags:
         # both replications are present, delimited by run markers
         assert sum(r["kind"] == "run.start" for r in records) == 2
         assert sum(r["kind"] == "run.end" for r in records) == 2
+        assert not check_trace(records)
 
     def test_both_engines_trace_identically_via_cli(self, smp_spec_file,
                                                     tmp_path, capsys):

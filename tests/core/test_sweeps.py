@@ -10,12 +10,13 @@ with and without a warm result cache, plus the accounting the engine
 reports on top.
 """
 
+import dataclasses
 import time
 
 import pytest
 
 import repro.core.framework as framework
-from repro.core import SystemSpec, VMSpec, run_sweep, simulate_once
+from repro.core import SystemSpec, VMSpec, WorkloadSpec, run_sweep, simulate_once
 from repro.core.experiment import (
     DEFAULT_CONFIDENCE,
     DEFAULT_TARGET_HALF_WIDTH,
@@ -27,14 +28,18 @@ from repro.core.sweeps import (
     REASON_FLOOR,
     REASON_RETRY,
     SweepPool,
+    _AffinityPool,
+    _PointState,
     run_interleaved_sweep,
 )
+from repro.des import UniformInt
 from repro.errors import ConfigurationError, SimulationError
 from repro.metrics.stats import ConvergenceMonitor
 from repro.observability import SimTracer, tracing
 from repro.observability import trace as trace_mod
 from repro.paper import figure8_sweep, run_figure8
 from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
+from repro.resilience.executor import _Run
 from repro.resilience.failures import FailureKind
 
 
@@ -634,13 +639,40 @@ class TestBatchEngine:
         assert extract(pooled) == serial
         assert multiprocessing.active_children() == []
 
-    def test_batch_width_override_respected(self, base, points):
-        outcome = run_interleaved_sweep(
-            resolve_sweep_points(base, points[:1]),
-            resilience=ResilienceConfig(engine="batch", batch_width=1),
-            **ARGS,
+
+class TestAffinityKey:
+    """Placement routes a point by the model cache's own key."""
+
+    @staticmethod
+    def _state(spec, engine):
+        run = _Run(
+            spec=spec, root_seed=0, extra_probes=False,
+            min_replications=2, max_replications=2,
+            config=ResilienceConfig(engine=engine), checkpoint=None,
+            monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
         )
-        assert {e["batch"] for e in outcome.stats.allocation_log} == {1}
+        return _PointState(0, run)
+
+    def test_default_engine_routes_as_compiled(self, base):
+        default = self._state(base, None).affinity_key
+        assert default == self._state(base, "compiled").affinity_key
+        assert default == framework._reuse_key(base, "compiled", False)
+        assert default != self._state(base, "rescan").affinity_key
+
+    def test_spec_without_json_form_prefers_no_worker(self, base):
+        live = dataclasses.replace(
+            base, vms=[VMSpec(1, WorkloadSpec(load=UniformInt(5, 15)))]
+        )
+        state = self._state(live, None)
+        assert state.affinity_key is None
+        pool = _AffinityPool(1)
+        try:
+            worker = pool.submit(pool.next_dispatch_id(), state.take(), None)
+            _dispatch_id, payload = pool.poll(30.0)
+            assert payload["ok"]
+            assert not pool._slots[worker].warm
+        finally:
+            pool.close()
 
 
 class TestAdaptiveAllocation:

@@ -2,17 +2,15 @@
 
 The compiled engine (the default) caches verdicts over a model lowered
 to flat arrays and fast-forwards idle clock ticks; the batch engine
-runs replication groups as vectorized lanes when every gate and reward
-has an IR form, and otherwise lane by lane on compiled; the rescan
+runs one replication as a one-lane ``run_lanes``, which is compiled on
+every VMM model (vectorized lanes need a fully-IR model); the rescan
 engine re-evaluates everything every step and is the semantic
 reference.  For a fixed ``(root_seed, replication)`` all three
 must be *bit-for-bit* identical — same metrics, same completion count —
 for every registered scheduler, with and without the resilience layers
 (decision guard, chaos injection) and the PCPU fail/repair extension.
-The batch *dispatch* layer additionally falls back to serial compiled
-runs under guard/chaos; tests below assert the fallback is actually
-taken (via :func:`repro.core.framework.batch_dispatch_stats`), not just
-that the numbers come out right.
+A point's floor group (one task, a ``simulate_once`` loop over one
+reused model) must equal its members run one by one.
 
 Any divergence here means an engine skipped work that mattered: the
 compiled dependency tracker missed a write, or the fast-forward
@@ -39,6 +37,7 @@ from repro.observability import SimTracer, check_trace
 from repro.observability import golden
 from repro.paper import figure8_sweep
 from repro.resilience import ChaosSpec, GuardPolicy
+from repro.resilience.executor import _execute_task, _Task
 from repro.san import ENGINES, resolve_engine
 
 from ..conftest import make_spec
@@ -376,85 +375,43 @@ def test_fast_forward_off_with_impulse_rewards():
     assert stats["ticks_fast_forwarded"] == 0
 
 
-# -- batch engine: grouped replications as lanes -------------------------------
+# -- floor groups: one task, a simulate_once loop over one model -------------
 
 
-def _serial_compiled(spec, replications, **kwargs):
+def _serial_compiled(spec, replications):
     return [
-        simulate_once(spec, replication=rep, root_seed=7, engine="compiled", **kwargs)
+        simulate_once(spec, replication=rep, root_seed=7, engine="compiled")
         for rep in replications
     ]
 
 
-def assert_runs_identical(got, want):
-    assert len(got) == len(want)
-    for fast, reference in zip(got, want):
-        assert fast.metrics == reference.metrics
-        assert fast.completions == reference.completions
-        assert fast.degraded == reference.degraded
-        assert len(fast.failures) == len(reference.failures)
+def _floor_group(spec, replications):
+    """Run ``replications`` as one grouped batch-engine floor task, as a
+    worker does."""
+    payload = _execute_task(_Task(
+        spec=spec, replications=tuple(replications), attempt=0, root_seed=7,
+        extra_probes=False, guard=None, chaos=None, engine="batch", reuse=True,
+    ))
+    assert payload["ok"], payload
+    return payload["runs"]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("scheduler", list_schedulers())
-def test_simulate_batch_matches_serial_compiled(scheduler):
-    from repro.core.framework import simulate_batch
-
+def test_floor_group_matches_simulate_once(scheduler):
     spec = small_spec(scheduler)
     replications = list(range(5))
-    batched = simulate_batch(spec, replications, root_seed=7, width=2)
-    assert_runs_identical(batched, _serial_compiled(spec, replications))
-
-
-def test_simulate_batch_lane_width_is_irrelevant():
-    # Lanes are independent: any grouping must give the same bits.
-    from repro.core.framework import simulate_batch
-
-    spec = small_spec("rcs")
-    replications = list(range(4))
+    runs = _floor_group(spec, replications)
     want = _serial_compiled(spec, replications)
-    for width in (1, 2, 3, 4, 8):
-        assert_runs_identical(
-            simulate_batch(spec, replications, root_seed=7, width=width), want
-        )
+    assert [run["metrics"] for run in runs] == [w.metrics for w in want]
+    assert [run["completions"] for run in runs] == [w.completions for w in want]
+    assert [run["degraded"] for run in runs] == [w.degraded for w in want]
+    assert [run["failures"] for run in runs] == [[] for _ in want]
 
 
-def test_batch_dispatch_counts_groups(monkeypatch):
-    from repro.core import framework
-
-    # The VMM model has closure gates: its groups run serially, and are
-    # counted as such.
-    spec = small_spec("rrs")
-    framework.reset_batch_dispatch_stats()
-    framework.simulate_batch(spec, list(range(5)), root_seed=7, width=2)
-    assert framework.batch_dispatch_stats() == {
-        "groups": 0, "batched": 0, "fallback": 5,
-    }
-    # A lane 0 that passes the eligibility check takes the lane path,
-    # in groups of ``width`` (run_lanes itself then runs them serially).
-    from repro.san import vector
-
-    screen = vector.plan_lanes
-    calls = []
-
-    def lane0_accepted(lanes):
-        calls.append(len(lanes))
-        return object() if len(calls) == 1 else screen(lanes)
-
-    monkeypatch.setattr(vector, "plan_lanes", lane0_accepted)
-    framework.reset_batch_dispatch_stats()
-    runs = framework.simulate_batch(spec, list(range(5)), root_seed=7, width=2)
-    assert framework.batch_dispatch_stats() == {
-        "groups": 3, "batched": 5, "fallback": 0,  # 2 + 2 + 1
-    }
-    assert calls == [1, 2, 2, 1]
-    assert_runs_identical(runs, _serial_compiled(spec, list(range(5))))
-
-
-def test_simulate_batch_builds_one_model_when_not_vectorizable(monkeypatch):
-    # Building a lane per replication for a model run_lanes then runs
-    # serially churned the model cache (22 builds for three 8-groups of
-    # this Figure-8 spec).  Lane 0's model now serves the whole group.
+def test_floor_group_builds_one_model(monkeypatch):
+    # A group's members check the same model out of the cache in turn:
+    # three 8-groups of this Figure-8 spec build it once.
     from repro.core import framework
 
     spec = make_spec([2, 1, 1], pcpus=2, sim_time=300, warmup=50)
@@ -467,66 +424,14 @@ def test_simulate_batch_builds_one_model_when_not_vectorizable(monkeypatch):
 
     clear_model_cache()
     monkeypatch.setattr(framework, "_cache_register", counting)
-    framework.reset_batch_dispatch_stats()
     runs = []
     for start in (0, 8, 16):
-        runs.extend(framework.simulate_batch(
-            spec, range(start, start + 8), root_seed=7, reuse=True,
-        ))
+        runs.extend(_floor_group(spec, range(start, start + 8)))
     clear_model_cache()
     assert len(registered) == 1
-    assert framework.batch_dispatch_stats()["fallback"] == 24
-    assert_runs_identical(runs, _serial_compiled(spec, range(24)))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"guard": GuardPolicy(mode="degrade")},
-        {
-            "guard": GuardPolicy(mode="degrade", quarantine_after=2),
-            "chaos": ChaosSpec(corrupt_replications=(0,), inject_after=100.0),
-        },
-    ],
-    ids=["guard", "chaos"],
-)
-def test_batch_dispatch_falls_back_under_guard_and_chaos(kwargs):
-    # Guarded/sabotaged runs must not share a calendar: the dispatcher
-    # degrades to serial compiled replications, and says so.
-    from repro.core import framework
-
-    spec = small_spec("rrs")
-    replications = list(range(3))
-    framework.reset_batch_dispatch_stats()
-    runs = framework.simulate_batch(spec, replications, root_seed=7, **kwargs)
-    stats = framework.batch_dispatch_stats()
-    assert stats["fallback"] == len(replications)
-    assert stats["groups"] == 0
-    assert_runs_identical(runs, _serial_compiled(spec, replications, **kwargs))
-
-
-def test_batch_dispatch_falls_back_under_active_tracer():
-    # The trace contract is defined per serial run; with a tracer
-    # active the dispatcher must degrade to serial compiled so every
-    # replication's trace stays well-formed
-    # (run.start header first, then only that replication's events).
-    from repro.core import framework
-    from repro.observability.trace import tracing
-
-    spec = small_spec("rrs")
-    replications = list(range(3))
-    framework.reset_batch_dispatch_stats()
-    tracer = SimTracer()
-    with tracing(tracer):
-        runs = framework.simulate_batch(spec, replications, root_seed=7, width=3)
-    stats = framework.batch_dispatch_stats()
-    assert stats["fallback"] == len(replications)
-    assert stats["groups"] == 0
-    records = tracer.to_dicts()
-    assert sum(r["kind"] == "run.start" for r in records) == len(replications)
-    assert sum(r["kind"] == "run.end" for r in records) == len(replications)
-    assert not check_trace(tracer.records)
-    assert_runs_identical(runs, _serial_compiled(spec, replications))
+    assert [run["metrics"] for run in runs] == [
+        w.metrics for w in _serial_compiled(spec, range(24))
+    ]
 
 
 def test_batch_engine_single_run_equals_compiled_trace_for_trace():
@@ -591,3 +496,18 @@ def test_reuse_reseeds_captured_streams_in_place():
         assert again.streams.stream(key) is rng
     again.run()
     clear_model_cache()
+
+
+def test_wide_system_builds_and_engines_agree():
+    # 128 one-VCPU VMs: the system-wide availability reward sums 128
+    # counts.  Its generated source once nested one paren pair per term,
+    # and no system past 97 VCPUs could be built on any engine.
+    spec = dataclasses.replace(
+        make_spec([1] * 128, pcpus=8, sim_time=10, warmup=2),
+        vm_slots=128,
+        scheduler_slots=128,
+    )
+    rescan = simulate_once(spec, root_seed=7, engine="rescan")
+    compiled = simulate_once(spec, root_seed=7, engine="compiled")
+    assert compiled.metrics == rescan.metrics
+    assert compiled.completions == rescan.completions > 0

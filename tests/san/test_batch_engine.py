@@ -33,19 +33,21 @@ def _lanes(replications, spec=None, root_seed=7):
     return sims, [sim.simulator for sim in sims]
 
 
+def _metrics(sim):
+    """A lane's reward values after ``run_lanes`` advanced it."""
+    return {name: reward.result() for name, reward in sim.rewards.items()}
+
+
 class TestRunLanes:
     def test_lane_results_match_independent_runs(self):
         spec = _spec()
         sims, lanes = _lanes(range(3), spec)
         run_lanes(lanes, spec.sim_time)
-        batched = [sim._collect_result() for sim in sims]
-        serial = []
-        for rep in range(3):
+        for rep, (sim, lane) in enumerate(zip(sims, lanes)):
             solo = Simulation(spec, replication=rep, root_seed=7, engine="compiled")
-            serial.append(solo.run())
-        for fast, reference in zip(batched, serial):
-            assert fast.metrics == reference.metrics
-            assert fast.completions == reference.completions
+            reference = solo.run()
+            assert _metrics(sim) == reference.metrics
+            assert lane.completions == reference.completions
 
     @pytest.mark.parametrize("scheduler", ["rrs", "rcs"])
     def test_closure_gate_lanes_run_as_serial_compiled(self, scheduler):
@@ -64,7 +66,7 @@ class TestRunLanes:
             got = lane.stats()
             assert (got.pop("engine"), want.pop("engine")) == ("batch", "compiled")
             assert got == want
-            assert sim._collect_result().metrics == reference.metrics
+            assert _metrics(sim) == reference.metrics
 
     def test_empty_lane_list_is_a_noop(self):
         stats = run_lanes([], 100.0)
