@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="enablement engine: compiled (cached flat-array enablement "
         "with clock-tick fast-forward, the default), rescan (full "
         "re-evaluation, the reference), or batch (compiled, run as a "
-        "one-lane run_lanes); results are bit-identical across all three",
+        "one-lane run_lanes; the only engine that loads numpy); results "
+        "are bit-identical across all three",
     )
     run_parser.add_argument(
         "--degradation",

@@ -59,8 +59,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy
-
 from ..des.random_streams import StreamFactory
 from ..errors import ConfigurationError, SimulationError
 from ..observability import profile as _profile
@@ -738,6 +736,8 @@ def place_matrix(lanes: Sequence[CompiledSANSimulator]) -> "numpy.ndarray":
     and are excluded.  Lanes must share a spec; a lane whose place names
     differ from lane 0's raises :class:`ConfigurationError`.
     """
+    import numpy
+
     if not lanes:
         return numpy.zeros((0, 0), dtype=numpy.int64)
     names = [

@@ -128,14 +128,6 @@ class ComposedModel(ModelBase):
         # A composed model can itself be joined once more (nested joins).
         self._composed_into: Optional[str] = None
 
-    # -- ModelBase --------------------------------------------------------
-
-    def places(self) -> Dict[str, PlaceLike]:
-        return dict(self._places)
-
-    def activities(self) -> List[Activity]:
-        return list(self._activities)
-
     # -- introspection ----------------------------------------------------
 
     def join_place_table(self) -> List[Dict[str, str]]:

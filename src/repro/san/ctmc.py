@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 from ..des.distributions import Exponential, MarkingDependentExponential
 from ..errors import ModelError, SimulationError
 from .activities import InstantaneousActivity, TimedActivity
@@ -89,7 +87,7 @@ class CTMCSolver:
         self._index: Dict[Hashable, int] = {}
         self._snapshots: List[Dict[str, Any]] = []
         self._transitions: List[Tuple[int, int, float]] = []
-        self._pi: Optional[np.ndarray] = None
+        self._pi: Optional[numpy.ndarray] = None
 
     # -- marking plumbing ---------------------------------------------------
 
@@ -177,8 +175,12 @@ class CTMCSolver:
 
     # -- solution ---------------------------------------------------------------
 
-    def steady_state(self) -> np.ndarray:
+    def steady_state(self) -> numpy.ndarray:
         """The stationary distribution π (πQ = 0, Σπ = 1).
+
+        The array is the solver's cache, which :meth:`expected_reward`
+        and :meth:`state_probability` read too, so it is returned
+        read-only: an in-place write raises ``ValueError``.
 
         Raises:
             ModelError: if exploration has not run, or the chain has an
@@ -189,8 +191,10 @@ class CTMCSolver:
             return self._pi
         if not self._snapshots:
             raise ModelError("call explore() before steady_state()")
+        import numpy
+
         n = self.num_states
-        q = np.zeros((n, n))
+        q = numpy.zeros((n, n))
         for source, target, rate in self._transitions:
             if source != target:
                 q[source, target] += rate
@@ -198,20 +202,22 @@ class CTMCSolver:
         # Replace one balance equation with the normalization Σπ = 1.
         a = q.T.copy()
         a[-1, :] = 1.0
-        b = np.zeros(n)
+        b = numpy.zeros(n)
         b[-1] = 1.0
         try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
+            pi = numpy.linalg.solve(a, b)
+        except numpy.linalg.LinAlgError as exc:
             raise ModelError(f"singular generator matrix: {exc}") from exc
-        if np.any(pi < -1e-9):
+        if numpy.any(pi < -1e-9):
             raise ModelError(
                 "negative stationary probabilities — the chain is likely "
                 "reducible; CTMC solution needs an irreducible model"
             )
-        self._pi = np.clip(pi, 0.0, None)
-        self._pi /= self._pi.sum()
-        return self._pi
+        pi = numpy.clip(pi, 0.0, None)
+        pi /= pi.sum()
+        pi.setflags(write=False)
+        self._pi = pi
+        return pi
 
     def expected_reward(self, rate: Callable[[], float]) -> float:
         """Steady-state expectation of a rate reward.

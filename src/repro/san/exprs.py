@@ -48,8 +48,6 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy
-
 from ..errors import ModelError, SimulationError
 
 __all__ = [
@@ -1034,6 +1032,8 @@ def _family_col_names(
     member_cols: Sequence[Sequence[int]], ctx: _Ctx
 ) -> List[str]:
     """Bind one column array per leaf occurrence; return their names."""
+    import numpy
+
     n_occ = len(member_cols[0])
     return [
         ctx.bind(
@@ -1104,6 +1104,8 @@ def compile_family_effects(
     member index of each firing.  ``member_cols``/``member_names`` give,
     per member, the column and place name of each effect item.
     """
+    import numpy
+
     ctx = _Ctx()
     ctx.env["_negfam"] = _raise_negative_family
     lines: List[str] = []

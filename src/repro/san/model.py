@@ -17,17 +17,23 @@ from .places import ExtendedPlace, Marking, Place, PlaceLike
 
 
 class ModelBase:
-    """Interface shared by atomic and composed models."""
+    """Interface shared by atomic and composed models.
+
+    Both keep their qualified place table in ``_places`` and their
+    activities in ``_activities``; the accessors hand out copies.
+    """
 
     name: str
+    _places: Dict[str, PlaceLike]
+    _activities: List[Activity]
 
     def places(self) -> Dict[str, PlaceLike]:
-        """Mapping of qualified place name to place object."""
-        raise NotImplementedError
+        """Mapping of qualified place name to place object (a copy)."""
+        return dict(self._places)
 
     def activities(self) -> List[Activity]:
         """All activities, in deterministic registration order."""
-        raise NotImplementedError
+        return list(self._activities)
 
     def input_gates(self) -> List[InputGate]:
         """Every distinct input gate, in deterministic attachment order."""
@@ -62,13 +68,13 @@ class ModelBase:
         Raises:
             ModelError: if no such place exists.
         """
-        table = self.places()
-        if path not in table:
+        place = self._places.get(path)
+        if place is None:
             raise ModelError(
                 f"model {self.name!r} has no place {path!r}; "
-                f"known places: {sorted(table)[:20]}"
+                f"known places: {sorted(self._places)[:20]}"
             )
-        return table[path]
+        return place
 
     def marking(self) -> Marking:
         """A read-only view of the whole model state."""
@@ -140,14 +146,6 @@ class SANModel(ModelBase):
         activity.qualified_name = f"{self.name}.{activity.name}"
         self._activities.append(activity)
         return activity
-
-    # -- ModelBase --------------------------------------------------------
-
-    def places(self) -> Dict[str, PlaceLike]:
-        return dict(self._places)
-
-    def activities(self) -> List[Activity]:
-        return list(self._activities)
 
     # -- introspection ----------------------------------------------------
 

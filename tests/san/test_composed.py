@@ -178,6 +178,35 @@ class TestJoin:
             )
 
 
+class TestPlaceLookup:
+    @pytest.mark.parametrize("composed", [False, True])
+    def test_lookup_copies_no_place_table(self, composed, monkeypatch):
+        # ``place`` is called once per slot while a system is built; it
+        # must read the table in place, not through the copying
+        # ``places()``.
+        model = make_producer()
+        if composed:
+            model = join(
+                "sys",
+                {"P": model, "C": make_consumer()},
+                shared=[SharedVariable("channel", [("P", "out"), ("C", "inbox")])],
+            )
+        table = model.places()
+        copies = []
+        real = model.places
+        monkeypatch.setattr(model, "places", lambda: copies.append(1) or real())
+        for path, place in table.items():
+            assert model.place(path) is place
+        assert copies == []
+
+    def test_places_still_returns_a_copy(self):
+        composed = join("sys", {"a": make_producer()})
+        composed.places().clear()
+        assert "a.fuel" in composed.places()
+        with pytest.raises(ModelError, match="a.fuel"):
+            composed.place("a.missing")
+
+
 class TestReplicate:
     def test_replicas_are_independent_by_default(self):
         composed = replicate("farm", lambda i: make_producer(f"p{i}"), 3)

@@ -86,6 +86,19 @@ class TestOnOff:
         solver.explore()
         assert solver.state_probability(lambda: on.tokens == 1) == pytest.approx(0.5)
 
+    def test_steady_state_is_read_only(self):
+        # The returned array is the cache expected_reward reads, so a
+        # caller's in-place write must not reach later expectations.
+        model, on = on_off_model(rate_up=2.0, rate_down=1.0)
+        solver = CTMCSolver(model)
+        solver.explore()
+        before = solver.expected_reward(lambda: float(on.tokens))
+        pi = solver.steady_state()
+        with pytest.raises(ValueError):
+            pi /= 2
+        assert solver.steady_state() is pi
+        assert solver.expected_reward(lambda: float(on.tokens)) == before
+
 
 class TestMM1K:
     def closed_form_mean(self, lam, mu, k):

@@ -11,18 +11,47 @@ import sys
 import repro
 
 
-# Runs an experiment through its replication stopping rule (every
-# half-width takes a t-quantile) and a CTMC steady-state solve, then
-# reports whether scipy was ever imported.
-_NO_SCIPY_PROBE = """
-import sys
-import repro, repro.cli
+# Blocks numpy (forked workers inherit the block), then drives the
+# default paths: the package, CLI, paper and service imports, an
+# adaptive experiment in-process and on two workers, a figure on a
+# two-worker sweep and a CLI run.  Any numpy import on the way raises.
+# Last it lifts the block, solves a CTMC (which loads numpy itself)
+# and reports whether scipy was ever imported.
+_DEFAULT_PATH_PROBE = """
+import os, sys, tempfile
+sys.modules["numpy"] = None
+import repro, repro.cli, repro.paper, repro.service
+from repro.resilience import ResilienceConfig
+
+spec = repro.SystemSpec(vms=[repro.VMSpec(vcpus=2)], pcpus=1, sim_time=200, warmup=40)
+for jobs in (1, 2):
+    result = repro.run_experiment(
+        spec, min_replications=2, max_replications=4,
+        resilience=ResilienceConfig(jobs=jobs),
+    )
+    assert 2 <= result.replications <= 4, result.replications
+    assert result.failures == [], result.failures
+figure = repro.paper.run_figure8(
+    schedulers=("rrs",), pcpu_range=(1, 2), sim_time=100, warmup=20,
+    replications=(2, 3), sweep_jobs=2,
+)
+assert len(figure.results) == 2, figure.results
+assert all(r.failures == [] for r in figure.results)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "spec.json")
+    with open(path, "w") as fh:
+        fh.write('{"vms": [{"vcpus": 1}, {"vcpus": 1}], "pcpus": 1, '
+                 '"sim_time": 200, "warmup": 40}')
+    code = repro.cli.main([
+        "run", "--spec", path, "--jobs", "2",
+        "--min-replications", "2", "--max-replications", "3", "--csv",
+    ])
+    assert code == 0, code
+
+del sys.modules["numpy"]
 from repro.san import CTMCSolver
 from tests.san.test_ctmc import on_off_model
 
-spec = repro.SystemSpec(vms=[repro.VMSpec(vcpus=2)], pcpus=1, sim_time=200, warmup=40)
-result = repro.run_experiment(spec, min_replications=2, max_replications=4)
-assert 2 <= result.replications <= 4, result.replications
 solver = CTMCSolver(on_off_model()[0])
 solver.explore()
 assert abs(solver.steady_state().sum() - 1.0) < 1e-12
@@ -30,19 +59,19 @@ print("scipy" in sys.modules)
 """
 
 
-def test_import_leaves_scipy_unloaded():
-    # The t-quantile and the CTMC solve are stdlib and numpy only: a
-    # fresh interpreter that imports the package and the CLI, runs an
-    # adaptive experiment and solves a chain must not load scipy.
+def test_default_path_loads_neither_numpy_nor_scipy():
+    # numpy is imported only by the vectorized lanes and the CTMC
+    # solve, and scipy by nothing: plain runs, pooled sweeps, figures
+    # and the CLI must work in an interpreter where numpy cannot load.
     src = os.path.dirname(os.path.dirname(repro.__file__))
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, root]))
     completed = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True,
-        text=True, timeout=120,
+        [sys.executable, "-c", _DEFAULT_PATH_PROBE], env=env,
+        capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    assert completed.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_top_level_exports():
