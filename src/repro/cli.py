@@ -160,7 +160,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         retries=args.retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        engine=args.engine,
         cache_dir=cache_dir,
     )
     config.validate()
@@ -284,21 +283,18 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    import os
+#: The ``figures`` protocols: simulated ticks and (min, max)
+#: replications per point, by fidelity.
+FIGURE_PROTOCOLS = {
+    "quick": {"sim_time": 1000, "replications": (3, 6)},
+    "full": {"sim_time": 2000, "replications": (5, 20)},
+}
 
+
+def _cmd_figures(args: argparse.Namespace) -> int:
     from .paper import run_figure8, run_figure9, run_figure10
 
-    if args.full:
-        knobs = {"sim_time": 2000, "replications": (5, 20)}
-    else:
-        knobs = {"sim_time": 1000, "replications": (3, 6)}
-    # Env overrides, mainly for fast CI runs of the CLI path.
-    if "REPRO_FIGURES_SIM_TIME" in os.environ:
-        knobs["sim_time"] = int(os.environ["REPRO_FIGURES_SIM_TIME"])
-    if "REPRO_FIGURES_REPS" in os.environ:
-        reps = int(os.environ["REPRO_FIGURES_REPS"])
-        knobs["replications"] = (reps, reps)
+    knobs: Dict[str, Any] = dict(FIGURE_PROTOCOLS["full" if args.full else "quick"])
     knobs["sweep_jobs"] = args.sweep_jobs
     cache_dir = _cache_dir_from_args(args)
     if cache_dir is not None:
@@ -393,10 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINES,
         default=DEFAULT_ENGINE,
         help="enablement engine: compiled (cached flat-array enablement "
-        "with clock-tick fast-forward, the default), rescan (full "
-        "re-evaluation, the reference), or batch (compiled, run as a "
-        "one-lane run_lanes; the only engine that loads numpy); results "
-        "are bit-identical across all three",
+        "with clock-tick fast-forward, the default) or rescan (full "
+        "re-evaluation, the reference); results are bit-identical",
     )
     run_parser.add_argument(
         "--degradation",

@@ -7,11 +7,10 @@ root seed for reproducibility) continue until every watched metric's
 CI half-width is below the target or the replication budget runs out.
 
 One driver runs every replication: the sweep scheduler
-(:mod:`repro.core.sweeps`).  :func:`run_experiment` hands it a single
-point through :func:`~repro.resilience.executor.run_replications`;
-:func:`run_sweep` hands it every point of a parameter sweep at once,
-which is how the figure benches express "PCPUs from 1 to 4" or "sync
-ratio 1:5 to 1:2".  Pass a :class:`~repro.resilience.ResilienceConfig`
+(:mod:`repro.core.sweeps`).  :func:`run_experiment` is a one-point
+sweep; :func:`run_sweep` hands it every point of a parameter sweep at
+once, which is how the figure benches express "PCPUs from 1 to 4" or
+"sync ratio 1:5 to 1:2".  Pass a :class:`~repro.resilience.ResilienceConfig`
 to spread floors and points over worker processes, bound each attempt
 with a wall-clock timeout, retry crashed replications under
 deterministically reseeded streams, stream every resolved replication
@@ -25,12 +24,7 @@ import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..metrics.stats import ConvergenceMonitor
-from ..resilience.executor import (
-    ExecutionOutcome,
-    ResilienceConfig,
-    run_replications,
-)
+from ..resilience.executor import ExecutionOutcome, ResilienceConfig
 from .config import SystemSpec
 from .results import ExperimentResult, MetricEstimate
 
@@ -61,6 +55,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Estimate every metric of one configuration to target confidence.
 
+    This is :func:`~repro.core.sweeps.run_interleaved_sweep` on the one
+    point ``({}, spec)``: a checkpoint keeps its replications in the
+    scope ``point0``, exactly as a one-point :func:`run_sweep` does.
+
     Args:
         spec: the system to simulate.
         label: experiment label for tables (default: derived from spec).
@@ -80,10 +78,9 @@ def run_experiment(
             with no retries; every configuration gives identical
             estimates.
         engine: enablement engine for every replication —
-            ``"compiled"`` (the default, ``None``), ``"rescan"`` (the
-            reference) or ``"batch"``; results are bit-identical.  When
-            a ``resilience`` config is given, its own ``engine`` field
-            wins.
+            ``"compiled"`` (the default, ``None``) or ``"rescan"`` (the
+            reference); results are bit-identical.  An explicit engine
+            replaces the ``resilience`` config's own ``engine`` field.
 
     Returns:
         An :class:`ExperimentResult` with one estimate per metric, the
@@ -96,31 +93,21 @@ def run_experiment(
             does not allow partial results.
         CheckpointError: resuming against a mismatched checkpoint.
     """
-    validate_protocol(min_replications, max_replications)
-    spec.validate()
-    if watch_metrics is None:
-        watch_metrics = list(DEFAULT_WATCH_METRICS)
-    if resilience is None:
-        # In-process, one attempt, fail on the first error.
-        resilience = ResilienceConfig(
-            jobs=1, timeout=None, retries=0, engine=engine
-        )
+    from .sweeps import run_interleaved_sweep  # local: sweeps imports us
 
-    execution = run_replications(
-        spec,
-        root_seed=root_seed,
-        extra_probes=extra_probes,
+    return run_interleaved_sweep(
+        [({}, spec)],
+        label=label,
+        watch_metrics=watch_metrics,
         min_replications=min_replications,
         max_replications=max_replications,
-        config=resilience,
-        monitor=ConvergenceMonitor(
-            watch_metrics,
-            confidence=confidence,
-            target_half_width=target_half_width,
-            min_replications=min_replications,
-        ),
-    )
-    return result_from_execution(spec, label, execution, confidence)
+        confidence=confidence,
+        target_half_width=target_half_width,
+        root_seed=root_seed,
+        extra_probes=extra_probes,
+        resilience=resilience,
+        engine=engine,
+    ).results[0]
 
 
 def validate_protocol(min_replications: int, max_replications: int) -> None:

@@ -184,7 +184,10 @@ class Simulation:
     Wraps model construction and reward attachment; each
     :class:`Simulation` instance serves exactly one replication (models
     and scheduler state are replication-private by design — Mobius
-    likewise re-initializes per batch).
+    likewise re-initializes per batch).  ``engine`` names one of
+    :data:`~repro.san.compiled.ENGINES` (``None`` selects the default,
+    compiled); any other name raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -390,8 +393,7 @@ def simulate_once(
             activated around the run so every layer's hooks emit into it.
         profile: collect per-subsystem timings (``Simulation.stats()``).
         engine: enablement engine name — ``"compiled"`` (the default,
-            ``None``), ``"rescan"`` or ``"batch"`` (see
-            :mod:`repro.san.compiled`).
+            ``None``) or ``"rescan"`` (see :mod:`repro.san.compiled`).
         reuse: check the built model out of the per-process cache when an
             identical spec/engine pair ran before (cheap reset + reseed
             instead of a rebuild); bit-identical results either way.

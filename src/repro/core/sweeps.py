@@ -892,6 +892,12 @@ def run_interleaved_sweep(
     per-point results (point order — order is preserved no matter how
     execution interleaved) plus the engine's accounting.
 
+    An explicit ``engine`` replaces the ``resilience`` config's own
+    field, as ``sweep_jobs`` replaces its ``jobs``.  Point *i* keeps its
+    replications in the checkpoint scope ``point<i>``, so one file
+    resumes the whole sweep.  Every point's spec is validated before
+    the checkpoint file is opened, so a bad point leaves it untouched.
+
     ``pool`` borrows a long-lived :class:`SweepPool` instead of building
     one per call (the pool is *not* closed afterwards, and ``sweep_jobs``
     is ignored); ``progress`` receives one plain-dict event per dispatch
@@ -914,9 +920,10 @@ def run_interleaved_sweep(
     if watch_metrics is None:
         watch_metrics = list(DEFAULT_WATCH_METRICS)
     if resilience is None:
-        resilience = ResilienceConfig(
-            jobs=1, timeout=None, retries=0, engine=engine
-        )
+        # In-process, one attempt, fail on the first error.
+        resilience = ResilienceConfig(jobs=1, timeout=None, retries=0)
+    if engine is not None:
+        resilience = dataclasses.replace(resilience, engine=engine)
     resilience.validate()
     jobs = sweep_jobs if sweep_jobs is not None else resilience.jobs
     if jobs < 1:
@@ -931,23 +938,23 @@ def run_interleaved_sweep(
             )
 
     points = list(points)
+    for _point, spec in points:
+        spec.validate()
     checkpoint: Optional[CheckpointStore] = None
     if resilience.checkpoint:
         checkpoint = CheckpointStore(resilience.checkpoint, resume=resilience.resume)
     runs: List[_Run] = []
     try:
         for index, (_point, spec) in enumerate(points):
-            spec.validate()
             run = _Run(
                 spec=spec,
                 root_seed=root_seed,
                 extra_probes=extra_probes,
                 min_replications=min_replications,
                 max_replications=max_replications,
-                config=dataclasses.replace(
-                    resilience, checkpoint_scope=f"point{index}"
-                ),
+                config=resilience,
                 checkpoint=checkpoint,
+                scope=f"point{index}",
                 monitor=ConvergenceMonitor(
                     watch_metrics,
                     confidence=confidence,

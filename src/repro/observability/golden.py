@@ -17,11 +17,11 @@ Normalization keeps fixtures stable across unrelated schema growth:
   fixtures engine-independent: the compiled engine *coalesces* runs of
   idle clock ticks into a single ``engine.fastforward`` record instead
   of k ``activity.fire`` records, so its raw trace differs from the
-  other engines exactly and only in those engine-internal kinds.  No
+  rescan engine's exactly and only in those engine-internal kinds.  No
   scheduler-level record can fall inside a coalesced span (fast-forward
   is only legal while the hypervisor provably makes no decision), so
   normalized traces — and therefore golden fixtures — are identical
-  across all three engines;
+  across both engines;
 * each kind is projected onto its :data:`GOLDEN_SCHEMA` field list, so
   *adding* a record field or a new record kind later never breaks a
   fixture, while changing or removing an asserted field does.

@@ -5,8 +5,9 @@ assumed every replication finishes; a user-plugged scheduler that
 crashes, stalls, or emits corrupt decisions used to take the whole
 sweep down with it.  This package makes the runner survive all three:
 
-* :mod:`~repro.resilience.executor` — parallel replications with
-  per-attempt wall-clock timeouts and deterministic retry/reseed;
+* :mod:`~repro.resilience.executor` — the per-experiment state the
+  sweep scheduler drives: per-attempt wall-clock timeouts and
+  deterministic retry/reseed;
 * :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints so
   interrupted runs resume without recomputation;
 * :mod:`~repro.resilience.guard` — the scheduler decision guard:
@@ -38,7 +39,6 @@ from .executor import (
     ReplicationOutcome,
     ResilienceConfig,
     retry_seed,
-    run_replications,
 )
 from .failures import FailureKind, ReplicationFailure, failure_summary
 from .guard import GUARD_MODES, GuardedScheduler, GuardPolicy
@@ -68,6 +68,5 @@ __all__ = [
     "fingerprint",
     "generate_degradation_matrix",
     "retry_seed",
-    "run_replications",
     "validate_degradation_matrix",
 ]

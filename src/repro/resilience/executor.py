@@ -19,9 +19,8 @@ replicated experiment is made of, and what survives faults:
 
 :class:`_Run` is one experiment's state; *which* replication runs next,
 on which worker, and when the experiment stops is decided by one
-driver only, the sweep scheduler in :mod:`repro.core.sweeps`.
-:func:`run_replications` drives a single experiment there as a
-one-point sweep, exactly as the simulation service runs its jobs.
+driver only, the sweep scheduler in :mod:`repro.core.sweeps`, which
+runs a single experiment as a one-point sweep.
 
 Determinism contract: replication *r*, attempt 0 uses exactly the
 streams :func:`~repro.core.framework.simulate_once` uses for *r*, and
@@ -70,9 +69,9 @@ class ResilienceConfig:
         backoff: base of the exponential retry backoff in seconds
             (attempt *a* sleeps ``backoff * 2**a``).
         checkpoint: JSONL checkpoint path (``None`` disables).
-        resume: load the checkpoint instead of starting fresh.
-        checkpoint_scope: namespace inside the checkpoint file
-            (``run_sweep`` gives every point its own scope).
+        resume: load the checkpoint instead of starting fresh.  Every
+            sweep point (an experiment is point 0) resumes its own
+            ``point<i>`` scope of the file.
         guard: decision-guard policy applied around the scheduler
             (``None`` = unguarded, exactly the legacy behavior).
         chaos: deterministic fault-injection plan (testing only).
@@ -80,16 +79,12 @@ class ResilienceConfig:
             the failure and continue with the surviving replications
             instead of raising :class:`~repro.errors.ReplicationError`.
         engine: enablement engine for every replication —
-            ``"compiled"`` (the default, ``None``), ``"rescan"`` or
-            ``"batch"``; results are bit-identical across all three.
-            On a spec, ``"batch"`` is the compiled engine run as a
-            one-lane :func:`~repro.san.compiled.run_lanes`.  On every
-            engine the sweep scheduler dispatches a point's clean
-            (unguarded, chaos-free) floor replications as grouped
-            tasks, which a worker runs as a ``simulate_once`` loop.
-        reuse: reuse the built (and, for compiled, lowered) model across
-            replications of the same spec — once per process, so each
-            pool worker compiles once and resets thereafter.
+            ``"compiled"`` (the default, ``None``) or ``"rescan"``;
+            results are bit-identical across both.  On either engine
+            the sweep scheduler dispatches a point's clean (unguarded,
+            chaos-free) floor replications as grouped tasks, which a
+            worker runs as a ``simulate_once`` loop over one model built
+            (and, for compiled, lowered) once per process.
         cache_dir: persistent result-cache directory (``None`` disables).
             Clean replication results are memoized across invocations,
             keyed by (spec JSON, engine, root seed, replication index)
@@ -103,12 +98,10 @@ class ResilienceConfig:
     backoff: float = 0.05
     checkpoint: Optional[str] = None
     resume: bool = False
-    checkpoint_scope: str = "experiment"
     guard: Optional[GuardPolicy] = None
     chaos: Optional[ChaosSpec] = None
     keep_partial: bool = False
     engine: Optional[str] = None
-    reuse: bool = True
     cache_dir: Optional[str] = None
 
     def validate(self) -> None:
@@ -188,14 +181,12 @@ class ReplicationOutcome:
 
 @dataclass
 class ExecutionOutcome:
-    """What the executor hands back to ``run_experiment``."""
+    """One run's included samples, assembled for its result table."""
 
     samples: List[Dict[str, float]]  # included samples, replication order
     replications: int  # number of included samples
     failures: List[ReplicationFailure]
     degraded: bool
-    executed: int = 0  # replication attempts actually simulated
-    cache_hits: int = 0  # replications satisfied from the result cache
 
 
 @dataclass
@@ -215,7 +206,6 @@ class _Task:
     guard: Optional[GuardPolicy]
     chaos: Optional[ChaosSpec]
     engine: Optional[str] = None
-    reuse: bool = True
 
     @property
     def replication(self) -> int:
@@ -253,7 +243,7 @@ def _execute_task(task: _Task) -> Dict[str, Any]:
                 chaos=task.chaos,
                 attempt=task.attempt,
                 engine=task.engine,
-                reuse=task.reuse,
+                reuse=True,
             )
             for replication in task.replications
         ]
@@ -361,6 +351,7 @@ class _Run:
         max_replications: int,
         config: ResilienceConfig,
         checkpoint: Optional[CheckpointStore],
+        scope: str,
         monitor: ConvergenceMonitor,
     ) -> None:
         self.spec = spec
@@ -370,6 +361,7 @@ class _Run:
         self.max_replications = max_replications
         self.config = config
         self.checkpoint = checkpoint
+        self.scope = scope  # this run's namespace in the checkpoint file
         self.monitor = monitor
         self.cache = bind_cache(spec, config, root_seed, extra_probes)
         self.executed = 0
@@ -389,7 +381,6 @@ class _Run:
             guard=self.config.guard,
             chaos=self.config.chaos,
             engine=self.config.engine,
-            reuse=self.config.reuse,
         )
 
     def resolve_success(self, task: _Task, payload: Dict[str, Any]) -> None:
@@ -481,7 +472,7 @@ class _Run:
     def _record(self, replication: int) -> None:
         if self.checkpoint is not None:
             self.checkpoint.record(
-                self.config.checkpoint_scope,
+                self.scope,
                 replication,
                 self.resolved[replication].to_payload(),
             )
@@ -493,7 +484,7 @@ class _Run:
         the store was opened with ``resume``), then fills the remaining
         replications from the persistent result cache.
         """
-        scope = self.config.checkpoint_scope
+        scope = self.scope
         if self.checkpoint is not None:
             self.checkpoint.begin_scope(
                 scope,
@@ -570,68 +561,5 @@ class _Run:
             replications=len(included),
             failures=failures,
             degraded=any(o.degraded for o in included),
-            executed=self.executed,
-            cache_hits=self.cache_hits,
         )
 
-
-def run_replications(
-    spec: Any,
-    *,
-    root_seed: int,
-    extra_probes: bool,
-    min_replications: int,
-    max_replications: int,
-    config: ResilienceConfig,
-    monitor: ConvergenceMonitor,
-) -> ExecutionOutcome:
-    """Resolve replications until convergence or budget, resiliently.
-
-    The experiment runs as a one-point sweep on the sweep scheduler
-    (:func:`repro.core.sweeps.drive_runs`), so it shares every
-    scheduling, retry and timeout decision with the sweep engine.
-
-    Args:
-        spec: the (validated) system spec.
-        root_seed: seed-family root; attempt 0 of replication *r* is
-            bit-identical to ``simulate_once(spec, r, root_seed)``.
-        extra_probes: forwarded to ``simulate_once``.
-        min_replications / max_replications: the replication protocol.
-        config: executor knobs (parallelism, timeout, retries,
-            checkpointing, guard, chaos, result cache).
-        monitor: the one-pass :class:`ConvergenceMonitor` stopping
-            rule; it must be fresh (never fed) per call.
-
-    Returns:
-        An :class:`ExecutionOutcome` with the included samples (in
-        replication order), the failure records up to the convergence
-        boundary, and the degraded flag.
-
-    Raises:
-        ReplicationError: a replication exhausted its retries and
-            ``config.keep_partial`` is False.
-        CheckpointError: resuming against a mismatched checkpoint.
-    """
-    from ..core.sweeps import drive_runs  # local: core imports this module
-
-    config.validate()
-    checkpoint: Optional[CheckpointStore] = None
-    if config.checkpoint:
-        checkpoint = CheckpointStore(config.checkpoint, resume=config.resume)
-    run = _Run(
-        spec=spec,
-        root_seed=root_seed,
-        extra_probes=extra_probes,
-        min_replications=min_replications,
-        max_replications=max_replications,
-        config=config,
-        checkpoint=checkpoint,
-        monitor=monitor,
-    )
-    try:
-        run.prime()
-        drive_runs([run], jobs=config.jobs, timeout=config.timeout)
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
-    return run.assemble()

@@ -72,7 +72,7 @@ from .places import Place
 from .simulator import SANSimulator
 
 #: Recognised enablement engines, in documentation order.
-ENGINES = ("rescan", "compiled", "batch")
+ENGINES = ("rescan", "compiled")
 
 #: The engine ``engine=None`` selects everywhere.
 DEFAULT_ENGINE = "compiled"
@@ -95,13 +95,17 @@ def build_simulator(
     engine: Optional[str] = None,
     max_instantaneous_chain: int = 100_000,
 ) -> SANSimulator:
-    """Construct the simulator for the selected enablement engine."""
-    name = resolve_engine(engine)
-    if name == "batch":
+    """Construct the simulator for the selected enablement engine.
+
+    ``engine="batch"`` builds a :class:`BatchCompiledSANSimulator` lane
+    for :func:`run_lanes`.  It is a SAN-level lane builder, not one of
+    the :data:`ENGINES` a spec selects.
+    """
+    if engine == "batch":
         return BatchCompiledSANSimulator(
             model, streams, max_instantaneous_chain=max_instantaneous_chain
         )
-    if name == "compiled":
+    if resolve_engine(engine) == "compiled":
         return CompiledSANSimulator(
             model, streams, max_instantaneous_chain=max_instantaneous_chain
         )
@@ -678,15 +682,14 @@ class CompiledSANSimulator(SANSimulator):
 
 
 class BatchCompiledSANSimulator(CompiledSANSimulator):
-    """The ``batch`` engine: a compiled lane that :func:`run_lanes` drives.
+    """A compiled lane that :func:`run_lanes` drives.
 
     One instance simulates one replication with exactly the compiled
     engine's lowered state and sample path, its own marking, event
     wheel and per-replication
-    :class:`~repro.des.random_streams.StreamFactory`.  Standing alone
-    (``build_simulator(engine="batch")``) it is a single-lane batch, so
-    every differential test of the serial API also exercises
-    :func:`run_lanes`.
+    :class:`~repro.des.random_streams.StreamFactory`.  Built by
+    ``build_simulator(engine="batch")``; standing alone it runs as a
+    single-lane batch.
     """
 
     @property

@@ -52,26 +52,13 @@ GateFunction = Callable[[], None]
 _EVALUATIONS = 0
 
 
-def evaluation_count() -> int:
-    """Total input-gate predicate evaluations in this process.
-
-    .. deprecated::
-        This is the process-global aggregate kept for older benchmarks.
-        Prefer the per-simulator ``gate_evaluations`` property /
-        ``stats()["gate_evaluations"]``, which attribute evaluations to
-        the simulator that performed them even when several simulators
-        interleave (batch lanes, sweep pools).
-    """
-    return _EVALUATIONS
-
-
 def count_evaluations(n: int = 1) -> None:
     """Account ``n`` predicate evaluations performed outside ``holds()``.
 
     The compiled engine's fused IR conjunctions and the batch engine's
     vector kernels evaluate gates without calling ``holds()``; they
-    report those evaluations here so the global aggregate and the
-    per-simulator delta counters stay comparable across engines.
+    report those evaluations here so the per-simulator delta counters
+    (``gate_evaluations`` / ``stats()``) stay comparable across engines.
     """
     global _EVALUATIONS
     _EVALUATIONS += n

@@ -30,10 +30,9 @@ every input-gate predicate of every activity is re-evaluated after
 every completion, with no caching to get wrong.  The default engine,
 :class:`repro.san.compiled.CompiledSANSimulator`, subclasses it and
 replaces only the enablement queries (cached verdicts over a lowered
-model, plus clock-tick fast-forward); the batch engine drives compiled
-lanes.  The differential property suite in ``tests/property`` holds
-all three to identical metrics, completions, and random-stream
-consumption.  Every engine issues schedule/cancel operations in
+model, plus clock-tick fast-forward).  The differential property
+suite in ``tests/property`` holds both to identical metrics,
+completions, and random-stream consumption.  Every engine issues schedule/cancel operations in
 activity registration order, so event-queue insertion sequences — and
 therefore simultaneous-event tie-breaks — are identical.
 """

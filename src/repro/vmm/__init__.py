@@ -12,7 +12,6 @@ One builder per paper figure:
 
 from .job_scheduler import build_job_scheduler
 from .states import (
-    PRIORITY_APPLY_SCHEDULE,
     PRIORITY_APPLY_SCHEDULE_IN,
     PRIORITY_APPLY_SCHEDULE_OUT,
     PRIORITY_DISPATCH,
@@ -58,7 +57,6 @@ __all__ = [
     "new_pcpu_entry",
     "slot_is_active",
     "slot_is_busy",
-    "PRIORITY_APPLY_SCHEDULE",
     "PRIORITY_APPLY_SCHEDULE_IN",
     "PRIORITY_APPLY_SCHEDULE_OUT",
     "PRIORITY_PROCESS",

@@ -34,7 +34,6 @@ from ..schedulers.interface import PCPUState, VCPUStatus
 # the VCPU marked INACTIVE while the hypervisor holds a PCPU for it).
 PRIORITY_APPLY_SCHEDULE_OUT = 0  # Handle_Schedule_Out
 PRIORITY_APPLY_SCHEDULE_IN = 1  # Handle_Schedule_In
-PRIORITY_APPLY_SCHEDULE = PRIORITY_APPLY_SCHEDULE_OUT  # backward-compat alias
 PRIORITY_ACQUIRE = 9  # Acquire_lock (critical sections, before processing)
 PRIORITY_PROCESS = 10  # Processing_load / Spin_tick / Discard_tick
 PRIORITY_UNBLOCK = 20  # barrier release

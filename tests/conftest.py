@@ -67,3 +67,25 @@ def make_spec(topology, pcpus, scheduler="rrs", sync_ratio=5, sim_time=600,
         sim_time=sim_time,
         warmup=warmup,
     )
+
+
+def build_lane(spec, replication, root_seed, engine="batch"):
+    """One replication of ``spec`` as a bare ``build_simulator`` simulator.
+
+    The model is built the way :class:`~repro.core.framework.Simulation`
+    builds it, with the standard rewards attached.  Returns
+    ``(simulator, rewards)``.
+    """
+    from repro.core.framework import _build_model
+    from repro.core.registry import create_scheduler
+    from repro.metrics.rewards import standard_rewards
+    from repro.san import build_simulator
+
+    streams = StreamFactory(root_seed=root_seed, replication=replication)
+    algorithm = create_scheduler(spec.scheduler, **spec.scheduler_params)
+    system = _build_model(spec, algorithm, streams)
+    simulator = build_simulator(system, streams, engine=engine)
+    rewards = standard_rewards(system, warmup=spec.warmup)
+    for reward in rewards.values():
+        simulator.add_reward(reward)
+    return simulator, rewards

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -212,14 +213,7 @@ class TestParseKv:
 
 
 class TestBatchEngineFlag:
-    def test_batch_engine_matches_compiled(self, spec_file, capsys):
-        base = ["run", "--spec", spec_file, "--csv",
-                "--min-replications", "3", "--max-replications", "3"]
-        assert main(base + ["--engine", "compiled"]) == 0
-        compiled = capsys.readouterr().out
-        assert main(base + ["--engine", "batch"]) == 0
-        batch = capsys.readouterr().out
-        assert batch == compiled
+    """``--engine`` takes the two spec engines; ``batch`` is not one."""
 
     @staticmethod
     def assert_csv_identical_across_engines(tmp_path, capsys, reps, *health):
@@ -229,7 +223,7 @@ class TestBatchEngineFlag:
             "scheduler": "rrs", "sim_time": 600, "warmup": 100,
         }))
         outputs = {}
-        for engine in ("rescan", "compiled", "batch"):
+        for engine in ("rescan", "compiled"):
             assert main([
                 "run", "--spec", str(spec), "--seed", "7",
                 "--min-replications", reps, "--max-replications", reps,
@@ -238,7 +232,6 @@ class TestBatchEngineFlag:
             outputs[engine] = capsys.readouterr().out
         assert outputs["rescan"].startswith("label,")
         assert outputs["compiled"] == outputs["rescan"]
-        assert outputs["batch"] == outputs["rescan"]
 
     def test_plain_csv_byte_identical_across_engines(self, tmp_path, capsys):
         # The Figure-8 shape: every engine must print the same bytes.
@@ -282,7 +275,7 @@ class TestTraceAndProfileFlags:
         assert code == 0
         return trace
 
-    @pytest.mark.parametrize("engine", ["compiled", "rescan", "batch"])
+    @pytest.mark.parametrize("engine", ["compiled", "rescan"])
     def test_jsonl_trace_schema_and_order(self, smp_spec_file, tmp_path,
                                           capsys, engine):
         from repro.observability import check_trace
@@ -342,6 +335,18 @@ class TestTraceAndProfileFlags:
         assert any(record["kind"] == "sched.in" for record in compiled)
         assert compiled == load("rescan")
 
+    def test_engine_beside_resilience_flags_is_not_dropped(
+        self, smp_spec_file, tmp_path, capsys
+    ):
+        # --retries builds a resilience config; --engine must still reach
+        # every replication.
+        trace = self.run_traced(
+            smp_spec_file, tmp_path, "--engine", "rescan", "--retries", "1")
+        capsys.readouterr()
+        records = [json.loads(line) for line in open(trace, encoding="utf-8")]
+        engines = [r["engine"] for r in records if r["kind"] == "run.start"]
+        assert engines == ["rescan", "rescan"]
+
     def test_chrome_format(self, smp_spec_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.json")
         assert main(["run", "--spec", smp_spec_file, "--csv",
@@ -394,27 +399,29 @@ class TestTables:
 
 
 class TestFigures:
-    def test_quick_figure9_through_real_cli(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FIGURES_SIM_TIME", "300")
-        monkeypatch.setenv("REPRO_FIGURES_REPS", "2")
+    @pytest.fixture(autouse=True)
+    def tiny_protocol(self, monkeypatch):
+        # The quick protocol shrunk to CLI-test size.
+        monkeypatch.setitem(
+            cli.FIGURE_PROTOCOLS, "quick",
+            {"sim_time": 300, "replications": (2, 2)},
+        )
+
+    def test_quick_figure9_through_real_cli(self, capsys):
         assert main(["figures", "--figure", "9"]) == 0
         out = capsys.readouterr().out
         assert "Figure 9" in out
         assert "PCPU utilization" in out
 
-    def test_sweep_jobs_flag_matches_serial(self, capsys, monkeypatch):
+    def test_sweep_jobs_flag_matches_serial(self, capsys):
         # --sweep-jobs routes the figure through the interleaved engine,
         # whose tables must be identical to the serial default.
-        monkeypatch.setenv("REPRO_FIGURES_SIM_TIME", "300")
-        monkeypatch.setenv("REPRO_FIGURES_REPS", "2")
         assert main(["figures", "--figure", "9"]) == 0
         serial = capsys.readouterr().out
         assert main(["figures", "--figure", "9", "--sweep-jobs", "1"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_cache_dir_warms_figures(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FIGURES_SIM_TIME", "300")
-        monkeypatch.setenv("REPRO_FIGURES_REPS", "2")
+    def test_cache_dir_warms_figures(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         args = ["figures", "--figure", "9", "--cache-dir", cache]
         assert main(args) == 0

@@ -6,8 +6,16 @@ import pytest
 
 import repro.core.framework as framework
 import repro.core.registry as registry
-from repro.core import SystemSpec, VMSpec, WorkloadSpec, run_experiment, run_sweep
+from repro.core import (
+    SystemSpec,
+    VMSpec,
+    WorkloadSpec,
+    run_experiment,
+    run_interleaved_sweep,
+    run_sweep,
+)
 from repro.errors import ConfigurationError
+from repro.observability import SimTracer, tracing
 from repro.resilience import ResilienceConfig
 from repro.resilience.failures import FailureKind
 from repro.schedulers.round_robin import RoundRobinScheduler
@@ -96,6 +104,39 @@ class TestRunExperiment:
 #: (replication, attempt) the current process is simulating; set by the
 #: ``simulate_once`` wrapper the worker-death test installs.
 _CURRENT = [None]
+
+
+class TestEngineBesideResilience:
+    """An explicit ``engine=`` replaces the resilience config's field."""
+
+    @staticmethod
+    def _traced_engines(entry, spec, **kwargs):
+        protocol = dict(min_replications=2, max_replications=2, **kwargs)
+        tracer = SimTracer()
+        with tracing(tracer):
+            if entry == "run_experiment":
+                run_experiment(spec, **protocol)
+            elif entry == "run_sweep":
+                run_sweep(spec, [{"pcpus": 1}, {"pcpus": 2}], **protocol)
+            else:
+                run_interleaved_sweep([({}, spec)], **protocol)
+        return [r.data["engine"] for r in tracer.records if r.kind == "run.start"]
+
+    @pytest.mark.parametrize(
+        "entry", ["run_experiment", "run_sweep", "run_interleaved_sweep"]
+    )
+    def test_engine_beside_resilience_is_not_dropped(self, spec, entry):
+        engines = self._traced_engines(
+            entry, spec, engine="rescan",
+            resilience=ResilienceConfig(jobs=1, retries=1),
+        )
+        assert engines and set(engines) == {"rescan"}
+        # Without an explicit engine the config's own field stands.
+        engines = self._traced_engines(
+            entry, spec,
+            resilience=ResilienceConfig(jobs=1, retries=1, engine="rescan"),
+        )
+        assert engines and set(engines) == {"rescan"}
 
 
 class _DiesInReplicationOne(RoundRobinScheduler):

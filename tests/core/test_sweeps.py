@@ -382,6 +382,23 @@ class TestFloorOrder:
 class TestGroupedFloors:
     """Floor replications go out as grouped tasks on every engine."""
 
+    def test_floor_grants_are_batched(self, base, points):
+        outcome = run_interleaved_sweep(
+            resolve_sweep_points(base, points[:2]), **ARGS
+        )
+        log = outcome.stats.allocation_log
+        floors = [e for e in log if e["reason"] == REASON_FLOOR]
+        # The whole floor entitlement of a point fits one group.
+        assert {e["batch"] for e in floors} == {ARGS["min_replications"]}
+        # Adaptive grants stay single so executed still equals the cut.
+        for entry in log:
+            if entry["reason"] == REASON_ADAPTIVE:
+                assert entry["batch"] == 1
+        # Accounting counts members, not dispatches.
+        assert outcome.stats.executed == sum(
+            r.replications for r in outcome.results
+        )
+
     def test_width_splits_a_lone_point_across_workers(self, base):
         # One point, two workers: ceil(5 / 2) = 3, then the remaining 2
         # split 1 + 1, so both workers get floor work.
@@ -596,50 +613,6 @@ class TestSharedSweepPool:
         ] == []
 
 
-class TestBatchEngine:
-    def test_batch_interleaved_equals_serial_compiled(self, base, points):
-        serial = oracle(
-            base, points[:3], resilience=ResilienceConfig(engine="compiled"), **ARGS
-        )
-        batched = run_sweep(
-            base, points[:3], resilience=ResilienceConfig(engine="batch"), **ARGS
-        )
-        assert extract(batched) == serial
-
-    def test_floor_grants_are_batched(self, base, points):
-        outcome = run_interleaved_sweep(
-            resolve_sweep_points(base, points[:2]),
-            resilience=ResilienceConfig(engine="batch"),
-            **ARGS,
-        )
-        log = outcome.stats.allocation_log
-        floors = [e for e in log if e["reason"] == REASON_FLOOR]
-        # The whole floor entitlement of a point fits one group.
-        assert {e["batch"] for e in floors} == {ARGS["min_replications"]}
-        # Adaptive grants stay single so executed still equals the cut.
-        for entry in log:
-            if entry["reason"] == REASON_ADAPTIVE:
-                assert entry["batch"] == 1
-        # Accounting counts members, not dispatches.
-        assert outcome.stats.executed == sum(
-            r.replications for r in outcome.results
-        )
-
-    @pytest.mark.slow
-    def test_batch_pooled_equals_serial(self, base, points):
-        import multiprocessing
-
-        serial = oracle(
-            base, points[:3], resilience=ResilienceConfig(engine="compiled"), **ARGS
-        )
-        pooled = run_sweep(
-            base, points[:3], sweep_jobs=2,
-            resilience=ResilienceConfig(engine="batch"), **ARGS,
-        )
-        assert extract(pooled) == serial
-        assert multiprocessing.active_children() == []
-
-
 class TestAffinityKey:
     """Placement routes a point by the model cache's own key."""
 
@@ -649,7 +622,7 @@ class TestAffinityKey:
             spec=spec, root_seed=0, extra_probes=False,
             min_replications=2, max_replications=2,
             config=ResilienceConfig(engine=engine), checkpoint=None,
-            monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
+            scope="point0", monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
         )
         return _PointState(0, run)
 

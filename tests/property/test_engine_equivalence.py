@@ -1,12 +1,10 @@
-"""Differential tests: the three enablement engines must agree bit-for-bit.
+"""Differential tests: the two enablement engines must agree bit-for-bit.
 
 The compiled engine (the default) caches verdicts over a model lowered
-to flat arrays and fast-forwards idle clock ticks; the batch engine
-runs one replication as a one-lane ``run_lanes``, which is compiled on
-every VMM model (vectorized lanes need a fully-IR model); the rescan
-engine re-evaluates everything every step and is the semantic
-reference.  For a fixed ``(root_seed, replication)`` all three
-must be *bit-for-bit* identical — same metrics, same completion count —
+to flat arrays and fast-forwards idle clock ticks; the rescan engine
+re-evaluates everything every step and is the semantic reference.  For
+a fixed ``(root_seed, replication)`` both must be *bit-for-bit*
+identical — same metrics, same completion count —
 for every registered scheduler, with and without the resilience layers
 (decision guard, chaos injection) and the PCPU fail/repair extension.
 A point's floor group (one task, a ``simulate_once`` loop over one
@@ -25,22 +23,24 @@ after the golden normalization documented in
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.core.framework import Simulation, clear_model_cache, simulate_once
 from repro.core.registry import list_schedulers
 from repro.errors import ConfigurationError
-from repro.observability import SimTracer, check_trace
-from repro.observability import golden
+from repro.observability import SimTracer, check_trace, golden, tracing
 from repro.paper import figure8_sweep
-from repro.resilience import ChaosSpec, GuardPolicy
+from repro.resilience import ChaosSpec, GuardPolicy, ResilienceConfig
 from repro.resilience.executor import _execute_task, _Task
-from repro.san import ENGINES, resolve_engine
+from repro.san import ENGINES, BatchCompiledSANSimulator, resolve_engine
 
-from ..conftest import make_spec
+from ..conftest import build_lane, make_spec
+from ..service.conftest import SMALL_SPEC, run, running_server, small_payload
 
 # The engines under test, measured against the rescan reference.
 FAST_ENGINES = tuple(engine for engine in ENGINES if engine != "rescan")
@@ -253,6 +253,31 @@ def test_resolve_engine_rejects_unknown_names():
         simulate_once(small_spec("rrs"), engine="vectorized")
 
 
+def test_every_spec_surface_rejects_batch(tmp_path, capsys):
+    # "batch" builds SAN-level lanes only; every surface that takes a
+    # spec rejects it with the normal unknown-engine error.
+    assert ENGINES == ("rescan", "compiled")
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(SMALL_SPEC))
+    with pytest.raises(ConfigurationError, match="unknown enablement engine"):
+        Simulation(small_spec("rrs"), engine="batch")
+    with pytest.raises(ConfigurationError, match="unknown engine 'batch'"):
+        ResilienceConfig(engine="batch").validate()
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--spec", str(spec_file), "--engine", "batch"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'batch'" in capsys.readouterr().err
+
+    async def submit():
+        async with running_server() as (_, client):
+            return await client.submit(small_payload(engine="batch"))
+
+    status, response = run(submit())
+    assert status == 400
+    assert response["error"] == "ServiceError"
+    assert "unknown engine 'batch'" in response["message"]
+
+
 # -- compiled-engine specifics: clock-tick fast-forward -----------------------
 
 
@@ -386,11 +411,10 @@ def _serial_compiled(spec, replications):
 
 
 def _floor_group(spec, replications):
-    """Run ``replications`` as one grouped batch-engine floor task, as a
-    worker does."""
+    """Run ``replications`` as one grouped floor task, as a worker does."""
     payload = _execute_task(_Task(
         spec=spec, replications=tuple(replications), attempt=0, root_seed=7,
-        extra_probes=False, guard=None, chaos=None, engine="batch", reuse=True,
+        extra_probes=False, guard=None, chaos=None, engine="compiled",
     ))
     assert payload["ok"], payload
     return payload["runs"]
@@ -434,11 +458,22 @@ def test_floor_group_builds_one_model(monkeypatch):
     ]
 
 
+def _traced_lane(spec, engine):
+    """Replication 0 of ``spec`` on a bare ``build_simulator`` simulator."""
+    simulator, _rewards = build_lane(spec, 0, 7, engine=engine)
+    tracer = SimTracer()
+    with tracing(tracer):
+        simulator.run(spec.sim_time)
+    return simulator, tracer
+
+
 def test_batch_engine_single_run_equals_compiled_trace_for_trace():
-    # One lane through the batch driver is the degenerate case: its raw
+    # One lane through the lane driver is the degenerate case: its raw
     # trace must normalize to the compiled engine's.
-    tracer_batch = _traced(small_spec("rrs"), "batch")
-    tracer_compiled = _traced(small_spec("rrs"), "compiled")
+    lane, tracer_batch = _traced_lane(small_spec("rrs"), "batch")
+    assert isinstance(lane, BatchCompiledSANSimulator)
+    _simulator, tracer_compiled = _traced_lane(small_spec("rrs"), "compiled")
+    assert tracer_batch.records
     assert golden.normalize(tracer_batch.records) == golden.normalize(
         tracer_compiled.records
     )

@@ -5,11 +5,18 @@ must not change the surviving replications' estimates, and a
 killed-then-resumed run must produce byte-identical result tables.
 """
 
+import json
 import time
 
 import pytest
 
-from repro.core import SystemSpec, VMSpec, run_experiment, run_sweep
+from repro.core import (
+    SystemSpec,
+    VMSpec,
+    run_experiment,
+    run_interleaved_sweep,
+    run_sweep,
+)
 from repro.core.results import render_table, results_to_csv
 from repro.errors import CheckpointError, ConfigurationError, ReplicationError
 from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
@@ -261,6 +268,52 @@ class TestCheckpointResumeAcceptance:
                 resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
                 root_seed=999,
             )
+
+    def test_experiment_checkpoint_is_a_one_point_sweep_checkpoint(
+        self, noisy_spec, tmp_path
+    ):
+        # run_experiment is a one-point sweep: its file holds the same
+        # "point0" scope and records, and the sweep resumes it whole.
+        experiment = tmp_path / "experiment.jsonl"
+        sweep = tmp_path / "sweep.jsonl"
+        first = run(
+            noisy_spec,
+            resilience=ResilienceConfig(retries=0, checkpoint=str(experiment)),
+        )
+        run_sweep(
+            noisy_spec, [{}],
+            min_replications=3, max_replications=3, target_half_width=1e-9,
+            resilience=ResilienceConfig(retries=0, checkpoint=str(sweep)),
+        )
+        assert experiment.read_bytes() == sweep.read_bytes()
+        scopes = {json.loads(line)["scope"]
+                  for line in experiment.read_text().splitlines()}
+        assert scopes == {"point0"}
+        resumed = run_interleaved_sweep(
+            [({}, noisy_spec)],
+            min_replications=3, max_replications=3, target_half_width=1e-9,
+            resilience=ResilienceConfig(
+                retries=0, checkpoint=str(experiment), resume=True
+            ),
+        )
+        assert resumed.stats.executed == 0
+        assert sample_vectors(resumed.results[0]) == sample_vectors(first)
+
+    @pytest.mark.parametrize("entry", ["run_experiment", "run_sweep"])
+    def test_invalid_spec_leaves_the_checkpoint_untouched(
+        self, noisy_spec, tmp_path, entry
+    ):
+        path = tmp_path / "ckpt.jsonl"
+        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=str(path)))
+        before = path.read_bytes()
+        config = ResilienceConfig(retries=0, checkpoint=str(path))
+        with pytest.raises(ConfigurationError, match="pcpus"):
+            if entry == "run_experiment":
+                run(noisy_spec.with_overrides(pcpus=0), resilience=config)
+            else:
+                run_sweep(noisy_spec, [{"pcpus": 1}, {"pcpus": 0}],
+                          min_replications=2, resilience=config)
+        assert path.read_bytes() == before
 
     def test_sweep_resumes_mid_grid(self, noisy_spec, tmp_path):
         sweep = [{"pcpus": 1}, {"pcpus": 2}]

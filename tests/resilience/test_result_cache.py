@@ -5,14 +5,12 @@ import os
 
 import pytest
 
-from repro.core import SystemSpec, VMSpec
-from repro.metrics import ConvergenceMonitor
+from repro.core import SystemSpec, VMSpec, run_interleaved_sweep
 from repro.resilience import (
     ChaosSpec,
     ResilienceConfig,
     ResultCache,
     code_fingerprint,
-    run_replications,
 )
 from repro.resilience.executor import bind_cache
 from repro.resilience.result_cache import cacheable_spec_payload
@@ -240,85 +238,45 @@ class TestBindCache:
         assert default.key(0) == explicit.key(0)
 
 
-def _monitor():
-    return ConvergenceMonitor(
-        ["vcpu_availability", "pcpu_utilization", "vcpu_utilization"],
-        confidence=0.95,
-        target_half_width=0.1,
+def _sweep(spec, config, root_seed=0):
+    """One experiment through the sweep driver, with its accounting."""
+    return run_interleaved_sweep(
+        [({}, spec)],
+        root_seed=root_seed,
         min_replications=2,
+        max_replications=4,
+        resilience=config,
     )
+
+
+def _samples(outcome):
+    result = outcome.results[0]
+    return {name: est.values for name, est in result.estimates.items()}
 
 
 class TestExecutorIntegration:
     def test_warm_rerun_executes_nothing(self, spec, tmp_path):
         config = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
-        cold = run_replications(
-            spec,
-            root_seed=0,
-            extra_probes=False,
-            min_replications=2,
-            max_replications=4,
-            config=config,
-            monitor=_monitor(),
-        )
-        assert cold.executed == cold.replications
-        assert cold.cache_hits == 0
-        warm = run_replications(
-            spec,
-            root_seed=0,
-            extra_probes=False,
-            min_replications=2,
-            max_replications=4,
-            config=config,
-            monitor=_monitor(),
-        )
-        assert warm.executed == 0
-        assert warm.cache_hits == cold.replications
-        assert warm.samples == cold.samples
+        cold = _sweep(spec, config)
+        replications = cold.results[0].replications
+        assert cold.stats.executed == replications
+        assert cold.stats.cache_hits == 0
+        warm = _sweep(spec, config)
+        assert warm.stats.executed == 0
+        assert warm.stats.cache_hits == replications
+        assert _samples(warm) == _samples(cold)
 
     def test_cached_results_equal_uncached(self, spec, tmp_path):
-        plain = run_replications(
-            spec,
-            root_seed=0,
-            extra_probes=False,
-            min_replications=2,
-            max_replications=4,
-            config=ResilienceConfig(),
-            monitor=_monitor(),
-        )
+        plain = _sweep(spec, ResilienceConfig())
         config = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
         for _ in range(2):  # cold, then warm
-            cached = run_replications(
-                spec,
-                root_seed=0,
-                extra_probes=False,
-                min_replications=2,
-                max_replications=4,
-                config=config,
-                monitor=_monitor(),
-            )
-            assert cached.samples == plain.samples
-            assert cached.replications == plain.replications
+            cached = _sweep(spec, config)
+            assert _samples(cached) == _samples(plain)
+            assert cached.results[0].replications == plain.results[0].replications
 
     def test_root_seed_misses(self, spec, tmp_path):
         config = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
-        run_replications(
-            spec,
-            root_seed=0,
-            extra_probes=False,
-            min_replications=2,
-            max_replications=4,
-            config=config,
-            monitor=_monitor(),
-        )
-        other = run_replications(
-            spec,
-            root_seed=7,
-            extra_probes=False,
-            min_replications=2,
-            max_replications=4,
-            config=config,
-            monitor=_monitor(),
-        )
-        assert other.cache_hits == 0
-        assert other.executed == other.replications
+        _sweep(spec, config)
+        other = _sweep(spec, config, root_seed=7)
+        assert other.stats.cache_hits == 0
+        assert other.stats.executed == other.results[0].replications

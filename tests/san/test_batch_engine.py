@@ -1,11 +1,12 @@
-"""Unit tests for the batch compiled engine's lane protocol.
+"""Unit tests for the SAN-level lane protocol.
 
-The integration-level guarantees (bit-identity against the other three
-engines, dispatch fallback rules) live in
-``tests/property/test_engine_equivalence.py``; this file covers the
-lane driver itself: :func:`repro.san.run_lanes` on models the vector
-planner refuses (serial compiled, lane by lane), :func:`repro.san.place_matrix`
-snapshots, and the error paths.
+``build_simulator(model, streams, engine="batch")`` builds a compiled
+lane; this file covers the lane driver itself:
+:func:`repro.san.run_lanes` on models the vector planner refuses
+(serial compiled, lane by lane), :func:`repro.san.place_matrix`
+snapshots, and the error paths.  The lanes here carry the paper's VMM
+model, built the way :class:`~repro.core.framework.Simulation` builds
+it.
 """
 
 import numpy
@@ -15,7 +16,7 @@ from repro.core.framework import Simulation
 from repro.errors import ConfigurationError, SimulationError
 from repro.san import BatchCompiledSANSimulator, place_matrix, run_lanes
 
-from ..conftest import make_spec
+from ..conftest import build_lane, make_spec
 
 
 def _spec(scheduler="rrs", **overrides):
@@ -25,28 +26,26 @@ def _spec(scheduler="rrs", **overrides):
 
 
 def _lanes(replications, spec=None, root_seed=7):
+    """``(rewards per lane, lanes)`` for ``replications`` of ``spec``."""
     spec = spec if spec is not None else _spec()
-    sims = [
-        Simulation(spec, replication=rep, root_seed=root_seed, engine="batch")
-        for rep in replications
-    ]
-    return sims, [sim.simulator for sim in sims]
+    built = [build_lane(spec, rep, root_seed) for rep in replications]
+    return [rewards for _lane, rewards in built], [lane for lane, _ in built]
 
 
-def _metrics(sim):
+def _metrics(rewards):
     """A lane's reward values after ``run_lanes`` advanced it."""
-    return {name: reward.result() for name, reward in sim.rewards.items()}
+    return {name: reward.result() for name, reward in rewards.items()}
 
 
 class TestRunLanes:
     def test_lane_results_match_independent_runs(self):
         spec = _spec()
-        sims, lanes = _lanes(range(3), spec)
+        rewards, lanes = _lanes(range(3), spec)
         run_lanes(lanes, spec.sim_time)
-        for rep, (sim, lane) in enumerate(zip(sims, lanes)):
+        for rep, (lane_rewards, lane) in enumerate(zip(rewards, lanes)):
             solo = Simulation(spec, replication=rep, root_seed=7, engine="compiled")
             reference = solo.run()
-            assert _metrics(sim) == reference.metrics
+            assert _metrics(lane_rewards) == reference.metrics
             assert lane.completions == reference.completions
 
     @pytest.mark.parametrize("scheduler", ["rrs", "rcs"])
@@ -56,17 +55,17 @@ class TestRunLanes:
         # be its standalone compiled run, engine counters included, not
         # only its metrics.
         spec = _spec(scheduler)
-        sims, lanes = _lanes(range(3), spec)
+        rewards, lanes = _lanes(range(3), spec)
         stats = run_lanes(lanes, spec.sim_time)
         assert stats["vectorized"] == 0
-        for rep, (sim, lane) in enumerate(zip(sims, lanes)):
+        for rep, (lane_rewards, lane) in enumerate(zip(rewards, lanes)):
             solo = Simulation(spec, replication=rep, root_seed=7, engine="compiled")
             reference = solo.run()
             want = solo.simulator.stats()
             got = lane.stats()
             assert (got.pop("engine"), want.pop("engine")) == ("batch", "compiled")
             assert got == want
-            assert _metrics(sim) == reference.metrics
+            assert _metrics(lane_rewards) == reference.metrics
 
     def test_empty_lane_list_is_a_noop(self):
         stats = run_lanes([], 100.0)
@@ -75,20 +74,20 @@ class TestRunLanes:
 
     def test_all_lanes_reach_until(self):
         spec = _spec()
-        _sims, lanes = _lanes(range(3), spec)
+        _rewards, lanes = _lanes(range(3), spec)
         run_lanes(lanes, spec.sim_time)
         for lane in lanes:
             assert lane.clock.now == spec.sim_time
 
     def test_rejects_running_backwards(self):
         spec = _spec()
-        _sims, lanes = _lanes(range(2), spec)
+        _rewards, lanes = _lanes(range(2), spec)
         run_lanes(lanes, spec.sim_time)
         with pytest.raises(SimulationError):
             run_lanes(lanes, spec.sim_time / 2)
 
     def test_engine_name(self):
-        _sims, lanes = _lanes(range(1))
+        _rewards, lanes = _lanes(range(1))
         assert isinstance(lanes[0], BatchCompiledSANSimulator)
         assert lanes[0].engine == "batch"
 
@@ -96,7 +95,7 @@ class TestRunLanes:
 class TestPlaceMatrix:
     def test_shape_and_dtype(self):
         spec = _spec()
-        _sims, lanes = _lanes(range(3), spec)
+        _rewards, lanes = _lanes(range(3), spec)
         matrix = place_matrix(lanes)
         assert matrix.dtype == numpy.int64
         assert matrix.shape[0] == 3
@@ -106,7 +105,7 @@ class TestPlaceMatrix:
 
     def test_rows_diverge_with_replication_streams(self):
         spec = _spec("rcs")
-        _sims, lanes = _lanes(range(2), spec)
+        _rewards, lanes = _lanes(range(2), spec)
         run_lanes(lanes, spec.sim_time)
         matrix = place_matrix(lanes)
         # Different RNG streams: final markings are (overwhelmingly)
@@ -124,8 +123,8 @@ class TestPlaceMatrix:
         assert place_matrix([]).shape == (0, 0)
 
     def test_mismatched_lanes_rejected(self):
-        _sims_a, lanes_a = _lanes(range(1), _spec())
-        _sims_b, lanes_b = _lanes(range(1), make_spec([1], pcpus=1, sim_time=200,
+        _rewards_a, lanes_a = _lanes(range(1), _spec())
+        _rewards_b, lanes_b = _lanes(range(1), make_spec([1], pcpus=1, sim_time=200,
                                                       warmup=20))
         with pytest.raises(ConfigurationError):
             place_matrix([lanes_a[0], lanes_b[0]])

@@ -434,7 +434,6 @@ class TestCompletionErrors:
         # settle loop's batched counting must add up at the boundary.
         from repro.san import build_simulator
         from repro.san import exprs as E
-        from repro.san import gates as gates_module
 
         m = SANModel("pipeline")
         src = m.add_place(Place("src"))
@@ -456,12 +455,11 @@ class TestCompletionErrors:
             output_gates=[OutputGate("to_dst", dst.add)],
         ))
         sim = build_simulator(m, StreamFactory(1), engine="compiled")
-        before = gates_module.evaluation_count()
         sim.run(until=5.5)
         first = sim.gate_evaluations
-        assert gates_module.evaluation_count() - before == first
+        assert sim.stats()["gate_evaluations"] == first == sim.refreshes
         sim.run(until=10.5)
-        assert gates_module.evaluation_count() - before == sim.gate_evaluations
+        assert sim.stats()["gate_evaluations"] == sim.gate_evaluations
         assert sim.gate_evaluations > first
         assert sim.gate_evaluations == sim.refreshes
         assert dst.tokens == 10

@@ -32,7 +32,7 @@ payloads = st.fixed_dictionaries(
         "target_half_width": st.floats(min_value=0.01, max_value=2.0),
         "root_seed": st.integers(min_value=0, max_value=2**31),
         "extra_probes": st.booleans(),
-        "engine": st.none() | st.sampled_from(["rescan", "compiled", "batch"]),
+        "engine": st.none() | st.sampled_from(["rescan", "compiled"]),
     },
 )
 

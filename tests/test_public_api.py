@@ -112,7 +112,6 @@ def test_resilience_api():
         GuardedScheduler,
         ReplicationOutcome,
         retry_seed,
-        run_replications,
     )
     from repro.schedulers import validate_decisions  # noqa: F401
 
