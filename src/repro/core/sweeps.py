@@ -943,6 +943,7 @@ def run_interleaved_sweep(
     checkpoint: Optional[CheckpointStore] = None
     if resilience.checkpoint:
         checkpoint = CheckpointStore(resilience.checkpoint, resume=resilience.resume)
+        checkpoint.hold()
     runs: List[_Run] = []
     try:
         for index, (_point, spec) in enumerate(points):
@@ -964,6 +965,8 @@ def run_interleaved_sweep(
             )
             run.prime()
             runs.append(run)
+        if checkpoint is not None:
+            checkpoint.settle()
         allocation_log = drive_runs(
             runs, jobs=jobs, timeout=resilience.timeout, pool=pool, progress=progress
         )

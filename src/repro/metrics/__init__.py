@@ -30,7 +30,6 @@ from .rewards import (
 )
 from .stats import (
     ConvergenceMonitor,
-    ReplicationEstimator,
     RunningStats,
     confidence_interval,
     jain_fairness,
@@ -64,6 +63,5 @@ __all__ = [
     "confidence_interval",
     "t_quantile",
     "ConvergenceMonitor",
-    "ReplicationEstimator",
     "jain_fairness",
 ]

@@ -8,8 +8,6 @@ provides the estimators:
 * :class:`RunningStats` — Welford's online mean/variance (numerically
   stable, single pass);
 * :func:`confidence_interval` — Student-t interval over a sample;
-* :class:`ReplicationEstimator` — feeds replications in one at a time
-  and answers "is the half-width small enough yet?";
 * :class:`ConvergenceMonitor` — the one-pass (Welford) multi-metric
   stopping rule the experiment runner and sweep scheduler use; exact
   same values as :func:`confidence_interval` over every prefix;
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, StatisticsError
 
@@ -308,52 +306,6 @@ class ConvergenceMonitor:
             max(half_width - self.target_half_width, 0.0)
             for half_width in self.half_widths().values()
         )
-
-
-class ReplicationEstimator:
-    """Sequential stopping rule: replicate until the CI is tight enough.
-
-    Mirrors the Mobius simulator's behaviour the paper relies on: keep
-    adding independent replications until the confidence interval
-    half-width drops below the target (here: the paper's "< 0.1").
-
-    Example:
-        >>> est = ReplicationEstimator(confidence=0.95, target_half_width=0.1)
-        >>> for x in [0.50, 0.52, 0.51, 0.49, 0.50]:
-        ...     est.push(x)
-        >>> est.satisfied(min_replications=5)
-        True
-    """
-
-    def __init__(self, confidence: float = 0.95, target_half_width: float = 0.1) -> None:
-        if not 0 < confidence < 1:
-            raise StatisticsError(f"confidence must be in (0, 1), got {confidence}")
-        if target_half_width <= 0:
-            raise StatisticsError(
-                f"target_half_width must be > 0, got {target_half_width}"
-            )
-        self.confidence = confidence
-        self.target_half_width = target_half_width
-        self.values: List[float] = []
-
-    def push(self, value: float) -> None:
-        """Record one replication's result."""
-        self.values.append(float(value))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def estimate(self) -> Tuple[float, float]:
-        """Current ``(mean, half_width)``."""
-        return confidence_interval(self.values, self.confidence)
-
-    def satisfied(self, min_replications: int = 2) -> bool:
-        """True once enough replications give a tight enough interval."""
-        if self.n < max(2, min_replications):
-            return False
-        _, half_width = self.estimate()
-        return half_width < self.target_half_width
 
 
 def jain_fairness(values: Sequence[float]) -> float:

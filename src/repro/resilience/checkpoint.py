@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import CheckpointError
 
@@ -49,6 +49,11 @@ def fingerprint(payload: Any) -> str:
 class CheckpointStore:
     """Append-only JSONL store of resolved replications.
 
+    A sweep opens its scopes between :meth:`hold` and :meth:`settle`:
+    a resume that fails there leaves the file as it was, and one that
+    succeeds drops the scopes no point opened (such as a pre-sweep
+    ``experiment`` scope), so dead records do not pile up.
+
     Args:
         path: checkpoint file; created (with parent directories) on the
             first write.
@@ -61,6 +66,8 @@ class CheckpointStore:
         self.path = str(path)
         self._scopes: Dict[str, str] = {}
         self._records: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        self._opened: Set[str] = set()
+        self._held: Optional[List[Dict[str, Any]]] = None
         if resume and os.path.exists(self.path):
             self._load()
         elif not resume and os.path.exists(self.path):
@@ -110,6 +117,7 @@ class CheckpointStore:
                 experiment and must not be resumed against.
         """
         existing = self._scopes.get(scope)
+        self._opened.add(scope)
         if existing is not None:
             if existing != scope_fingerprint:
                 raise CheckpointError(
@@ -149,7 +157,34 @@ class CheckpointStore:
         self._records[key] = record
         self._append(record)
 
+    def hold(self) -> None:
+        """Buffer every write until :meth:`settle`; :meth:`close` drops them."""
+        self._held = []
+
+    def settle(self) -> None:
+        """Write the held records, or rewrite the file without dead scopes."""
+        held, self._held = self._held, None
+        if set(self._scopes) <= self._opened:
+            for record in held or ():
+                self._append(record)
+            return
+        self.close()
+        live = [
+            {"kind": "scope", "scope": scope, "fingerprint": digest}
+            for scope, digest in self._scopes.items()
+            if scope in self._opened
+        ]
+        live += [r for (scope, _), r in self._records.items() if scope in self._opened]
+        temporary = self.path + ".tmp"
+        with open(temporary, "w", encoding="utf-8") as handle:
+            for record in live:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(temporary, self.path)
+
     def _append(self, record: Dict[str, Any]) -> None:
+        if self._held is not None:
+            self._held.append(record)
+            return
         if self._handle is None:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
@@ -158,6 +193,7 @@ class CheckpointStore:
         self._handle.flush()
 
     def close(self) -> None:
+        self._held = None
         if self._handle is not None:
             self._handle.close()
             self._handle = None

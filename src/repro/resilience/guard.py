@@ -7,7 +7,8 @@ wraps every :meth:`SchedulingAlgorithm.schedule` call and
 * converts raised exceptions and invalid decisions (double-assigned
   PCPU, out-of-range ids, schedule_in on a FAILED PCPU, ...) into
   structured :class:`~repro.resilience.failures.ReplicationFailure`
-  records instead of lost tracebacks;
+  records instead of lost tracebacks (its check, ``validate_decisions``,
+  is the ``Scheduling_Func`` gate's own rule and messages);
 * in ``fail_fast`` mode (the default) re-raises as
   :class:`~repro.errors.SchedulingError` so the replication dies
   immediately — the executor then retries it under a fresh seed;
@@ -30,6 +31,7 @@ from ..schedulers.interface import (
     PCPUView,
     SchedulingAlgorithm,
     VCPUHostView,
+    clear_decisions,
     validate_decisions,
 )
 from ..schedulers.round_robin import RoundRobinScheduler
@@ -72,15 +74,6 @@ class GuardPolicy:
             mode=payload.get("mode", "fail_fast"),
             quarantine_after=int(payload.get("quarantine_after", 3)),
         )
-
-
-def _clear_decisions(vcpus: List[VCPUHostView]) -> None:
-    """Discard every output field a faulty schedule call may have set."""
-    for view in vcpus:
-        view.schedule_in = False
-        view.schedule_out = False
-        view.next_timeslice = None
-        view.next_pcpu = None
 
 
 class GuardedScheduler(SchedulingAlgorithm):
@@ -177,7 +170,7 @@ class GuardedScheduler(SchedulingAlgorithm):
         # Degrade mode: the faulty tick's decisions are discarded whole —
         # validation ran before any state was touched, so the model is
         # still consistent and this tick simply makes no decision.
-        _clear_decisions(vcpus)
+        clear_decisions(vcpus)
         self._consecutive_faults += 1
         if self._consecutive_faults >= self.policy.quarantine_after:
             self.quarantined = True

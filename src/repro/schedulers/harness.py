@@ -3,8 +3,9 @@
 Users writing a new algorithm (the paper's "idea-based" evaluation
 workflow) often want to poke it tick by tick without assembling the
 full SAN system.  :class:`SchedulerHarness` is a miniature hypervisor:
-it owns the view arrays, performs the same timeslice accounting and
-decision validation as the real ``Scheduling_Func`` gate, and exposes
+it owns the view arrays, performs the same timeslice accounting as the
+real ``Scheduling_Func`` gate, resolves decisions with the gate's own
+:func:`~repro.schedulers.interface.resolve_decisions`, and exposes
 counters for quick fairness/utilization checks.
 
 It deliberately has **no workload model** — drive loads by hand with
@@ -21,7 +22,7 @@ Example:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import SchedulingError
 from .interface import (
@@ -29,7 +30,9 @@ from .interface import (
     PCPUView,
     SchedulingAlgorithm,
     VCPUHostView,
-    VCPUStatus,
+    clear_decisions,
+    resolve_decisions,
+    vcpu_status,
 )
 
 
@@ -116,32 +119,28 @@ class SchedulerHarness:
             if view.timeslice <= 0:
                 self._release(view)
 
-        # 2. The algorithm's decision.
-        for view in self.views:
-            view.schedule_in = False
-            view.schedule_out = False
-            view.next_timeslice = None
-            view.next_pcpu = None
+        # 2. The algorithm's decision, checked against the harness's own
+        # state, its views (a rejected tick raises before anything applies).
+        clear_decisions(self.views)
         self.algorithm.schedule(
             self.views, len(self.views), self.pcpus, self.num_pcpus, self.now
         )
+        held = [view.pcpu for view in self.views]
+        states = [pcpu.state for pcpu in self.pcpus]
+        outs, ins = resolve_decisions(
+            self.views, held, states, self.algorithm.timeslice, self.algorithm.name
+        )
 
-        # 3. Validate and apply: outs first, then ins.
-        for view in self.views:
-            if view.schedule_in and view.schedule_out:
-                raise SchedulingError(
-                    f"VCPU {view.vcpu_id}: schedule_in and schedule_out in one tick"
-                )
-        for view in self.views:
-            if view.schedule_out:
-                if view.pcpu is None:
-                    raise SchedulingError(
-                        f"VCPU {view.vcpu_id}: schedule_out without a PCPU"
-                    )
-                self._release(view)
-        for view in self.views:
-            if view.schedule_in:
-                self._admit(view)
+        # 3. Apply: outs first, then ins.
+        for vcpu_id in outs:
+            self._release(self.views[vcpu_id])
+        for vcpu_id, pcpu_index, timeslice in ins:
+            view = self.views[vcpu_id]
+            self.pcpus[pcpu_index].state = PCPUState.ASSIGNED
+            self.pcpus[pcpu_index].vcpu = vcpu_id
+            view.pcpu, view.timeslice = pcpu_index, timeslice
+            view.last_scheduled_in = self.now
+            self._refresh_status(view)
 
         # 4. Processing: every active VCPU with work burns one tick.
         for view in self.views:
@@ -164,12 +163,7 @@ class SchedulerHarness:
 
     def _refresh_status(self, view: VCPUHostView) -> None:
         view.remaining_load = self._loads[view.vcpu_id]
-        if view.pcpu is None:
-            view.status = VCPUStatus.INACTIVE
-        elif view.remaining_load > 0:
-            view.status = VCPUStatus.BUSY
-        else:
-            view.status = VCPUStatus.READY
+        view.status = vcpu_status(view.pcpu, view.remaining_load)
 
     def _release(self, view: VCPUHostView) -> None:
         pcpu = self.pcpus[view.pcpu]
@@ -177,46 +171,6 @@ class SchedulerHarness:
         pcpu.vcpu = None
         view.pcpu = None
         view.timeslice = 0
-        self._refresh_status(view)
-
-    def _admit(self, view: VCPUHostView) -> None:
-        if view.pcpu is not None:
-            raise SchedulingError(
-                f"VCPU {view.vcpu_id}: schedule_in while already on PCPU {view.pcpu}"
-            )
-        pcpu_index: Optional[int] = view.next_pcpu
-        if pcpu_index is None:
-            pcpu_index = next(
-                (p.pcpu_id for p in self.pcpus if p.state == PCPUState.IDLE), None
-            )
-            if pcpu_index is None:
-                raise SchedulingError(
-                    f"VCPU {view.vcpu_id}: schedule_in but no PCPU is free"
-                )
-        else:
-            if not 0 <= pcpu_index < self.num_pcpus:
-                raise SchedulingError(
-                    f"VCPU {view.vcpu_id}: requested PCPU {pcpu_index} out of range"
-                )
-            if self.pcpus[pcpu_index].state != PCPUState.IDLE:
-                raise SchedulingError(
-                    f"VCPU {view.vcpu_id}: requested PCPU {pcpu_index} is busy"
-                )
-        timeslice = (
-            view.next_timeslice
-            if view.next_timeslice is not None
-            else self.algorithm.timeslice
-        )
-        if timeslice < 1:
-            raise SchedulingError(
-                f"VCPU {view.vcpu_id}: timeslice {timeslice} must be >= 1"
-            )
-        pcpu = self.pcpus[pcpu_index]
-        pcpu.state = PCPUState.ASSIGNED
-        pcpu.vcpu = view.vcpu_id
-        view.pcpu = pcpu_index
-        view.timeslice = timeslice
-        view.last_scheduled_in = self.now
         self._refresh_status(view)
 
     # -- observation -----------------------------------------------------------

@@ -24,14 +24,15 @@ Decision protocol (per hypervisor clock tick):
   ``schedule_out = True`` (relinquish the PCPU now) and/or
   ``schedule_in = True`` (assign a PCPU now, optionally choosing
   ``pcpu`` and ``timeslice``);
-* the framework validates and applies the decisions; inconsistent
-  decisions raise :class:`repro.errors.SchedulingError`.
+* the framework checks and applies them with :func:`resolve_decisions`;
+  an inconsistent tick raises :class:`repro.errors.SchedulingError`
+  and applies nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SchedulingError
 
@@ -292,6 +293,116 @@ class SchedulingAlgorithm:
         return f"{type(self).__name__}(timeslice={self.timeslice})"
 
 
+def vcpu_status(pcpu: Optional[int], remaining_load: int) -> str:
+    """A VCPU's status from the PCPU it holds and its pending work."""
+    if pcpu is None:
+        return VCPUStatus.INACTIVE
+    if remaining_load > 0:
+        return VCPUStatus.BUSY
+    return VCPUStatus.READY
+
+
+def clear_decisions(vcpus: List[VCPUHostView]) -> None:
+    """Reset every output field a schedule call may have set."""
+    for view in vcpus:
+        view.schedule_in = False
+        view.schedule_out = False
+        view.next_timeslice = None
+        view.next_pcpu = None
+
+
+def resolve_decisions(
+    vcpus: Sequence[VCPUHostView],
+    held: Mapping[int, Optional[int]],
+    states: Sequence[str],
+    default_timeslice: int,
+    algorithm_name: str,
+) -> Tuple[List[int], List[Tuple[int, int, int]]]:
+    """Check one tick's decisions and return the plan that applies them.
+
+    The one decision rule: the ``Scheduling_Func`` gate, the
+    :class:`~repro.schedulers.harness.SchedulerHarness` and
+    :func:`validate_decisions` all run it.  Decisions come from the
+    views' output fields; the state they are checked against is the
+    caller's: ``held[vcpu_id]`` is the PCPU that VCPU holds, or None (a
+    list indexed by VCPU id will do), and ``states`` lists every PCPU's
+    state.
+
+    Returns:
+        ``(outs, ins)``: the VCPU ids to deschedule, then one
+        ``(vcpu_id, pcpu, timeslice)`` per schedule-in, with the default
+        PCPU (the lowest IDLE one once the outs and earlier ins apply)
+        and the default timeslice filled in.  Applying the outs, then
+        the ins in order, is exactly what was checked.
+
+    Raises:
+        SchedulingError: naming the first inconsistent decision (see
+            ``tests/schedulers/test_decision_rule.py`` for each message);
+            a rejected tick plans nothing.
+    """
+    decided = [view for view in vcpus if view.schedule_in or view.schedule_out]
+    if not decided:
+        return [], []
+    for view in decided:
+        if view.schedule_in and view.schedule_out:
+            raise SchedulingError(
+                f"{algorithm_name}: VCPU {view.vcpu_id} marked for both "
+                "schedule_in and schedule_out in one tick"
+            )
+    states = list(states)
+    outs: List[int] = []
+    for view in decided:
+        if not view.schedule_out:
+            continue
+        pcpu = held[view.vcpu_id]
+        if pcpu is None:
+            raise SchedulingError(
+                f"{algorithm_name}: schedule_out for VCPU {view.vcpu_id}, "
+                "which holds no PCPU"
+            )
+        states[pcpu] = PCPUState.IDLE
+        outs.append(view.vcpu_id)
+    ins: List[Tuple[int, int, int]] = []
+    for view in decided:
+        if not view.schedule_in:
+            continue
+        if held[view.vcpu_id] is not None:
+            raise SchedulingError(
+                f"{algorithm_name}: schedule_in for VCPU {view.vcpu_id}, "
+                "which already holds a PCPU"
+            )
+        target = view.next_pcpu
+        if target is None:
+            if PCPUState.IDLE not in states:
+                raise SchedulingError(
+                    f"{algorithm_name}: schedule_in for VCPU {view.vcpu_id} "
+                    "but no PCPU is free (over-commitment in one tick)"
+                )
+            target = states.index(PCPUState.IDLE)
+        elif not 0 <= target < len(states):
+            raise SchedulingError(
+                f"{algorithm_name}: VCPU {view.vcpu_id} requested PCPU "
+                f"{target}, outside 0..{len(states) - 1}"
+            )
+        elif states[target] != PCPUState.IDLE:
+            which = "FAILED" if states[target] == PCPUState.FAILED else "not idle"
+            raise SchedulingError(
+                f"{algorithm_name}: VCPU {view.vcpu_id} requested PCPU "
+                f"{target}, which is {which}"
+            )
+        timeslice = view.next_timeslice
+        if timeslice is None:
+            timeslice = default_timeslice
+        if timeslice < 1:
+            raise SchedulingError(
+                f"{algorithm_name}: VCPU {view.vcpu_id} granted a timeslice "
+                f"of {timeslice}; must be >= 1"
+            )
+        states[target] = PCPUState.ASSIGNED
+        ins.append((view.vcpu_id, target, timeslice))
+    return outs, ins
+
+
 def validate_decisions(
     vcpus: List[VCPUHostView],
     pcpus: List[PCPUView],
@@ -301,83 +412,13 @@ def validate_decisions(
 ) -> None:
     """Check one tick's decisions without applying them.
 
-    Mirrors the ``Scheduling_Func`` gate's apply-time semantics exactly
-    (outs applied first, then ins in array order against the evolving
-    PCPU states), so a decision set that passes here is guaranteed to
-    apply cleanly.  The resilience layer's decision guard runs this
-    *before* the framework mutates any model state, which is what lets
-    it discard a faulty tick instead of corrupting the replication.
-
-    Raises:
-        SchedulingError: naming the first inconsistent decision —
-            schedule_in+schedule_out conflicts, schedule_out without a
-            PCPU, schedule_in while already holding one, out-of-range
-            or non-idle (including FAILED) PCPU requests, double
-            assignment of one PCPU, over-commitment, or a timeslice
-            below 1.
+    This *is* the ``Scheduling_Func`` gate's rule, :func:`resolve_decisions`,
+    run against the state the views show.  The decision guard runs it
+    before any model state changes, so it can discard a faulty tick.
     """
-    states = [p.state for p in pcpus]
-    for view in vcpus:
-        if view.schedule_in and view.schedule_out:
-            raise SchedulingError(
-                f"{algorithm_name}: VCPU {view.vcpu_id} marked for both "
-                "schedule_in and schedule_out in one tick"
-            )
-    for view in vcpus:
-        if not view.schedule_out:
-            continue
-        if view.pcpu is None:
-            raise SchedulingError(
-                f"{algorithm_name}: schedule_out for VCPU {view.vcpu_id}, "
-                "which holds no PCPU"
-            )
-        states[view.pcpu] = PCPUState.IDLE
-    for view in vcpus:
-        if not view.schedule_in:
-            continue
-        if view.pcpu is not None:
-            raise SchedulingError(
-                f"{algorithm_name}: schedule_in for VCPU {view.vcpu_id}, "
-                "which already holds a PCPU"
-            )
-        target = view.next_pcpu
-        if target is None:
-            target = next(
-                (i for i, state in enumerate(states) if state == PCPUState.IDLE),
-                None,
-            )
-            if target is None:
-                raise SchedulingError(
-                    f"{algorithm_name}: schedule_in for VCPU {view.vcpu_id} "
-                    "but no PCPU is free (over-commitment in one tick)"
-                )
-        else:
-            if not 0 <= target < num_pcpu:
-                raise SchedulingError(
-                    f"{algorithm_name}: VCPU {view.vcpu_id} requested PCPU "
-                    f"{target}, outside 0..{num_pcpu - 1}"
-                )
-            if states[target] == PCPUState.FAILED:
-                raise SchedulingError(
-                    f"{algorithm_name}: VCPU {view.vcpu_id} requested PCPU "
-                    f"{target}, which is FAILED"
-                )
-            if states[target] != PCPUState.IDLE:
-                raise SchedulingError(
-                    f"{algorithm_name}: VCPU {view.vcpu_id} requested PCPU "
-                    f"{target}, which is not idle"
-                )
-        timeslice = (
-            view.next_timeslice
-            if view.next_timeslice is not None
-            else default_timeslice
-        )
-        if timeslice < 1:
-            raise SchedulingError(
-                f"{algorithm_name}: VCPU {view.vcpu_id} granted a timeslice "
-                f"of {timeslice}; must be >= 1"
-            )
-        states[target] = PCPUState.ASSIGNED
+    held = {view.vcpu_id: view.pcpu for view in vcpus}
+    states = [pcpus[i].state for i in range(num_pcpu)]
+    resolve_decisions(vcpus, held, states, default_timeslice, algorithm_name)
 
 
 ScheduleFunction = Callable[

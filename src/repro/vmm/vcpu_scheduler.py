@@ -20,7 +20,8 @@ The hypervisor side of the framework.  Its components, following
 * **Scheduling_Func** — the output gate that builds the
   ``VCPU_host_external`` / ``PCPU_external`` view arrays, calls the
   plugged :class:`~repro.schedulers.interface.SchedulingAlgorithm`
-  (the paper's user C function), validates its decisions, and applies
+  (the paper's user C function), checks its decisions with
+  :func:`~repro.schedulers.interface.resolve_decisions`, and applies
   them: freeing/assigning PCPUs, granting timeslices, stamping
   ``Last_Scheduled_In``, and depositing Schedule_In / Schedule_Out
   tokens for the VCPU models.
@@ -61,7 +62,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..des.distributions import Deterministic, Exponential
 from ..des.random_streams import StreamFactory
-from ..errors import ConfigurationError, ModelError, SchedulingError
+from ..errors import ConfigurationError, ModelError
 from ..observability import profile as _profile
 from ..observability import trace as _trace
 from ..resilience.degradation import (
@@ -85,6 +86,8 @@ from ..schedulers.interface import (
     SchedulingAlgorithm,
     VCPUHostView,
     VCPUStatus,
+    resolve_decisions,
+    vcpu_status,
 )
 from .states import PRIORITY_MAINT, PRIORITY_SCHEDULER, new_pcpu_entry, new_slot
 
@@ -574,18 +577,23 @@ def build_vcpu_scheduler(
                 tracer.emit(_trace.HV_OVERHEAD, vcpu=g, pcpu=pcpu_index,
                             cost=hv_cost)
 
+    def _out_of_service(i: int, reason: str) -> Optional[int]:
+        """Mark PCPU i FAILED, descheduling its holder; returns the victim."""
+        entry = pcpus.value[i]
+        victim = None
+        if entry["state"] == PCPUState.ASSIGNED:
+            victim = entry["vcpu"]
+            _deschedule(victim, reason=reason)
+        pcpus.value[i] = {"state": PCPUState.FAILED, "vcpu": None}
+        return victim
+
     # -- optional dependability process: PCPU fail/repair --------------------
 
     if failures is not None:
         for pcpu_index in range(num_pcpus):
 
             def fail(i: int = pcpu_index) -> None:
-                entry = pcpus.value[i]
-                victim = None
-                if entry["state"] == PCPUState.ASSIGNED:
-                    victim = entry["vcpu"]
-                    _deschedule(victim, reason=_trace.OUT_PCPU_FAILURE)
-                pcpus.value[i] = {"state": PCPUState.FAILED, "vcpu": None}
+                victim = _out_of_service(i, _trace.OUT_PCPU_FAILURE)
                 tracer = _trace._ACTIVE
                 if tracer is not None:
                     tracer.emit(_trace.PCPU_FAIL, pcpu=i, victim=victim)
@@ -663,12 +671,7 @@ def build_vcpu_scheduler(
                                 to_health=new_h, capacity=capacity[new_h])
                 if new_h >= h_max:
                     # Terminal: feed the existing fail machinery.
-                    pcpu_entry = pcpus.value[i]
-                    victim = None
-                    if pcpu_entry["state"] == PCPUState.ASSIGNED:
-                        victim = pcpu_entry["vcpu"]
-                        _deschedule(victim, reason=_trace.OUT_PCPU_FAILURE)
-                    pcpus.value[i] = {"state": PCPUState.FAILED, "vcpu": None}
+                    victim = _out_of_service(i, _trace.OUT_PCPU_FAILURE)
                     entry["failed"] = 1
                     if tracer is not None:
                         tracer.emit(_trace.PCPU_FAIL, pcpu=i, victim=victim)
@@ -713,13 +716,8 @@ def build_vcpu_scheduler(
                 crews.remove()
                 entry["maint"] = 1
                 entry["due"] = 0
-                pcpu_entry = pcpus.value[i]
-                victim = None
-                if pcpu_entry["state"] == PCPUState.ASSIGNED:
-                    victim = pcpu_entry["vcpu"]
-                    _deschedule(victim, reason=_trace.OUT_MAINTENANCE)
                 # Out of service for the repair's duration.
-                pcpus.value[i] = {"state": PCPUState.FAILED, "vcpu": None}
+                victim = _out_of_service(i, _trace.OUT_MAINTENANCE)
                 tracer = _trace._ACTIVE
                 if tracer is not None:
                     tracer.emit(_trace.MAINT_START, pcpu=i, policy=policy,
@@ -801,14 +799,6 @@ def build_vcpu_scheduler(
                     )
                 )
 
-    def _status_of(g: int) -> str:
-        """Hypervisor view of a slot's status (authoritative mid-tick)."""
-        if pcpu_places[g].peek() is None:
-            return VCPUStatus.INACTIVE
-        if slot_value_places[g].peek()["remaining_load"] > 0:
-            return VCPUStatus.BUSY
-        return VCPUStatus.READY
-
     def run_scheduling_func() -> None:
         profiler = _profile._ACTIVE
         if profiler is not None:
@@ -838,23 +828,29 @@ def build_vcpu_scheduler(
         # 2. Build the in/out view arrays the C interface passes.  The
         # views copy what they show, so every read here is a peek: an
         # observation must not invalidate the gates watching the slots.
+        # ``held`` and ``states`` keep the marking's own copy of what the
+        # decisions are checked against: the algorithm may rewrite views.
         views: List[VCPUHostView] = []
+        held: List[Optional[int]] = []
         for g in range(total_vcpus):
             vm_id, vcpu_index = slot_map[g]
             slot = slot_value_places[g].peek()
+            pcpu_index = pcpu_places[g].peek()
+            held.append(pcpu_index)
             views.append(
                 VCPUHostView(
                     vcpu_id=g,
                     vm_id=vm_id,
                     vcpu_index=vcpu_index,
-                    status=_status_of(g),
+                    status=vcpu_status(pcpu_index, slot["remaining_load"]),
                     remaining_load=slot["remaining_load"],
                     sync_point=slot["sync_point"],
                     last_scheduled_in=last_in_places[g].peek(),
                     timeslice=timeslice_places[g].tokens,
-                    pcpu=pcpu_places[g].peek(),
+                    pcpu=pcpu_index,
                 )
             )
+        states = [entry["state"] for entry in pcpus.peek()]
         if health is None:
             pcpu_views = [
                 PCPUView(pcpu_id=i, state=entry["state"], vcpu=entry["vcpu"])
@@ -881,67 +877,13 @@ def build_vcpu_scheduler(
             with profiler.section("vmm.algorithm"):
                 algorithm.schedule(views, len(views), pcpu_views, num_pcpus, now)
 
-        # 4. Validate and apply its decisions: outs first, then ins.
-        for view in views:
-            if view.schedule_in and view.schedule_out:
-                raise SchedulingError(
-                    f"{algorithm.name}: VCPU {view.vcpu_id} marked for both "
-                    "schedule_in and schedule_out in one tick"
-                )
-        for view in views:
-            if not view.schedule_out:
-                continue
-            if pcpu_places[view.vcpu_id].peek() is None:
-                raise SchedulingError(
-                    f"{algorithm.name}: schedule_out for VCPU {view.vcpu_id}, "
-                    "which holds no PCPU"
-                )
-            _deschedule(view.vcpu_id)
-        for view in views:
-            if not view.schedule_in:
-                continue
-            g = view.vcpu_id
-            if pcpu_places[g].peek() is not None:
-                raise SchedulingError(
-                    f"{algorithm.name}: schedule_in for VCPU {g}, "
-                    "which already holds a PCPU"
-                )
-            pcpu_index = view.next_pcpu
-            if pcpu_index is None:
-                pcpu_index = next(
-                    (
-                        i
-                        for i, entry in enumerate(pcpus.peek())
-                        if entry["state"] == PCPUState.IDLE
-                    ),
-                    None,
-                )
-                if pcpu_index is None:
-                    raise SchedulingError(
-                        f"{algorithm.name}: schedule_in for VCPU {g} but no "
-                        "PCPU is free (over-commitment in one tick)"
-                    )
-            else:
-                if not 0 <= pcpu_index < num_pcpus:
-                    raise SchedulingError(
-                        f"{algorithm.name}: VCPU {g} requested PCPU "
-                        f"{pcpu_index}, outside 0..{num_pcpus - 1}"
-                    )
-                if pcpus.peek()[pcpu_index]["state"] != PCPUState.IDLE:
-                    raise SchedulingError(
-                        f"{algorithm.name}: VCPU {g} requested PCPU "
-                        f"{pcpu_index}, which is not idle"
-                    )
-            timeslice = (
-                view.next_timeslice
-                if view.next_timeslice is not None
-                else algorithm.timeslice
-            )
-            if timeslice < 1:
-                raise SchedulingError(
-                    f"{algorithm.name}: VCPU {g} granted a timeslice of "
-                    f"{timeslice}; must be >= 1"
-                )
+        # 4. Check its decisions, then apply them: outs first, then ins.
+        outs, ins = resolve_decisions(
+            views, held, states, algorithm.timeslice, algorithm.name
+        )
+        for g in outs:
+            _deschedule(g)
+        for g, pcpu_index, timeslice in ins:
             _assign(g, pcpu_index, timeslice, now)
 
     model.add_activity(

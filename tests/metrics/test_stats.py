@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError, StatisticsError
 from repro.metrics import (
     ConvergenceMonitor,
-    ReplicationEstimator,
     RunningStats,
     confidence_interval,
     jain_fairness,
@@ -81,42 +80,6 @@ class TestConfidenceInterval:
     def test_zero_variance_gives_zero_width(self):
         _, half = confidence_interval([5.0, 5.0, 5.0])
         assert half == 0.0
-
-
-class TestReplicationEstimator:
-    def test_stops_when_tight(self):
-        est = ReplicationEstimator(target_half_width=0.1)
-        for value in [0.5, 0.51, 0.49, 0.5, 0.5]:
-            est.push(value)
-        assert est.satisfied(min_replications=5)
-
-    def test_keeps_going_when_noisy(self):
-        est = ReplicationEstimator(target_half_width=0.01)
-        for value in [0.1, 0.9, 0.2, 0.8]:
-            est.push(value)
-        assert not est.satisfied()
-
-    def test_respects_min_replications(self):
-        est = ReplicationEstimator(target_half_width=10.0)
-        est.push(1.0)
-        est.push(1.0)
-        assert not est.satisfied(min_replications=3)
-        est.push(1.0)
-        assert est.satisfied(min_replications=3)
-
-    def test_estimate(self):
-        est = ReplicationEstimator()
-        est.push(1.0)
-        est.push(3.0)
-        mean, half = est.estimate()
-        assert mean == 2.0
-        assert half > 0
-
-    def test_validation(self):
-        with pytest.raises(StatisticsError):
-            ReplicationEstimator(confidence=0)
-        with pytest.raises(StatisticsError):
-            ReplicationEstimator(target_half_width=0)
 
 
 class TestConvergenceMonitor:

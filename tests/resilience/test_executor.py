@@ -315,6 +315,57 @@ class TestCheckpointResumeAcceptance:
                           min_replications=2, resilience=config)
         assert path.read_bytes() == before
 
+    # A checkpoint scope written before run_experiment became a one-point
+    # sweep: no point opens "experiment" any more.
+    STALE = [
+        {"kind": "scope", "scope": "experiment", "fingerprint": "0" * 32},
+        {"kind": "replication", "scope": "experiment", "replication": 0,
+         "ok": True, "metrics": {"pcpu_utilization": 0.5}},
+    ]
+
+    def append_stale(self, path):
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in self.STALE:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def test_resume_drops_scopes_no_point_opens(self, noisy_spec, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        config = ResilienceConfig(retries=0, checkpoint=str(path))
+        first = run(noisy_spec, resilience=config)
+        live = path.read_text().splitlines()
+        self.append_stale(path)
+        resume = ResilienceConfig(retries=0, checkpoint=str(path), resume=True)
+        for _ in range(3):
+            resumed = run(noisy_spec, resilience=resume)
+            assert sample_vectors(resumed) == sample_vectors(first)
+            assert sorted(path.read_text().splitlines()) == sorted(live)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_resume_leaves_checkpoint_untouched(self, noisy_spec, tmp_path):
+        kwargs = dict(min_replications=2, max_replications=2, target_half_width=1e-9)
+        path = tmp_path / "sweep.jsonl"
+        run_sweep(
+            noisy_spec, [{"pcpus": 1}, {"pcpus": 2}],
+            resilience=ResilienceConfig(retries=0, checkpoint=str(path)),
+            **kwargs,
+        )
+        # Keep point1 only, so the resume below opens a new point0 scope
+        # before point1's fingerprint mismatch stops it.
+        lines = [line for line in path.read_text().splitlines()
+                 if json.loads(line)["scope"] == "point1"]
+        path.write_text("\n".join(lines) + "\n")
+        self.append_stale(path)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="different"):
+            run_sweep(
+                noisy_spec, [{"pcpus": 1}, {"pcpus": 3}],
+                resilience=ResilienceConfig(
+                    retries=0, checkpoint=str(path), resume=True
+                ),
+                **kwargs,
+            )
+        assert path.read_bytes() == before
+
     def test_sweep_resumes_mid_grid(self, noisy_spec, tmp_path):
         sweep = [{"pcpus": 1}, {"pcpus": 2}]
         kwargs = dict(

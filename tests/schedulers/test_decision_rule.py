@@ -1,0 +1,218 @@
+"""One decision rule, three surfaces.
+
+``resolve_decisions`` is the only code that knows whether one tick's
+decisions are consistent.  The ``Scheduling_Func`` gate, the
+``SchedulerHarness`` and ``validate_decisions`` (the decision guard's
+check) all run it, so each hostile decision below must be rejected with
+one identical message wherever it is made.
+"""
+
+from typing import Callable, Dict, NamedTuple, Tuple
+
+import pytest
+
+from repro.des import StreamFactory
+from repro.errors import SchedulingError, SimulationError
+from repro.resilience.degradation import DegradationModel
+from repro.san import SANSimulator
+from repro.schedulers import FunctionScheduler, PCPUState, SchedulerHarness
+from repro.schedulers.interface import PCPUView, VCPUHostView, validate_decisions
+from repro.vmm import build_vcpu_scheduler
+
+TOPOLOGY = (1, 1, 1)
+NUM_PCPUS = 2
+NAME = "hostile"
+
+
+class Row(NamedTuple):
+    decide: Callable[[list], None]
+    message: str
+    held: Dict[int, int] = {}  # vcpu -> PCPU it holds when ``decide`` runs
+    failed: Tuple[int, ...] = ()  # PCPUs out of service
+
+
+def _set(view, **fields):
+    for name, value in fields.items():
+        setattr(view, name, value)
+
+
+def _both(vcpus):
+    _set(vcpus[0], schedule_in=True, schedule_out=True)
+
+
+def _out_idle(vcpus):
+    _set(vcpus[1], schedule_out=True)
+
+
+def _in_holding(vcpus):
+    _set(vcpus[0], schedule_in=True)
+
+
+def _all_in(vcpus):
+    for view in vcpus:
+        _set(view, schedule_in=True)
+
+
+def _two_onto_one(vcpus):
+    for view in vcpus[:2]:
+        _set(view, schedule_in=True, next_pcpu=1)
+
+
+def _out_of_range(vcpus):
+    _set(vcpus[0], schedule_in=True, next_pcpu=7)
+
+
+def _onto_pcpu1(vcpus):
+    _set(vcpus[0], schedule_in=True, next_pcpu=1)
+
+
+def _zero_timeslice(vcpus):
+    _set(vcpus[0], schedule_in=True, next_timeslice=0)
+
+
+ROWS = {
+    "both_flags": Row(
+        _both,
+        f"{NAME}: VCPU 0 marked for both schedule_in and schedule_out in one tick",
+    ),
+    "out_without_pcpu": Row(
+        _out_idle, f"{NAME}: schedule_out for VCPU 1, which holds no PCPU"
+    ),
+    "in_while_holding": Row(
+        _in_holding,
+        f"{NAME}: schedule_in for VCPU 0, which already holds a PCPU",
+        held={0: 0},
+    ),
+    "over_commitment": Row(
+        _all_in,
+        f"{NAME}: schedule_in for VCPU 2 but no PCPU is free "
+        "(over-commitment in one tick)",
+    ),
+    "two_ins_one_pcpu": Row(
+        _two_onto_one, f"{NAME}: VCPU 1 requested PCPU 1, which is not idle"
+    ),
+    "out_of_range_pcpu": Row(
+        _out_of_range, f"{NAME}: VCPU 0 requested PCPU 7, outside 0..1"
+    ),
+    "failed_pcpu": Row(
+        _onto_pcpu1, f"{NAME}: VCPU 0 requested PCPU 1, which is FAILED", failed=(1,)
+    ),
+    "zero_timeslice": Row(
+        _zero_timeslice, f"{NAME}: VCPU 0 granted a timeslice of 0; must be >= 1"
+    ),
+}
+
+
+def staged(row):
+    """A scheduler that first places ``row.held``, then runs ``row.decide``."""
+
+    def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
+        pending = [g for g, p in row.held.items() if vcpus[g].pcpu != p]
+        for g in pending:
+            _set(vcpus[g], schedule_in=True, next_pcpu=row.held[g],
+                 next_timeslice=100)
+        if not pending:
+            row.decide(vcpus)
+        return True
+
+    return FunctionScheduler(NAME, schedule)
+
+
+def on_validate(row):
+    vcpus, index = [], 0
+    for vm_id, count in enumerate(TOPOLOGY):
+        for vcpu_index in range(count):
+            vcpus.append(VCPUHostView(vcpu_id=index, vm_id=vm_id,
+                                      vcpu_index=vcpu_index,
+                                      pcpu=row.held.get(index)))
+            index += 1
+    pcpus = [PCPUView(pcpu_id=i) for i in range(NUM_PCPUS)]
+    for g, p in row.held.items():
+        _set(pcpus[p], state=PCPUState.ASSIGNED, vcpu=g)
+    for p in row.failed:
+        pcpus[p].state = PCPUState.FAILED
+    row.decide(vcpus)
+    with pytest.raises(SchedulingError) as caught:
+        validate_decisions(vcpus, pcpus, NUM_PCPUS, 30, NAME)
+    return str(caught.value)
+
+
+def on_gate(row):
+    degradation = None
+    if row.failed:
+        # Terminal health from t=0 takes a PCPU out of service.
+        degradation = DegradationModel(
+            h_max=1,
+            mtbe=1e9,
+            initial_health=[int(i in row.failed) for i in range(NUM_PCPUS)],
+        )
+    model = build_vcpu_scheduler(staged(row), NUM_PCPUS, list(TOPOLOGY),
+                                 degradation=degradation)
+    with pytest.raises(SimulationError) as caught:
+        SANSimulator(model, StreamFactory(0)).run(until=3.5)
+    assert isinstance(caught.value.__cause__, SchedulingError)
+    return str(caught.value.__cause__)
+
+
+def on_harness(row):
+    harness = SchedulerHarness(staged(row), topology=list(TOPOLOGY),
+                               num_pcpus=NUM_PCPUS)
+    for p in row.failed:
+        harness.pcpus[p].state = PCPUState.FAILED
+    harness.saturate()
+    with pytest.raises(SchedulingError) as caught:
+        for _ in range(3):
+            harness.tick()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("surface", [on_validate, on_gate, on_harness],
+                         ids=["validate", "gate", "harness"])
+@pytest.mark.parametrize("row", list(ROWS.values()), ids=list(ROWS))
+def test_one_message_per_row_on_every_surface(row, surface):
+    assert surface(row) == row.message
+
+
+@pytest.mark.parametrize("rewrite, target, message", [
+    (lambda vcpus, pcpus: _set(pcpus[0], state=PCPUState.IDLE, vcpu=None),
+     1, "VCPU 1 requested PCPU 0, which is not idle"),
+    (lambda vcpus, pcpus: _set(vcpus[0], pcpu=None, status="INACTIVE"),
+     0, "schedule_in for VCPU 0, which already holds a PCPU"),
+], ids=["pcpu_marked_idle", "vcpu_marked_unplaced"])
+def test_rewritten_views_cannot_double_assign(rewrite, target, message):
+    # VCPU 0 takes PCPU 0; next tick the algorithm rewrites the views to
+    # hide that and schedules onto it.  The gate checks the marking.
+    def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
+        if timestamp == 1:
+            _set(vcpus[0], schedule_in=True, next_pcpu=0, next_timeslice=100)
+            return True
+        rewrite(vcpus, pcpus)
+        _set(vcpus[target], schedule_in=True, next_pcpu=0, next_timeslice=5)
+        return True
+
+    model = build_vcpu_scheduler(FunctionScheduler(NAME, schedule), 1, [1, 1])
+    with pytest.raises(SimulationError) as caught:
+        SANSimulator(model, StreamFactory(0)).run(until=2.5)
+    assert str(caught.value.__cause__) == f"{NAME}: {message}"
+
+
+def test_rejected_tick_leaves_harness_unchanged():
+    # Tick 1 places VCPU 0; tick 2 pairs a valid schedule_out of it with
+    # an out-of-range schedule_in, so the whole tick must be rejected.
+    def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
+        if timestamp == 1:
+            _set(vcpus[0], schedule_in=True, next_pcpu=0, next_timeslice=100)
+        else:
+            _set(vcpus[0], schedule_out=True)
+            _set(vcpus[1], schedule_in=True, next_pcpu=7)
+        return True
+
+    harness = SchedulerHarness(FunctionScheduler(NAME, schedule), topology=[1, 1],
+                               num_pcpus=2)
+    harness.saturate()
+    harness.tick()
+    before = (harness.assignment(), [(p.state, p.vcpu) for p in harness.pcpus])
+    with pytest.raises(SchedulingError, match="outside"):
+        harness.tick()
+    assert (harness.assignment(), [(p.state, p.vcpu) for p in harness.pcpus]) == before
+    assert harness.views[0].status == "BUSY"

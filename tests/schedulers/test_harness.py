@@ -69,7 +69,7 @@ def test_duplicate_pcpu_assignment_raises():
 
     h = SchedulerHarness(FunctionScheduler("dup", dup), topology=[2], num_pcpus=2)
     h.saturate()
-    with pytest.raises(SchedulingError, match="busy"):
+    with pytest.raises(SchedulingError, match="not idle"):
         h.tick()
 
 
@@ -84,7 +84,7 @@ def test_out_of_range_pcpu_raises():
 
     h = SchedulerHarness(FunctionScheduler("wild", wild), topology=[1], num_pcpus=1)
     h.saturate()
-    with pytest.raises(SchedulingError, match="out of range"):
+    with pytest.raises(SchedulingError, match="outside"):
         h.tick()
 
 
@@ -126,7 +126,7 @@ def test_schedule_out_without_pcpu_raises():
     h = SchedulerHarness(
         FunctionScheduler("phantom", phantom), topology=[1], num_pcpus=1
     )
-    with pytest.raises(SchedulingError, match="without a PCPU"):
+    with pytest.raises(SchedulingError, match="holds no PCPU"):
         h.tick()
 
 

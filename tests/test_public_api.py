@@ -186,7 +186,6 @@ def test_scheduler_api():
 def test_metrics_api():
     from repro.metrics import (  # noqa: F401
         BatchMeansEstimator,
-        ReplicationEstimator,
         RunningStats,
         StateTimeline,
         confidence_interval,
