@@ -20,7 +20,7 @@ Example:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..des.distributions import Distribution, UniformInt, from_spec
 from ..errors import ConfigurationError
@@ -142,6 +142,16 @@ class VMSpec:
         )
 
 
+def _extension(field_name: str, model: Any, payload: Optional[Dict[str, Any]]):
+    """``model.from_dict(payload)``, or None; errors name ``field_name``."""
+    if payload is None:
+        return None
+    try:
+        return model.from_dict(payload)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{field_name}: {exc}") from exc
+
+
 @dataclass
 class SystemSpec:
     """A complete virtualization system plus its simulation horizon.
@@ -157,13 +167,16 @@ class SystemSpec:
         warmup: ticks discarded before rewards accumulate.
         vm_slots: static job-scheduler slots per VM (paper: 8).
         scheduler_slots: static hypervisor VCPU slots (paper: 16).
-        pcpu_failures: optional ``{"mtbf": ..., "mttr": ...}`` attaching
-            an exponential fail/repair process to every PCPU (the
-            dependability extension).
+        pcpu_failures: optional ``{"mtbf": ..., "mttr": ...}``,
+            shorthand for exponential fail/repair of every PCPU (the
+            dependability extension): the two-state health chain
+            ``degradation={"p": 1.0, "h_max": 1, "mtbe": mtbf}`` plus
+            ``maintenance={"policy": "corrective", "crews": pcpus,
+            "mttr": mttr}`` (see :meth:`extension_models`).  Mutually
+            exclusive with ``degradation`` and ``maintenance``.
         degradation: optional dict form of a
             :class:`repro.resilience.degradation.DegradationModel` —
-            the multi-state Markov health extension (mutually
-            exclusive with ``pcpu_failures``).
+            the multi-state Markov health extension.
         maintenance: optional dict form of a
             :class:`repro.resilience.degradation.MaintenancePolicy`
             (requires ``degradation``).
@@ -237,43 +250,59 @@ class SystemSpec:
             raise ConfigurationError(
                 "maintenance requires a degradation model to repair"
             )
-        degradation_model = None
-        if self.degradation is not None:
-            try:
-                degradation_model = DegradationModel.from_dict(self.degradation)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"degradation: {exc}") from exc
-            if (
-                degradation_model.initial_health is not None
-                and len(degradation_model.initial_health) != self.pcpus
-            ):
-                raise ConfigurationError(
-                    "degradation: initial_health lists "
-                    f"{len(degradation_model.initial_health)} entries for "
-                    f"{self.pcpus} PCPUs"
-                )
-        if self.maintenance is not None:
-            try:
-                policy = MaintenancePolicy.from_dict(self.maintenance)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"maintenance: {exc}") from exc
-            if (
-                policy.policy == "condition_based"
-                and policy.threshold > degradation_model.h_max
-            ):
-                raise ConfigurationError(
-                    f"maintenance: condition_based threshold {policy.threshold} "
-                    f"exceeds h_max {degradation_model.h_max}"
-                )
-        if self.hv_overhead is not None:
-            try:
-                HVOverheadModel.from_dict(self.hv_overhead)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"hv_overhead: {exc}") from exc
+        degradation, maintenance, _ = self.extension_models()
+        if (
+            degradation is not None
+            and degradation.initial_health is not None
+            and len(degradation.initial_health) != self.pcpus
+        ):
+            raise ConfigurationError(
+                "degradation: initial_health lists "
+                f"{len(degradation.initial_health)} entries for "
+                f"{self.pcpus} PCPUs"
+            )
+        if (
+            maintenance is not None
+            and maintenance.policy == "condition_based"
+            and maintenance.threshold > degradation.h_max
+        ):
+            raise ConfigurationError(
+                f"maintenance: condition_based threshold {maintenance.threshold} "
+                f"exceeds h_max {degradation.h_max}"
+            )
         # The paper: "at most the same number of VCPUs as ... physical
         # cores" per VM.  We keep that constraint advisory rather than
         # fatal: SCS's zero-availability result at 1 PCPU depends on
         # violating it, and the paper's own Figure 8 does exactly that.
+
+    def extension_models(
+        self,
+    ) -> Tuple[
+        Optional[DegradationModel],
+        Optional[MaintenancePolicy],
+        Optional[HVOverheadModel],
+    ]:
+        """The PCPU health extensions this spec asks for, as models.
+
+        ``pcpu_failures`` expands here and nowhere else: failure after
+        an exponential ``mtbf`` is the two-state chain stepping with
+        ``p = 1``, and one corrective crew per PCPU repairs it after an
+        exponential ``mttr`` without ever queueing.  Raises
+        :class:`ConfigurationError` prefixed with the offending field.
+        """
+        degradation, maintenance = self.degradation, self.maintenance
+        if self.pcpu_failures is not None:
+            degradation = {"p": 1.0, "h_max": 1, "mtbe": self.pcpu_failures["mtbf"]}
+            maintenance = {
+                "policy": "corrective",
+                "crews": self.pcpus,
+                "mttr": self.pcpu_failures["mttr"],
+            }
+        return (
+            _extension("degradation", DegradationModel, degradation),
+            _extension("maintenance", MaintenancePolicy, maintenance),
+            _extension("hv_overhead", HVOverheadModel, self.hv_overhead),
+        )
 
     def total_vcpus(self) -> int:
         """Sum of all VMs' VCPU counts."""

@@ -30,11 +30,6 @@ from ..observability import trace as _trace
 from ..observability.profile import SimProfiler, profiling
 from ..observability.trace import SimTracer, tracing
 from ..resilience.chaos import ChaosScheduler, ChaosSpec
-from ..resilience.degradation import (
-    DegradationModel,
-    HVOverheadModel,
-    MaintenancePolicy,
-)
 from ..resilience.failures import ReplicationFailure
 from ..resilience.guard import GuardedScheduler, GuardPolicy
 from ..san import ComposedModel, SANSimulator, build_simulator, resolve_engine
@@ -44,41 +39,13 @@ from ..san import run_lanes  # noqa: F401
 from .config import SystemSpec
 from .registry import create_scheduler
 from ..vmm.system import build_virtual_system
-from ..vmm.vcpu_scheduler import PCPUFailureModel
-
-
-def _failure_model(spec: "SystemSpec"):
-    """Materialize the spec's optional pcpu_failures dict."""
-    if spec.pcpu_failures is None:
-        return None
-    return PCPUFailureModel(**spec.pcpu_failures)
-
-
-def _degradation_models(spec: "SystemSpec"):
-    """Materialize the spec's degradation/maintenance/hv_overhead dicts."""
-    degradation = (
-        DegradationModel.from_dict(spec.degradation)
-        if spec.degradation is not None
-        else None
-    )
-    maintenance = (
-        MaintenancePolicy.from_dict(spec.maintenance)
-        if spec.maintenance is not None
-        else None
-    )
-    hv_overhead = (
-        HVOverheadModel.from_dict(spec.hv_overhead)
-        if spec.hv_overhead is not None
-        else None
-    )
-    return degradation, maintenance, hv_overhead
 
 
 def _build_model(
     spec: "SystemSpec", algorithm: Any, streams: StreamFactory
 ) -> ComposedModel:
     """The spec's composed SAN model, scheduled by ``algorithm``."""
-    degradation, maintenance, hv_overhead = _degradation_models(spec)
+    degradation, maintenance, hv_overhead = spec.extension_models()
     return build_virtual_system(
         [(vm.vcpus, vm.workload.build(), vm.dispatch) for vm in spec.vms],
         algorithm,
@@ -86,7 +53,6 @@ def _build_model(
         streams=streams,
         vm_slots=spec.vm_slots,
         scheduler_slots=spec.scheduler_slots,
-        failures=_failure_model(spec),
         degradation=degradation,
         maintenance=maintenance,
         hv_overhead=hv_overhead,
@@ -269,17 +235,11 @@ class Simulation:
                 _cache_register(cache_key, self._cache_entry)
         self._ran = False
 
-    def _degradation_header(self) -> Optional[Dict[str, Any]]:
-        """The ``run.start`` degradation payload the checker configures from."""
-        if self.spec.degradation is None:
-            return None
-        model = DegradationModel.from_dict(self.spec.degradation)
-        return {"h_max": model.h_max, "capacity": model.effective_capacity()}
-
     def _run_header(self) -> Dict[str, Any]:
         """The ``run.start`` payload: everything needed to re-run the trace."""
         params: Dict[str, Any] = {"timeslice": self._algorithm_root.timeslice}
         params.update(self.spec.scheduler_params)
+        degradation, maintenance, hv_overhead = self.spec.extension_models()
         return {
             "scheduler": self.spec.scheduler,
             "topology": [vm.vcpus for vm in self.spec.vms],
@@ -289,24 +249,24 @@ class Simulation:
             "sim_time": self.spec.sim_time,
             "warmup": self.spec.warmup,
             "params": params,
-            "pcpu_failures": self.spec.pcpu_failures is not None,
             "guard": self._guard_policy.mode if self._guard_policy else None,
             "chaos": self._chaos_spec is not None,
             "engine": self.simulator.engine,
-            "degradation": self._degradation_header(),
-            "maintenance": (
+            # What the trace checker configures its health invariants from.
+            "degradation": (
                 {
-                    "policy": self.spec.maintenance.get("policy", "corrective"),
-                    "crews": int(self.spec.maintenance.get("crews", 1)),
+                    "h_max": degradation.h_max,
+                    "capacity": degradation.effective_capacity(),
                 }
-                if self.spec.maintenance is not None
+                if degradation is not None
                 else None
             ),
-            "hv_overhead": (
-                int(self.spec.hv_overhead["cost"])
-                if self.spec.hv_overhead is not None
+            "maintenance": (
+                {"policy": maintenance.policy, "crews": maintenance.crews}
+                if maintenance is not None
                 else None
             ),
+            "hv_overhead": hv_overhead.cost if hv_overhead is not None else None,
         }
 
     def run(self) -> RunResult:

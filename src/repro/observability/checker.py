@@ -451,11 +451,12 @@ def standard_invariants(records: Iterable[RecordLike]) -> List[Invariant]:
 
     Always: monotone time, exclusive PCPU occupancy, timeslice
     accounting.  Scheduler-specific invariants switch on by registry
-    name: gang all-or-none for ``scs`` (skipped when a PCPU failure or
-    degradation process runs — a mid-slice failure legitimately breaks
-    a gang) and the skew bound for ``rcs``.  When the ``run.start``
-    header declares a degradation model, health/capacity accounting is
-    checked; a maintenance policy adds repair-crew exclusivity.
+    name: gang all-or-none for ``scs`` (skipped when a degradation
+    process runs, or an older trace's header flags ``pcpu_failures`` —
+    a mid-slice failure legitimately breaks a gang) and the skew bound
+    for ``rcs``.  When the ``run.start`` header declares a degradation
+    model, health/capacity accounting is checked; a maintenance policy
+    adds repair-crew exclusivity.
     """
     start: Optional[TraceRecord] = None
     for raw in records:

@@ -76,7 +76,7 @@ JOB_DONE = "job.done"
 RECORD_FIELDS: Dict[str, tuple] = {
     RUN_START: (
         "scheduler", "topology", "pcpus", "replication", "root_seed",
-        "sim_time", "warmup", "params", "pcpu_failures", "guard", "chaos",
+        "sim_time", "warmup", "params", "guard", "chaos",
         "engine", "degradation", "maintenance", "hv_overhead",
     ),
     RUN_END: ("completions", "degraded"),

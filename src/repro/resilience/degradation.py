@@ -1,20 +1,21 @@
 """Multi-state PCPU health: Markov degradation, maintenance, HV overhead.
 
-The paper's host model is idealized: a PCPU is either perfectly up or
-(since the dependability extension) binarily failed.  Real cores
-degrade *gradually* — thermal throttling, correctable-error storms,
-firmware-level capacity loss — and fleets repair them with a bounded
-maintenance crew.  This module ports the discrete-state degradation
+The paper's host model is idealized: a PCPU is always perfectly up.
+Real cores fail, and degrade *gradually* before they do — thermal
+throttling, correctable-error storms, firmware-level capacity loss —
+and fleets repair them with a bounded maintenance crew.  This module ports the discrete-state degradation
 idiom of manufacturing simulators (simantha's ``degradation_matrix``)
 onto the hypervisor's PCPU array:
 
 * :class:`DegradationModel` — a seeded Markov chain over integer
   health states ``0..h_max`` per PCPU.  State 0 is pristine; state
-  ``h_max`` is terminal failure, feeding the existing
-  ``pcpu.fail``/``pcpu.repair`` machinery.  Intermediate states scale
-  the core's *effective capacity*: a PCPU at health ``h`` delivers
-  only ``capacity[h]`` of its clock ticks to the VCPU it hosts (the
-  withheld ticks model a degraded core running slower).
+  ``h_max`` is terminal failure (traced as ``pcpu.fail``, and as
+  ``pcpu.repair`` once maintenance restores it).  Binary exponential
+  fail/repair — ``SystemSpec.pcpu_failures`` — is the two-state chain
+  with ``p = 1``.  Intermediate states scale the core's *effective
+  capacity*: a PCPU at health ``h`` delivers only ``capacity[h]`` of
+  its clock ticks to the VCPU it hosts (the withheld ticks model a
+  degraded core running slower).
 * :class:`MaintenancePolicy` — corrective, periodic, or
   condition-based repair, with all PCPUs competing for ``crews``
   repair crews (a token-bounded resource).  A PCPU under maintenance

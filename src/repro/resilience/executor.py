@@ -34,7 +34,6 @@ mixed in.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -65,9 +64,8 @@ class ResilienceConfig:
             disables; setting it forces process workers even at
             ``jobs=1`` so a stall can actually be abandoned).  A grouped
             floor task gets ``timeout`` per member.
-        retries: extra attempts per replication after the first.
-        backoff: base of the exponential retry backoff in seconds
-            (attempt *a* sleeps ``backoff * 2**a``).
+        retries: extra attempts per replication after the first; a
+            retry is dispatched at once under its :func:`retry_seed`.
         checkpoint: JSONL checkpoint path (``None`` disables).
         resume: load the checkpoint instead of starting fresh.  Every
             sweep point (an experiment is point 0) resumes its own
@@ -95,7 +93,6 @@ class ResilienceConfig:
     jobs: int = 1
     timeout: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.05
     checkpoint: Optional[str] = None
     resume: bool = False
     guard: Optional[GuardPolicy] = None
@@ -111,8 +108,6 @@ class ResilienceConfig:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ConfigurationError(f"backoff must be >= 0, got {self.backoff}")
         if self.resume and not self.checkpoint:
             raise ConfigurationError("resume=True requires a checkpoint path")
         if self.guard is not None:
@@ -428,8 +423,6 @@ class _Run:
         bucket = self._attempt_failures.setdefault(task.replication, [])
         bucket.append(failure)
         if task.attempt < self.config.retries:
-            if self.config.backoff:
-                time.sleep(self.config.backoff * (2 ** task.attempt))
             retry = replace(task, attempt=task.attempt + 1)
             tracer = _trace._ACTIVE
             if tracer is not None:

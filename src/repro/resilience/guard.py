@@ -7,8 +7,11 @@ wraps every :meth:`SchedulingAlgorithm.schedule` call and
 * converts raised exceptions and invalid decisions (double-assigned
   PCPU, out-of-range ids, schedule_in on a FAILED PCPU, ...) into
   structured :class:`~repro.resilience.failures.ReplicationFailure`
-  records instead of lost tracebacks (its check, ``validate_decisions``,
-  is the ``Scheduling_Func`` gate's own rule and messages);
+  records instead of lost tracebacks (its check is the
+  ``Scheduling_Func`` gate's own rule and messages,
+  ``resolve_decisions``, run against the state the views showed
+  *before* the algorithm could rewrite them — the state the gate
+  checks);
 * in ``fail_fast`` mode (the default) re-raises as
   :class:`~repro.errors.SchedulingError` so the replication dies
   immediately — the executor then retries it under a fresh seed;
@@ -32,7 +35,7 @@ from ..schedulers.interface import (
     SchedulingAlgorithm,
     VCPUHostView,
     clear_decisions,
-    validate_decisions,
+    resolve_decisions,
 )
 from ..schedulers.round_robin import RoundRobinScheduler
 from .failures import FailureKind, ReplicationFailure
@@ -121,10 +124,14 @@ class GuardedScheduler(SchedulingAlgorithm):
     ) -> bool:
         if self.quarantined:
             return self._fallback.schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
+        # The views mirror the gate's state only until the algorithm
+        # runs, and it may rewrite them: check against a snapshot.
+        held = {view.vcpu_id: view.pcpu for view in vcpus}
+        states = [pcpus[i].state for i in range(num_pcpu)]
         try:
             decided = self.inner.schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
-            validate_decisions(
-                vcpus, pcpus, num_pcpu, self.inner.timeslice, self.inner.name
+            resolve_decisions(
+                vcpus, held, states, self.inner.timeslice, self.inner.name
             )
         except Exception as exc:  # noqa: BLE001 — isolating arbitrary user code
             return self._on_fault(exc, vcpus, num_vcpu, pcpus, num_pcpu, timestamp)

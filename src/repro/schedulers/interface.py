@@ -321,8 +321,8 @@ def resolve_decisions(
     """Check one tick's decisions and return the plan that applies them.
 
     The one decision rule: the ``Scheduling_Func`` gate, the
-    :class:`~repro.schedulers.harness.SchedulerHarness` and
-    :func:`validate_decisions` all run it.  Decisions come from the
+    :class:`~repro.schedulers.harness.SchedulerHarness`, the decision
+    guard and :func:`validate_decisions` all run it.  Decisions come from the
     views' output fields; the state they are checked against is the
     caller's: ``held[vcpu_id]`` is the PCPU that VCPU holds, or None (a
     list indexed by VCPU id will do), and ``states`` lists every PCPU's
@@ -413,8 +413,7 @@ def validate_decisions(
     """Check one tick's decisions without applying them.
 
     This *is* the ``Scheduling_Func`` gate's rule, :func:`resolve_decisions`,
-    run against the state the views show.  The decision guard runs it
-    before any model state changes, so it can discard a faulty tick.
+    run against the state the views show.
     """
     held = {view.vcpu_id: view.pcpu for view in vcpus}
     states = [pcpus[i].state for i in range(num_pcpu)]

@@ -34,7 +34,7 @@ from .system import (
     vm_model_name,
 )
 from .vcpu import build_vcpu_model
-from .vcpu_scheduler import PCPUFailureModel, SCHEDULER_NAME, build_vcpu_scheduler
+from .vcpu_scheduler import SCHEDULER_NAME, build_vcpu_scheduler
 from .virtual_machine import build_vm_model
 from .workload_generator import build_workload_generator
 
@@ -49,7 +49,6 @@ __all__ = [
     "pcpus_place",
     "vcpu_label",
     "vm_model_name",
-    "PCPUFailureModel",
     "SCHEDULER_NAME",
     "SYSTEM_NAME",
     "new_slot",

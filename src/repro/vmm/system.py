@@ -35,7 +35,6 @@ from ..workloads.generators import WorkloadModel
 from .job_scheduler import DEFAULT_NUM_SLOTS as DEFAULT_VM_SLOTS
 from .vcpu_scheduler import (
     DEFAULT_NUM_SLOTS as DEFAULT_SCHEDULER_SLOTS,
-    PCPUFailureModel,
     SCHEDULER_NAME,
     build_vcpu_scheduler,
 )
@@ -57,7 +56,6 @@ def build_virtual_system(
     vm_slots: int = DEFAULT_VM_SLOTS,
     scheduler_slots: int = DEFAULT_SCHEDULER_SLOTS,
     name: str = SYSTEM_NAME,
-    failures: Optional[PCPUFailureModel] = None,
     degradation: Optional[DegradationModel] = None,
     maintenance: Optional[MaintenancePolicy] = None,
     hv_overhead: Optional[HVOverheadModel] = None,
@@ -97,7 +95,6 @@ def build_virtual_system(
         num_pcpus,
         topology,
         num_slots=scheduler_slots,
-        failures=failures,
         degradation=degradation,
         maintenance=maintenance,
         hv_overhead=hv_overhead,

@@ -31,33 +31,29 @@ paper: an ACTIVE VCPU's timeslice decreases at each Clock firing and
 the VCPU "must relinquish the PCPU" when it reaches zero — the
 algorithm then sees the freed PCPUs.
 
-**Dependability extension.**  Passing a :class:`PCPUFailureModel`
-attaches an exponential fail/repair process to every PCPU (the classic
-SAN dependability pattern — this framework's formalism was built for
-exactly such models).  A failing ASSIGNED PCPU forcibly deschedules
-its VCPU; a FAILED PCPU is never assignable; repair returns it to
-IDLE.  Schedulers need no changes: they only ever dispatch onto IDLE
-PCPUs.
-
-**Degradation extension.**  Passing a
-:class:`~repro.resilience.degradation.DegradationModel` replaces the
-binary fail/repair process with a multi-state Markov health chain per
-PCPU.  A core at health ``h`` withholds clock ticks from its hosted
-VCPU so that only a ``capacity[h]`` fraction reach the guest (leaky
-bucket: the withheld fraction accumulates and one whole tick is
-dropped each time it reaches 1).  Terminal health feeds the same
-``pcpu.fail``/``pcpu.repair`` trace machinery as the binary model.  A
-:class:`~repro.resilience.degradation.MaintenancePolicy` adds repair:
-PCPUs compete for a token-bounded crew pool, and a PCPU under
-maintenance is out of service until its repair restores pristine
-health.  An :class:`~repro.resilience.degradation.HVOverheadModel`
-charges every world switch: the first ``cost`` ticks after a
-schedule-in are consumed by the hypervisor instead of the guest.
+**Dependability and degradation extensions.**  Passing a
+:class:`~repro.resilience.degradation.DegradationModel` attaches a
+multi-state Markov health chain to every PCPU.  A core at health ``h``
+withholds clock ticks from its hosted VCPU so that only a
+``capacity[h]`` fraction reach the guest (leaky bucket: the withheld
+fraction accumulates and one whole tick is dropped each time it
+reaches 1).  Terminal health is failure: it forcibly deschedules the
+hosted VCPU, makes the PCPU unassignable (FAILED) and emits
+``pcpu.fail``.  A :class:`~repro.resilience.degradation.MaintenancePolicy`
+adds repair: PCPUs compete for a token-bounded crew pool, and a PCPU
+under maintenance is out of service until its repair restores pristine
+health (and emits ``pcpu.repair`` for a failed one).  Binary
+exponential fail/repair (the classic SAN dependability pattern, the
+spec's ``pcpu_failures`` shorthand) is the two-state chain with
+``p = 1`` and one corrective crew per PCPU.  Schedulers need no
+changes: they only ever dispatch onto IDLE PCPUs.  An
+:class:`~repro.resilience.degradation.HVOverheadModel` charges every
+world switch: the first ``cost`` ticks after a schedule-in are consumed
+by the hypervisor instead of the guest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..des.distributions import Deterministic, Exponential
@@ -94,31 +90,6 @@ from .states import PRIORITY_MAINT, PRIORITY_SCHEDULER, new_pcpu_entry, new_slot
 DEFAULT_NUM_SLOTS = 16  # the paper's Figure 6 statically defines sixteen
 
 SCHEDULER_NAME = "VCPU_Scheduler"
-
-
-@dataclass
-class PCPUFailureModel:
-    """Exponential fail/repair process per PCPU.
-
-    Attributes:
-        mtbf: mean time between failures (ticks; rate = 1/mtbf).
-        mttr: mean time to repair (ticks; rate = 1/mttr).
-
-    Steady-state availability of one PCPU is ``mtbf / (mtbf + mttr)``.
-    """
-
-    mtbf: float
-    mttr: float
-
-    def __post_init__(self) -> None:
-        if self.mtbf <= 0 or self.mttr <= 0:
-            raise ConfigurationError(
-                f"mtbf and mttr must be > 0, got mtbf={self.mtbf}, mttr={self.mttr}"
-            )
-
-    def availability(self) -> float:
-        """Analytic per-PCPU operational fraction."""
-        return self.mtbf / (self.mtbf + self.mttr)
 
 
 class ClockFastForward:
@@ -321,7 +292,6 @@ def build_vcpu_scheduler(
     topology: Sequence[int],
     num_slots: int = DEFAULT_NUM_SLOTS,
     name: str = SCHEDULER_NAME,
-    failures: Optional[PCPUFailureModel] = None,
     degradation: Optional[DegradationModel] = None,
     maintenance: Optional[MaintenancePolicy] = None,
     hv_overhead: Optional[HVOverheadModel] = None,
@@ -337,9 +307,6 @@ def build_vcpu_scheduler(
             assigned to VMs in order (VM 0 takes slots 1..2, ...).
         num_slots: statically defined VCPU slots (paper default: 16).
         name: model name (``"VCPU_Scheduler"`` by convention).
-        failures: optional per-PCPU exponential fail/repair process
-            (mutually exclusive with ``degradation``, which subsumes
-            it: terminal health is failure).
         degradation: optional multi-state Markov health model.
         maintenance: optional repair policy (requires ``degradation``).
         hv_overhead: optional per-world-switch hypervisor cost.
@@ -369,12 +336,6 @@ def build_vcpu_scheduler(
         raise ModelError(
             "algorithm must be a SchedulingAlgorithm, got "
             f"{type(algorithm).__name__}"
-        )
-    if degradation is not None and failures is not None:
-        raise ConfigurationError(
-            "degradation and pcpu failures are mutually exclusive: the "
-            "health model's terminal state *is* failure (binary "
-            "fail/repair is the h_max=1 special case)"
         )
     if maintenance is not None and degradation is None:
         raise ConfigurationError(
@@ -587,52 +548,6 @@ def build_vcpu_scheduler(
         pcpus.value[i] = {"state": PCPUState.FAILED, "vcpu": None}
         return victim
 
-    # -- optional dependability process: PCPU fail/repair --------------------
-
-    if failures is not None:
-        for pcpu_index in range(num_pcpus):
-
-            def fail(i: int = pcpu_index) -> None:
-                victim = _out_of_service(i, _trace.OUT_PCPU_FAILURE)
-                tracer = _trace._ACTIVE
-                if tracer is not None:
-                    tracer.emit(_trace.PCPU_FAIL, pcpu=i, victim=victim)
-
-            def repair(i: int = pcpu_index) -> None:
-                pcpus.value[i] = new_pcpu_entry()
-                tracer = _trace._ACTIVE
-                if tracer is not None:
-                    tracer.emit(_trace.PCPU_REPAIR, pcpu=i)
-
-            model.add_activity(
-                TimedActivity(
-                    f"Fail_PCPU{pcpu_index}",
-                    Exponential(1.0 / failures.mtbf),
-                    input_gates=[
-                        InputGate(
-                            f"Operational{pcpu_index}",
-                            expr=E.field(pcpus, pcpu_index, "state")
-                            != E.const(PCPUState.FAILED),
-                        )
-                    ],
-                    output_gates=[OutputGate(f"Fail_gate{pcpu_index}", fail)],
-                )
-            )
-            model.add_activity(
-                TimedActivity(
-                    f"Repair_PCPU{pcpu_index}",
-                    Exponential(1.0 / failures.mttr),
-                    input_gates=[
-                        InputGate(
-                            f"Down{pcpu_index}",
-                            expr=E.field(pcpus, pcpu_index, "state")
-                            == E.const(PCPUState.FAILED),
-                        )
-                    ],
-                    output_gates=[OutputGate(f"Repair_gate{pcpu_index}", repair)],
-                )
-            )
-
     # -- degradation extension: Markov health, maintenance, crews -----------
 
     if degradation is not None:
@@ -670,7 +585,7 @@ def build_vcpu_scheduler(
                     tracer.emit(_trace.PCPU_DEGRADE, pcpu=i, from_health=h,
                                 to_health=new_h, capacity=capacity[new_h])
                 if new_h >= h_max:
-                    # Terminal: feed the existing fail machinery.
+                    # Terminal health is failure.
                     victim = _out_of_service(i, _trace.OUT_PCPU_FAILURE)
                     entry["failed"] = 1
                     if tracer is not None:
@@ -900,7 +815,6 @@ def build_vcpu_scheduler(
     model.total_vcpus = total_vcpus
     model.num_pcpus = num_pcpus
     model.algorithm = algorithm
-    model.failures = failures
     model.degradation = degradation
     model.maintenance = maintenance
     model.hv_overhead = hv_overhead

@@ -176,7 +176,7 @@ class TestWorkerDeath:
         # Installed before the pool forks, so the workers inherit it.
         monkeypatch.setattr(framework, "simulate_once", tracked)
         result = run_experiment(
-            spec, resilience=ResilienceConfig(jobs=2, backoff=0), **protocol
+            spec, resilience=ResilienceConfig(jobs=2), **protocol
         )
         assert result.replications == 3
         crashes = [f for f in result.failures if f.kind == FailureKind.WORKER_CRASH]

@@ -434,7 +434,7 @@ class TestGroupedFloors:
 
         monkeypatch.setattr(framework, "simulate_once", slow)
         resolved = resolve_sweep_points(base, [{"pcpus": 1}])
-        config = ResilienceConfig(timeout=1.0, retries=0, backoff=0)
+        config = ResilienceConfig(timeout=1.0, retries=0)
         with SweepPool(jobs=1, timeout=1.0) as pool:
             outcome = run_interleaved_sweep(
                 resolved, resilience=config, pool=pool,
@@ -463,7 +463,7 @@ class TestGroupedFloors:
 
         monkeypatch.setattr(framework, "simulate_once", stalling)
         resolved = resolve_sweep_points(base, [{"pcpus": 1}])
-        config = ResilienceConfig(timeout=0.5, retries=1, backoff=0)
+        config = ResilienceConfig(timeout=0.5, retries=1)
         start = time.monotonic()
         with SweepPool(jobs=1, timeout=0.5) as pool:
             outcome = run_interleaved_sweep(

@@ -27,7 +27,7 @@ from repro.observability import GOLDEN_KINDS, SimTracer, diff_traces, normalize
 from repro.observability.golden import dump_jsonl, load_jsonl
 from tests.conftest import make_spec
 
-# CI runs the golden corpus in its own lane, parallel to tier-1.
+# CI runs the golden corpus in the slow-marked lane, parallel to tier-1.
 pytestmark = pytest.mark.slow
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

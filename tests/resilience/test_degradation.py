@@ -8,6 +8,7 @@ build-time wiring rules in :func:`build_vcpu_scheduler`.
 
 import pytest
 
+from repro.core import SystemSpec, VMSpec
 from repro.errors import ConfigurationError
 from repro.resilience import (
     MAINTENANCE_POLICIES,
@@ -201,11 +202,13 @@ class TestBuildTimeWiring:
                                     **kwargs)
 
     def test_degradation_excludes_pcpu_failures(self):
-        with pytest.raises(ConfigurationError):
-            self._build(
-                failures={"mtbf": 50.0, "mttr": 10.0},
-                degradation=DegradationModel(),
-            )
+        # pcpu_failures is shorthand for a health chain of its own, so
+        # it cannot be stacked on another one.
+        spec = SystemSpec(vms=[VMSpec(1)], pcpus=2,
+                          pcpu_failures={"mtbf": 50.0, "mttr": 10.0},
+                          degradation={"p": 0.5})
+        with pytest.raises(ConfigurationError, match="mutually exclusive"):
+            spec.validate()
 
     def test_maintenance_requires_degradation(self):
         with pytest.raises(ConfigurationError):

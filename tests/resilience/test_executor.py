@@ -60,8 +60,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(retries=-1).validate()
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff=-0.1).validate()
-        with pytest.raises(ConfigurationError):
             ResilienceConfig(resume=True).validate()
         ResilienceConfig().validate()
 
@@ -84,7 +82,7 @@ class TestRetrySeed:
 class TestParallelEqualsSerial:
     def test_pool_matches_legacy_serial(self, noisy_spec):
         legacy = run(noisy_spec, resilience=None)
-        pooled = run(noisy_spec, resilience=ResilienceConfig(jobs=3, backoff=0))
+        pooled = run(noisy_spec, resilience=ResilienceConfig(jobs=3))
         assert sample_vectors(pooled) == sample_vectors(legacy)
         assert pooled.replications == legacy.replications
         assert pooled.failures == [] and not pooled.degraded
@@ -99,7 +97,7 @@ class TestParallelEqualsSerial:
         legacy = run_experiment(spec, min_replications=2, max_replications=10)
         pooled = run_experiment(
             spec, min_replications=2, max_replications=10,
-            resilience=ResilienceConfig(jobs=4, backoff=0),
+            resilience=ResilienceConfig(jobs=4),
         )
         assert legacy.replications == pooled.replications == 2
         assert sample_vectors(legacy) == sample_vectors(pooled)
@@ -111,12 +109,11 @@ class TestChaosCrashAcceptance:
 
     def test_surviving_replications_identical_to_clean_run(self, noisy_spec):
         k = 1
-        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0, backoff=0))
+        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0))
         chaotic = run(
             noisy_spec,
             resilience=ResilienceConfig(
                 retries=2,
-                backoff=0,
                 chaos=ChaosSpec(crash_replications=(k,), inject_after=100.0),
             ),
         )
@@ -135,7 +132,6 @@ class TestChaosCrashAcceptance:
     def test_reseeded_retry_is_deterministic(self, noisy_spec):
         config = ResilienceConfig(
             retries=2,
-            backoff=0,
             chaos=ChaosSpec(crash_replications=(1,), inject_after=100.0),
         )
         first = run(noisy_spec, resilience=config)
@@ -144,13 +140,12 @@ class TestChaosCrashAcceptance:
         assert [str(f) for f in first.failures] == [str(f) for f in again.failures]
 
     def test_crash_in_parallel_run(self, noisy_spec):
-        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0, backoff=0))
+        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0))
         chaotic = run(
             noisy_spec,
             resilience=ResilienceConfig(
                 jobs=3,
                 retries=2,
-                backoff=0,
                 chaos=ChaosSpec(crash_replications=(0,), inject_after=100.0),
             ),
         )
@@ -171,7 +166,6 @@ class TestTimeouts:
                 jobs=2,
                 timeout=0.75,
                 retries=1,
-                backoff=0,
                 chaos=ChaosSpec(stall_replications=(1,), stall_seconds=30.0),
             ),
         )
@@ -186,7 +180,6 @@ class TestRetryExhaustion:
         # first_attempt_only=False: every retry crashes too.
         config = ResilienceConfig(
             retries=1,
-            backoff=0,
             chaos=ChaosSpec(
                 crash_replications=(0,), inject_after=100.0, first_attempt_only=False
             ),
@@ -195,10 +188,9 @@ class TestRetryExhaustion:
             run(noisy_spec, resilience=config)
 
     def test_keep_partial_continues_with_survivors(self, noisy_spec):
-        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0, backoff=0))
+        clean = run(noisy_spec, resilience=ResilienceConfig(retries=0))
         config = ResilienceConfig(
             retries=1,
-            backoff=0,
             keep_partial=True,
             chaos=ChaosSpec(
                 crash_replications=(0,), inject_after=100.0, first_attempt_only=False

@@ -173,19 +173,6 @@ class TestValidateDecisions:
         with pytest.raises(SchedulingError):
             validate_decisions(vcpus, pcpus, len(pcpus))
 
-    def test_out_frees_pcpu_for_in(self):
-        # schedule_out is applied before schedule_in: handing over a
-        # PCPU within one tick is legal.
-        vcpus, pcpus = make_views(num_vcpu=2, num_pcpu=1)
-        vcpus[0].pcpu = 0
-        pcpus[0].state = PCPUState.ASSIGNED
-        pcpus[0].vcpu = 0
-        vcpus[0].schedule_out = True
-        vcpus[1].schedule_in = True
-        vcpus[1].next_pcpu = 0
-        vcpus[1].next_timeslice = 1
-        validate_decisions(vcpus, pcpus, len(pcpus))  # must not raise
-
     def test_valid_decisions_pass(self):
         vcpus, pcpus = make_views()
         vcpus[0].schedule_in = True

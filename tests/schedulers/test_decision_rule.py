@@ -2,9 +2,10 @@
 
 ``resolve_decisions`` is the only code that knows whether one tick's
 decisions are consistent.  The ``Scheduling_Func`` gate, the
-``SchedulerHarness`` and ``validate_decisions`` (the decision guard's
-check) all run it, so each hostile decision below must be rejected with
-one identical message wherever it is made.
+``SchedulerHarness``, ``validate_decisions`` and the decision guard all
+run it, so each hostile decision below must be rejected with one
+identical message wherever it is made, and each accepted one must leave
+the same assignment.
 """
 
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -13,10 +14,17 @@ import pytest
 
 from repro.des import StreamFactory
 from repro.errors import SchedulingError, SimulationError
+from repro.resilience import GuardedScheduler, GuardPolicy
 from repro.resilience.degradation import DegradationModel
+from repro.resilience.failures import FailureKind
 from repro.san import SANSimulator
 from repro.schedulers import FunctionScheduler, PCPUState, SchedulerHarness
-from repro.schedulers.interface import PCPUView, VCPUHostView, validate_decisions
+from repro.schedulers.interface import (
+    PCPUView,
+    VCPUHostView,
+    resolve_decisions,
+    validate_decisions,
+)
 from repro.vmm import build_vcpu_scheduler
 
 TOPOLOGY = (1, 1, 1)
@@ -103,16 +111,49 @@ ROWS = {
 }
 
 
+class Accepted(NamedTuple):
+    decide: Callable[[list], None]
+    assignment: Dict[int, int]  # vcpu -> PCPU once the tick has applied
+    held: Dict[int, int] = {}
+    failed: Tuple[int, ...] = ()
+
+
+def _handover(vcpus):
+    _set(vcpus[0], schedule_out=True)
+    _set(vcpus[2], schedule_in=True, next_pcpu=0)
+
+
+def _default_pcpu(vcpus):
+    _set(vcpus[2], schedule_in=True)
+
+
+ACCEPTED = {
+    # Outs apply before ins: a PCPU handed over within one tick is free.
+    "handover": Accepted(
+        _handover, {1: 1, 2: 0}, held={0: 0, 1: 1}
+    ),
+    # No next_pcpu: the lowest IDLE PCPU, skipping a FAILED one.
+    "default_pcpu": Accepted(
+        _default_pcpu, {2: 1}, failed=(0,)
+    ),
+}
+
+
 def staged(row):
-    """A scheduler that first places ``row.held``, then runs ``row.decide``."""
+    """A scheduler that first places ``row.held``, then runs ``row.decide``
+    once."""
+    decided = []
 
     def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
+        if decided:
+            return False
         pending = [g for g, p in row.held.items() if vcpus[g].pcpu != p]
         for g in pending:
             _set(vcpus[g], schedule_in=True, next_pcpu=row.held[g],
                  next_timeslice=100)
         if not pending:
             row.decide(vcpus)
+            decided.append(timestamp)
         return True
 
     return FunctionScheduler(NAME, schedule)
@@ -132,9 +173,16 @@ def on_validate(row):
     for p in row.failed:
         pcpus[p].state = PCPUState.FAILED
     row.decide(vcpus)
-    with pytest.raises(SchedulingError) as caught:
-        validate_decisions(vcpus, pcpus, NUM_PCPUS, 30, NAME)
-    return str(caught.value)
+    if isinstance(row, Row):
+        with pytest.raises(SchedulingError) as caught:
+            validate_decisions(vcpus, pcpus, NUM_PCPUS, 30, NAME)
+        return str(caught.value)
+    validate_decisions(vcpus, pcpus, NUM_PCPUS, 30, NAME)
+    held = {view.vcpu_id: view.pcpu for view in vcpus}
+    outs, ins = resolve_decisions(vcpus, held, [p.state for p in pcpus], 30, NAME)
+    assignment = {g: p for g, p in row.held.items() if g not in outs}
+    assignment.update({g: p for g, p, _ in ins})
+    return assignment
 
 
 def on_gate(row):
@@ -148,8 +196,14 @@ def on_gate(row):
         )
     model = build_vcpu_scheduler(staged(row), NUM_PCPUS, list(TOPOLOGY),
                                  degradation=degradation)
+    simulator = SANSimulator(model, StreamFactory(0))
+    if isinstance(row, Accepted):
+        simulator.run(until=3.5)
+        held = [model.place(f"VCPU{g + 1}_PCPU").value
+                for g in range(sum(TOPOLOGY))]
+        return {g: p for g, p in enumerate(held) if p is not None}
     with pytest.raises(SimulationError) as caught:
-        SANSimulator(model, StreamFactory(0)).run(until=3.5)
+        simulator.run(until=3.5)
     assert isinstance(caught.value.__cause__, SchedulingError)
     return str(caught.value.__cause__)
 
@@ -160,17 +214,32 @@ def on_harness(row):
     for p in row.failed:
         harness.pcpus[p].state = PCPUState.FAILED
     harness.saturate()
+    if isinstance(row, Accepted):
+        for _ in range(3):
+            harness.tick()
+        return harness.assignment()
     with pytest.raises(SchedulingError) as caught:
         for _ in range(3):
             harness.tick()
     return str(caught.value)
 
 
-@pytest.mark.parametrize("surface", [on_validate, on_gate, on_harness],
-                         ids=["validate", "gate", "harness"])
+SURFACES = pytest.mark.parametrize(
+    "surface", [on_validate, on_gate, on_harness],
+    ids=["validate", "gate", "harness"],
+)
+
+
+@SURFACES
 @pytest.mark.parametrize("row", list(ROWS.values()), ids=list(ROWS))
 def test_one_message_per_row_on_every_surface(row, surface):
     assert surface(row) == row.message
+
+
+@SURFACES
+@pytest.mark.parametrize("row", list(ACCEPTED.values()), ids=list(ACCEPTED))
+def test_accepted_on_every_surface(row, surface):
+    assert surface(row) == row.assignment
 
 
 @pytest.mark.parametrize("rewrite, target, message", [
@@ -194,6 +263,18 @@ def test_rewritten_views_cannot_double_assign(rewrite, target, message):
     with pytest.raises(SimulationError) as caught:
         SANSimulator(model, StreamFactory(0)).run(until=2.5)
     assert str(caught.value.__cause__) == f"{NAME}: {message}"
+
+    # Guarded, the lie is caught before the gate sees it: the tick is
+    # dropped as an invalid decision and the replication finishes.
+    guarded = GuardedScheduler(FunctionScheduler(NAME, schedule),
+                               GuardPolicy(mode="degrade"))
+    model = build_vcpu_scheduler(guarded, 1, [1, 1])
+    SANSimulator(model, StreamFactory(0)).run(until=2.5)
+    assert [(f.kind, f.message) for f in guarded.failures] == [
+        (FailureKind.INVALID_DECISION, f"SchedulingError: {NAME}: {message}")
+    ]
+    assert model.place("VCPU1_PCPU").value == 0
+    assert model.place("VCPU2_PCPU").value is None
 
 
 def test_rejected_tick_leaves_harness_unchanged():

@@ -199,7 +199,6 @@ def test_metrics_api():
 
 def test_vmm_api():
     from repro.vmm import (  # noqa: F401
-        PCPUFailureModel,
         build_job_scheduler,
         build_vcpu_model,
         build_vcpu_scheduler,

@@ -1,48 +1,20 @@
-"""Tests for the PCPU fail/repair dependability extension."""
+"""Tests for the PCPU fail/repair dependability extension.
+
+Binary fail/repair is the two-state degradation chain (``p = 1``,
+``h_max = 1``) with one corrective crew per PCPU; ``pcpu_failures`` is
+the spec's shorthand for it.
+"""
 
 import pytest
 
 from repro.core import SystemSpec, VMSpec, WorkloadSpec, simulate_once
 from repro.des import StreamFactory
 from repro.errors import ConfigurationError
+from repro.resilience.degradation import DegradationModel, MaintenancePolicy
 from repro.san import RateReward, SANSimulator
 from repro.schedulers import BUILTIN_ALGORITHMS, PCPUState
-from repro.vmm import PCPUFailureModel, build_virtual_system, pcpus_place
+from repro.vmm import build_virtual_system, pcpus_place
 from repro.workloads import NoSync, WorkloadModel
-
-
-class TestFailureModel:
-    def test_analytic_availability(self):
-        model = PCPUFailureModel(mtbf=900, mttr=100)
-        assert model.availability() == pytest.approx(0.9)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PCPUFailureModel(mtbf=0, mttr=10)
-        with pytest.raises(ConfigurationError):
-            PCPUFailureModel(mtbf=10, mttr=-1)
-
-    def test_validation_rejects_both_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            PCPUFailureModel(mtbf=-5, mttr=0)
-        with pytest.raises(ConfigurationError):
-            PCPUFailureModel(mtbf=10, mttr=0)
-
-    def test_availability_formula_edges(self):
-        # availability = mtbf / (mtbf + mttr), exactly.
-        assert PCPUFailureModel(mtbf=1, mttr=1).availability() == pytest.approx(0.5)
-        # Repairs much faster than failures: availability -> 1.
-        assert PCPUFailureModel(mtbf=1e9, mttr=1).availability() == pytest.approx(
-            1.0, abs=1e-8
-        )
-        # Failures much faster than repairs: availability -> 0.
-        assert PCPUFailureModel(mtbf=1, mttr=1e9).availability() == pytest.approx(
-            0.0, abs=1e-8
-        )
-        # Fractional parameters are fine; only the ratio matters.
-        assert PCPUFailureModel(mtbf=0.3, mttr=0.1).availability() == pytest.approx(
-            PCPUFailureModel(mtbf=3, mttr=1).availability()
-        )
 
 
 def build_failing_system(scheduler="rrs", topology=(1,), pcpus=1,
@@ -52,7 +24,8 @@ def build_failing_system(scheduler="rrs", topology=(1,), pcpus=1,
         BUILTIN_ALGORITHMS[scheduler](),
         pcpus,
         StreamFactory(seed, rep),
-        failures=PCPUFailureModel(mtbf=mtbf, mttr=mttr),
+        degradation=DegradationModel(p=1.0, h_max=1, mtbe=mtbf),
+        maintenance=MaintenancePolicy(crews=pcpus, mttr=mttr),
     )
     return system
 
