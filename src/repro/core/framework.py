@@ -31,7 +31,7 @@ from ..observability.profile import SimProfiler, profiling
 from ..observability.trace import SimTracer, tracing
 from ..resilience.chaos import ChaosScheduler, ChaosSpec
 from ..resilience.failures import ReplicationFailure
-from ..resilience.guard import GuardedScheduler, GuardPolicy
+from ..resilience.guard import GuardPolicy, GuardState
 from ..san import ComposedModel, SANSimulator, build_simulator, resolve_engine
 # Re-exported only because perfbench/spans.py patches ``framework.run_lanes``;
 # drop it with that patch at the next change to the benchmark.
@@ -176,22 +176,19 @@ class Simulation:
         self.root_seed = int(root_seed)
         self.tracer = tracer
         self.profiler: Optional[SimProfiler] = SimProfiler() if profile else None
-        self._guard_policy = guard
         self._chaos_spec = chaos
         engine_name = resolve_engine(engine)
 
         algorithm = create_scheduler(spec.scheduler, **spec.scheduler_params)
         self._algorithm_root = algorithm
-        # Wrap order matters: chaos sabotages the (possibly buggy) user
-        # algorithm; the guard then isolates whatever comes out of it.
+        # Chaos sabotages the (possibly buggy) user algorithm; the guard,
+        # which the Scheduling_Func gate enforces, isolates whatever
+        # comes out of it.
         if chaos is not None:
             algorithm = ChaosScheduler(
                 algorithm, chaos, replication=replication, attempt=attempt
             )
-        self._guard: Optional[GuardedScheduler] = None
-        if guard is not None:
-            algorithm = GuardedScheduler(algorithm, guard)
-            self._guard = algorithm
+        self._guard = GuardState(guard) if guard is not None else None
 
         cache_key = _reuse_key(spec, engine_name, extra_probes) if reuse else None
         self._cache_entry = _cache_checkout(cache_key) if cache_key else None
@@ -203,7 +200,7 @@ class Simulation:
             # The scheduling closure reads the scheduler sub-model's
             # ``algorithm`` attribute; metrics and metadata read the
             # composed model's.  Point both at this replication's fresh
-            # (possibly wrapped) instance.
+            # (possibly chaos-wrapped) instance.
             self.system.algorithm = algorithm
             self.system.scheduler.algorithm = algorithm
             # Re-arm the *existing* stream objects rather than minting a
@@ -233,6 +230,9 @@ class Simulation:
                     self.system, self.simulator, self.rewards, in_use=True
                 )
                 _cache_register(cache_key, self._cache_entry)
+        # Set on every build and checkout, so a reused model never
+        # carries an earlier replication's guard.
+        self.system.scheduler.guard = self._guard
         self._ran = False
 
     def _run_header(self) -> Dict[str, Any]:
@@ -249,7 +249,7 @@ class Simulation:
             "sim_time": self.spec.sim_time,
             "warmup": self.spec.warmup,
             "params": params,
-            "guard": self._guard_policy.mode if self._guard_policy else None,
+            "guard": self._guard.policy.mode if self._guard else None,
             "chaos": self._chaos_spec is not None,
             "engine": self.simulator.engine,
             # What the trace checker configures its health invariants from.

@@ -492,8 +492,8 @@ class _PointState:
     def group_cap(self) -> int:
         """Most replications per floor grant (1 = grouping off here).
 
-        Guarded and chaos runs stay single: their wrapper state is
-        defined per replication attempt.
+        Guarded and chaos runs stay single: their guard and chaos state
+        is defined per replication attempt.
         """
         config = self.run.config
         if config.guard is not None or config.chaos is not None:

@@ -319,10 +319,14 @@ def jain_fairness(values: Sequence[float]) -> float:
         raise StatisticsError("fairness index of zero allocations")
     if any(v < 0 for v in values):
         raise StatisticsError("fairness index needs non-negative allocations")
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if total == 0 or squares == 0:
-        # All-zero allocations are trivially fair; squares can also
-        # underflow to zero for denormal inputs even when total does not.
+    peak = max(values)
+    if peak == 0:
+        # All-zero allocations are trivially fair.
         return 1.0
+    # The index is scale-invariant, so normalise to the largest share
+    # before squaring: squares of tiny allocations would otherwise fall
+    # into the denormal range and lose precision (or underflow to zero).
+    shares = [v / peak for v in values]
+    total = sum(shares)
+    squares = sum(s * s for s in shares)
     return min(1.0, (total * total) / (len(values) * squares))

@@ -10,8 +10,10 @@ sweep down with it.  This package makes the runner survive all three:
   deterministic retry/reseed;
 * :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints so
   interrupted runs resume without recomputation;
-* :mod:`~repro.resilience.guard` — the scheduler decision guard:
-  fault records, optional quarantine, round-robin fallback;
+* :mod:`~repro.resilience.guard` — the policy and per-replication
+  state of the scheduler decision guard, which the ``Scheduling_Func``
+  gate enforces: fault records, optional quarantine, round-robin
+  fallback;
 * :mod:`~repro.resilience.chaos` — deterministic, seeded fault
   injection so the machinery above is itself tested end-to-end;
 * :mod:`~repro.resilience.failures` — the structured
@@ -41,7 +43,7 @@ from .executor import (
     retry_seed,
 )
 from .failures import FailureKind, ReplicationFailure, failure_summary
-from .guard import GUARD_MODES, GuardedScheduler, GuardPolicy
+from .guard import GUARD_MODES, GuardPolicy, GuardState
 from .result_cache import ResultCache, code_fingerprint
 
 __all__ = [
@@ -56,8 +58,8 @@ __all__ = [
     "MAINTENANCE_POLICIES",
     "MaintenancePolicy",
     "GUARD_MODES",
-    "GuardedScheduler",
     "GuardPolicy",
+    "GuardState",
     "InjectedFault",
     "ReplicationFailure",
     "ReplicationOutcome",

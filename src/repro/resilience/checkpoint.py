@@ -11,8 +11,10 @@ File format (one JSON object per line):
 
 * ``{"kind": "scope", "scope": ..., "fingerprint": ...}`` — opens a
   namespace (one per experiment; sweeps use one scope per point) and
-  pins the experiment fingerprint (spec + seed + protocol), so a stale
-  checkpoint cannot silently contaminate a different experiment;
+  pins the experiment fingerprint (code + spec + seed + protocol), so a
+  stale checkpoint cannot silently contaminate a different experiment,
+  and a checkpoint written before any edit to the package cannot mix
+  two model versions into one run;
 * ``{"kind": "replication", "scope": ..., "replication": ..., ...}`` —
   one resolved replication: its metrics (or permanent failure), the
   attempt that succeeded, failure records, and the degraded flag.
@@ -114,7 +116,8 @@ class CheckpointStore:
         Raises:
             CheckpointError: the scope exists with a different
                 fingerprint — this checkpoint belongs to a different
-                experiment and must not be resumed against.
+                experiment, or to another version of the code, and must
+                not be resumed against.
         """
         existing = self._scopes.get(scope)
         self._opened.add(scope)
@@ -122,8 +125,10 @@ class CheckpointStore:
             if existing != scope_fingerprint:
                 raise CheckpointError(
                     f"checkpoint scope {scope!r} was written by a different "
-                    f"experiment (fingerprint {existing[:12]}… != "
-                    f"{scope_fingerprint[:12]}…); refusing to resume"
+                    "experiment or by a different version of the code "
+                    f"(fingerprint {existing[:12]}… != "
+                    f"{scope_fingerprint[:12]}…); refusing to resume: "
+                    "start a fresh checkpoint"
                 )
             return
         self._scopes[scope] = scope_fingerprint

@@ -46,7 +46,12 @@ from .chaos import ChaosSpec
 from .checkpoint import CheckpointStore, fingerprint
 from .failures import FailureKind, ReplicationFailure, failure_summary
 from .guard import GuardPolicy
-from .result_cache import ResultCache, cacheable_spec_payload, shared_cache
+from .result_cache import (
+    ResultCache,
+    cacheable_spec_payload,
+    code_fingerprint,
+    shared_cache,
+)
 
 
 @dataclass
@@ -261,10 +266,12 @@ def scope_fingerprint(
     """The checkpoint-scope fingerprint of one experiment (sweep point).
 
     Resuming refuses a scope whose fingerprint differs, so a checkpoint
-    can never feed samples into a different experiment.
+    can never feed samples into a different experiment, nor samples of
+    one version of the code into a run of another.
     """
     return fingerprint(
         {
+            "code": code_fingerprint(),
             "spec": spec_payload(spec),
             "root_seed": root_seed,
             "extra_probes": extra_probes,

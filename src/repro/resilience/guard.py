@@ -2,25 +2,25 @@
 
 The paper invites users to plug in arbitrary scheduling functions; a
 buggy one must not take the whole experiment down with it.  The guard
-wraps every :meth:`SchedulingAlgorithm.schedule` call and
+lives in the ``Scheduling_Func`` gate: a replication run with a
+:class:`GuardPolicy` puts a :class:`GuardState` on the scheduler model,
+and the gate, which checks every tick's decisions against the marking
+with ``resolve_decisions``, then
 
-* converts raised exceptions and invalid decisions (double-assigned
-  PCPU, out-of-range ids, schedule_in on a FAILED PCPU, ...) into
-  structured :class:`~repro.resilience.failures.ReplicationFailure`
-  records instead of lost tracebacks (its check is the
-  ``Scheduling_Func`` gate's own rule and messages,
-  ``resolve_decisions``, run against the state the views showed
-  *before* the algorithm could rewrite them — the state the gate
-  checks);
+* converts an exception raised by the algorithm and an invalid decision
+  (double-assigned PCPU, out-of-range id, schedule_in on a FAILED PCPU,
+  ...) into a structured
+  :class:`~repro.resilience.failures.ReplicationFailure` record instead
+  of a lost traceback, and applies nothing of that tick;
 * in ``fail_fast`` mode (the default) re-raises as
   :class:`~repro.errors.SchedulingError` so the replication dies
   immediately — the executor then retries it under a fresh seed;
-* in ``degrade`` mode (opt-in) discards the faulty tick's decisions
-  (no model state is corrupted — validation runs *before* apply) and,
-  after ``quarantine_after`` consecutive faults, quarantines the
-  algorithm for the rest of the replication, falling back to plain
-  round-robin so the system keeps making progress.  The replication's
-  results are then flagged ``degraded``.
+* in ``degrade`` mode (opt-in) drops the faulty tick and, after
+  ``quarantine_after`` consecutive faults, quarantines the algorithm for
+  the rest of the replication: plain round-robin decides from then on,
+  starting on that same tick from views rebuilt from the marking, so the
+  system keeps making progress.  The replication's results are then
+  flagged ``degraded``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError, SchedulingError
 from ..observability import trace as _trace
-from ..schedulers.interface import (
-    PCPUView,
-    SchedulingAlgorithm,
-    VCPUHostView,
-    clear_decisions,
-    resolve_decisions,
-)
+from ..schedulers.interface import SchedulingAlgorithm
 from ..schedulers.round_robin import RoundRobinScheduler
 from .failures import FailureKind, ReplicationFailure
 
@@ -51,7 +45,7 @@ class GuardPolicy:
         mode: ``"fail_fast"`` (default — re-raise, let the executor
             retry the replication) or ``"degrade"`` (drop the faulty
             tick, quarantine after repeated faults).
-        quarantine_after: consecutive faults before the inner algorithm
+        quarantine_after: consecutive faults before the plugged algorithm
             is quarantined and round-robin takes over (degrade mode).
     """
 
@@ -79,119 +73,75 @@ class GuardPolicy:
         )
 
 
-class GuardedScheduler(SchedulingAlgorithm):
-    """Wraps an algorithm with fault isolation per :class:`GuardPolicy`.
+class GuardState:
+    """One replication's guard, on the scheduler model as ``model.guard``.
+
+    The ``Scheduling_Func`` gate reports every faulty tick to :meth:`fault`.
 
     Attributes:
+        policy: the :class:`GuardPolicy` in force.
         failures: the tick-level faults observed so far this replication.
-        quarantined: True once the inner algorithm has been benched and
-            the round-robin fallback is driving.
+        consecutive_faults: faulty ticks since the last clean one.
+        fallback: the round-robin algorithm that drives once the plugged
+            one is quarantined; ``None`` until then.
     """
 
-    def __init__(
-        self, inner: SchedulingAlgorithm, policy: Optional[GuardPolicy] = None
-    ) -> None:
-        if not isinstance(inner, SchedulingAlgorithm):
-            raise ConfigurationError(
-                f"guard needs a SchedulingAlgorithm, got {type(inner).__name__}"
-            )
-        policy = policy if policy is not None else GuardPolicy()
+    def __init__(self, policy: GuardPolicy) -> None:
         policy.validate()
-        super().__init__(timeslice=inner.timeslice)
-        self.name = f"guard({inner.name})"
-        self.inner = inner
         self.policy = policy
         self.failures: List[ReplicationFailure] = []
-        self.quarantined = False
-        self._consecutive_faults = 0
-        self._fallback = RoundRobinScheduler(timeslice=inner.timeslice)
+        self.consecutive_faults = 0
+        self.fallback: Optional[SchedulingAlgorithm] = None
 
-    def reset(self) -> None:
-        super().reset()
-        self.inner.reset()
-        self._fallback.reset()
-        self.failures.clear()
-        self.quarantined = False
-        self._consecutive_faults = 0
+    @property
+    def quarantined(self) -> bool:
+        """True once the round-robin fallback drives."""
+        return self.fallback is not None
 
-    def schedule(
-        self,
-        vcpus: List[VCPUHostView],
-        num_vcpu: int,
-        pcpus: List[PCPUView],
-        num_pcpu: int,
-        timestamp: float,
+    def fault(
+        self, exc: Exception, algorithm: SchedulingAlgorithm, timestamp: float
     ) -> bool:
-        if self.quarantined:
-            return self._fallback.schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
-        # The views mirror the gate's state only until the algorithm
-        # runs, and it may rewrite them: check against a snapshot.
-        held = {view.vcpu_id: view.pcpu for view in vcpus}
-        states = [pcpus[i].state for i in range(num_pcpu)]
-        try:
-            decided = self.inner.schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
-            resolve_decisions(
-                vcpus, held, states, self.inner.timeslice, self.inner.name
-            )
-        except Exception as exc:  # noqa: BLE001 — isolating arbitrary user code
-            return self._on_fault(exc, vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
-        self._consecutive_faults = 0
-        return bool(decided)
+        """Record one faulty tick of ``algorithm``; nothing of it applies.
 
-    def _on_fault(
-        self,
-        exc: Exception,
-        vcpus: List[VCPUHostView],
-        num_vcpu: int,
-        pcpus: List[PCPUView],
-        num_pcpu: int,
-        timestamp: float,
-    ) -> bool:
+        Raises:
+            SchedulingError: in ``fail_fast`` mode.
+
+        Returns:
+            True when this fault quarantines the algorithm: the gate then
+            runs :attr:`fallback` on views rebuilt from the marking.
+        """
         kind = (
             FailureKind.INVALID_DECISION
             if isinstance(exc, SchedulingError)
             else FailureKind.EXCEPTION
         )
+        message = f"{type(exc).__name__}: {exc}"
+        name = algorithm.name
         self.failures.append(
-            ReplicationFailure(
-                kind=kind,
-                message=f"{type(exc).__name__}: {exc}",
-                scheduler=self.inner.name,
-                sim_time=timestamp,
-            )
+            ReplicationFailure(kind, message, scheduler=name, sim_time=timestamp)
         )
         tracer = _trace._ACTIVE
         if tracer is not None:
             tracer.emit(
                 _trace.GUARD_FAULT,
                 time=timestamp,
-                scheduler=self.inner.name,
+                scheduler=name,
                 fault_kind=kind,
-                message=f"{type(exc).__name__}: {exc}"[:200],
+                message=message[:200],
             )
         if self.policy.mode == "fail_fast":
             raise SchedulingError(
-                f"{self.inner.name} faulted at t={timestamp:g}: "
-                f"{type(exc).__name__}: {exc}"
+                f"{name} faulted at t={timestamp:g}: {message}"
             ) from exc
-        # Degrade mode: the faulty tick's decisions are discarded whole —
-        # validation ran before any state was touched, so the model is
-        # still consistent and this tick simply makes no decision.
-        clear_decisions(vcpus)
-        self._consecutive_faults += 1
-        if self._consecutive_faults >= self.policy.quarantine_after:
-            self.quarantined = True
-            if tracer is not None:
-                tracer.emit(
-                    _trace.GUARD_QUARANTINE,
-                    time=timestamp,
-                    scheduler=self.inner.name,
-                    faults=len(self.failures),
-                )
-            self._fallback.reset()
-            return self._fallback.schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp)
-        return False
-
-    def __repr__(self) -> str:
-        state = "quarantined" if self.quarantined else self.policy.mode
-        return f"GuardedScheduler({self.inner!r}, {state})"
+        self.consecutive_faults += 1
+        if self.consecutive_faults < self.policy.quarantine_after:
+            return False
+        self.fallback = RoundRobinScheduler(timeslice=algorithm.timeslice)
+        if tracer is not None:
+            tracer.emit(
+                _trace.GUARD_QUARANTINE,
+                time=timestamp,
+                scheduler=name,
+                faults=len(self.failures),
+            )
+        return True

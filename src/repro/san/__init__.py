@@ -26,7 +26,6 @@ from .model import ModelBase, SANModel
 from .places import ExtendedPlace, Marking, Place, PlaceLike, share
 from .reward import ImpulseReward, RateReward, RatioRateReward, RewardVariable
 from .simulator import SANSimulator
-from .state import MarkingTrace
 
 __all__ = [
     "Activity",
@@ -62,5 +61,4 @@ __all__ = [
     "place_matrix",
     "resolve_engine",
     "run_lanes",
-    "MarkingTrace",
 ]

@@ -119,14 +119,16 @@ class SchedulerHarness:
             if view.timeslice <= 0:
                 self._release(view)
 
-        # 2. The algorithm's decision, checked against the harness's own
-        # state, its views (a rejected tick raises before anything applies).
+        # 2. The algorithm's decision, checked against the state the views
+        # showed before it ran, as the gate checks the marking: the
+        # algorithm may rewrite views (a rejected tick raises before
+        # anything applies).
         clear_decisions(self.views)
+        held = [view.pcpu for view in self.views]
+        states = [pcpu.state for pcpu in self.pcpus]
         self.algorithm.schedule(
             self.views, len(self.views), self.pcpus, self.num_pcpus, self.now
         )
-        held = [view.pcpu for view in self.views]
-        states = [pcpu.state for pcpu in self.pcpus]
         outs, ins = resolve_decisions(
             self.views, held, states, self.algorithm.timeslice, self.algorithm.name
         )

@@ -163,8 +163,9 @@ class SchedulingAlgorithm:
             Algorithms whose per-tick bookkeeping can be replayed in
             closed form (skew accounting) leave it False and override
             :meth:`quiet_ticks` instead; algorithms that cannot (deadline
-            rollover) leave both alone.  Wrappers that do not re-declare
-            the flag (guard, chaos) disable fast-forward automatically.
+            rollover) leave both alone.  A wrapper that does not
+            re-declare the flag (chaos) disables fast-forward, and so
+            does an attached decision guard.
     """
 
     name = "abstract"
@@ -320,9 +321,10 @@ def resolve_decisions(
 ) -> Tuple[List[int], List[Tuple[int, int, int]]]:
     """Check one tick's decisions and return the plan that applies them.
 
-    The one decision rule: the ``Scheduling_Func`` gate, the
-    :class:`~repro.schedulers.harness.SchedulerHarness`, the decision
-    guard and :func:`validate_decisions` all run it.  Decisions come from the
+    The one decision rule: the ``Scheduling_Func`` gate (which also
+    enforces the decision guard), the
+    :class:`~repro.schedulers.harness.SchedulerHarness` and
+    :func:`validate_decisions` all run it.  Decisions come from the
     views' output fields; the state they are checked against is the
     caller's: ``held[vcpu_id]`` is the PCPU that VCPU holds, or None (a
     list indexed by VCPU id will do), and ``states`` lists every PCPU's

@@ -24,7 +24,8 @@ The hypervisor side of the framework.  Its components, following
   :func:`~repro.schedulers.interface.resolve_decisions`, and applies
   them: freeing/assigning PCPUs, granting timeslices, stamping
   ``Last_Scheduled_In``, and depositing Schedule_In / Schedule_Out
-  tokens for the VCPU models.
+  tokens for the VCPU models.  It also enforces the replication's
+  decision guard (:mod:`repro.resilience.guard`), when one is attached.
 
 Timeslice accounting happens *before* the algorithm call, as in the
 paper: an ACTIVE VCPU's timeslice decreases at each Clock firing and
@@ -111,9 +112,10 @@ class ClockFastForward:
       active VCPU); RCS bounds the span by its skew thresholds instead,
       and FIFO refuses any span with a READY holder (it releases one on
       the next tick).  The algorithm is resolved through
-      ``model.algorithm``, so guard/chaos wrappers — which neither
-      declare the flag nor override the method — automatically disable
-      fast-forward;
+      ``model.algorithm``, so a chaos wrapper — which neither declares
+      the flag nor overrides the method — disables fast-forward;
+    * no guard is attached (``model.guard`` is None): the guard records
+      faults tick by tick, so a guarded replication runs every tick;
     * every PCPU is ASSIGNED (no idle PCPU an algorithm could fill, no
       FAILED PCPU mid-repair);
     * every assigned slot is BUSY or READY outside a critical section,
@@ -203,6 +205,8 @@ class ClockFastForward:
         observation.  Also records which slots hold a PCPU (and which of
         those burn load) and the current timestamp, for :meth:`apply`.
         """
+        if self._model.guard is not None:
+            return 0
         for entry in self._pcpus.value:
             if entry["state"] != PCPUState.ASSIGNED:
                 return 0
@@ -723,10 +727,6 @@ def build_vcpu_scheduler(
         _run_scheduling_func()
 
     def _run_scheduling_func() -> None:
-        # Resolved through the model each tick so cross-replication
-        # reuse can swap in a fresh algorithm (or a guard/chaos wrapper)
-        # without rebuilding these closures.
-        algorithm = model.algorithm
         sched_tick.remove()
         now = float(timestamp.tokens)
 
@@ -740,62 +740,88 @@ def build_vcpu_scheduler(
             else:
                 timeslice_places[g].tokens = remaining
 
-        # 2. Build the in/out view arrays the C interface passes.  The
-        # views copy what they show, so every read here is a peek: an
-        # observation must not invalidate the gates watching the slots.
-        # ``held`` and ``states`` keep the marking's own copy of what the
-        # decisions are checked against: the algorithm may rewrite views.
-        views: List[VCPUHostView] = []
-        held: List[Optional[int]] = []
-        for g in range(total_vcpus):
-            vm_id, vcpu_index = slot_map[g]
-            slot = slot_value_places[g].peek()
-            pcpu_index = pcpu_places[g].peek()
-            held.append(pcpu_index)
-            views.append(
-                VCPUHostView(
-                    vcpu_id=g,
-                    vm_id=vm_id,
-                    vcpu_index=vcpu_index,
-                    status=vcpu_status(pcpu_index, slot["remaining_load"]),
-                    remaining_load=slot["remaining_load"],
-                    sync_point=slot["sync_point"],
-                    last_scheduled_in=last_in_places[g].peek(),
-                    timeslice=timeslice_places[g].tokens,
-                    pcpu=pcpu_index,
+        # The algorithm and its guard are resolved through the model each
+        # tick, so cross-replication reuse can swap in fresh ones without
+        # rebuilding these closures.  A quarantined algorithm's fallback
+        # runs unguarded.
+        algorithm = model.algorithm
+        guard = model.guard
+        if guard is not None and guard.fallback is not None:
+            algorithm, guard = guard.fallback, None
+        while True:
+            # 2. Build the in/out view arrays the C interface passes.  The
+            # views copy what they show, so every read here is a peek: an
+            # observation must not invalidate the gates watching the
+            # slots.  ``held`` and ``states`` keep the marking's own copy
+            # of what the decisions are checked against: the algorithm
+            # may rewrite views.
+            views: List[VCPUHostView] = []
+            held: List[Optional[int]] = []
+            for g in range(total_vcpus):
+                vm_id, vcpu_index = slot_map[g]
+                slot = slot_value_places[g].peek()
+                pcpu_index = pcpu_places[g].peek()
+                held.append(pcpu_index)
+                views.append(
+                    VCPUHostView(
+                        vcpu_id=g,
+                        vm_id=vm_id,
+                        vcpu_index=vcpu_index,
+                        status=vcpu_status(pcpu_index, slot["remaining_load"]),
+                        remaining_load=slot["remaining_load"],
+                        sync_point=slot["sync_point"],
+                        last_scheduled_in=last_in_places[g].peek(),
+                        timeslice=timeslice_places[g].tokens,
+                        pcpu=pcpu_index,
+                    )
                 )
-            )
-        states = [entry["state"] for entry in pcpus.peek()]
-        if health is None:
-            pcpu_views = [
-                PCPUView(pcpu_id=i, state=entry["state"], vcpu=entry["vcpu"])
-                for i, entry in enumerate(pcpus.peek())
-            ]
-        else:
-            health_entries = health.peek()
-            pcpu_views = [
-                PCPUView(
-                    pcpu_id=i,
-                    state=entry["state"],
-                    vcpu=entry["vcpu"],
-                    health=health_entries[i]["health"],
-                    capacity=capacity[health_entries[i]["health"]],
+            states = [entry["state"] for entry in pcpus.peek()]
+            if health is None:
+                pcpu_views = [
+                    PCPUView(pcpu_id=i, state=entry["state"], vcpu=entry["vcpu"])
+                    for i, entry in enumerate(pcpus.peek())
+                ]
+            else:
+                health_entries = health.peek()
+                pcpu_views = [
+                    PCPUView(
+                        pcpu_id=i,
+                        state=entry["state"],
+                        vcpu=entry["vcpu"],
+                        health=health_entries[i]["health"],
+                        capacity=capacity[health_entries[i]["health"]],
+                    )
+                    for i, entry in enumerate(pcpus.peek())
+                ]
+
+            # 3. Call the plugged scheduling function and check its
+            # decisions.  Unguarded, a fault propagates; guarded, it is
+            # recorded and the tick applies nothing, or it quarantines the
+            # algorithm and the fallback decides this tick on fresh views.
+            try:
+                profiler = _profile._ACTIVE
+                if profiler is None:
+                    algorithm.schedule(views, len(views), pcpu_views, num_pcpus, now)
+                else:
+                    with profiler.section("vmm.algorithm"):
+                        algorithm.schedule(
+                            views, len(views), pcpu_views, num_pcpus, now
+                        )
+                outs, ins = resolve_decisions(
+                    views, held, states, algorithm.timeslice, algorithm.name
                 )
-                for i, entry in enumerate(pcpus.peek())
-            ]
+            except Exception as exc:  # noqa: BLE001 — isolating arbitrary user code
+                if guard is None:
+                    raise
+                if guard.fault(exc, algorithm, now):
+                    algorithm, guard = guard.fallback, None
+                    continue
+                return
+            if guard is not None:
+                guard.consecutive_faults = 0
+            break
 
-        # 3. Call the plugged scheduling function.
-        profiler = _profile._ACTIVE
-        if profiler is None:
-            algorithm.schedule(views, len(views), pcpu_views, num_pcpus, now)
-        else:
-            with profiler.section("vmm.algorithm"):
-                algorithm.schedule(views, len(views), pcpu_views, num_pcpus, now)
-
-        # 4. Check its decisions, then apply them: outs first, then ins.
-        outs, ins = resolve_decisions(
-            views, held, states, algorithm.timeslice, algorithm.name
-        )
+        # 4. Apply: outs first, then ins.
         for g in outs:
             _deschedule(g)
         for g, pcpu_index, timeslice in ins:
@@ -815,6 +841,9 @@ def build_vcpu_scheduler(
     model.total_vcpus = total_vcpus
     model.num_pcpus = num_pcpus
     model.algorithm = algorithm
+    #: The replication's :class:`~repro.resilience.guard.GuardState`, or
+    #: None: the framework sets it on every build and reuse checkout.
+    model.guard = None
     model.degradation = degradation
     model.maintenance = maintenance
     model.hv_overhead = hv_overhead

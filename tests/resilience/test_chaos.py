@@ -4,11 +4,15 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.des import StreamFactory
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.resilience import ChaosScheduler, ChaosSpec, CORRUPT_KINDS, InjectedFault
-from repro.resilience.guard import GuardedScheduler
+from repro.resilience import GuardPolicy, GuardState
+from repro.resilience.failures import FailureKind
+from repro.san import SANSimulator
 from repro.schedulers import RoundRobinScheduler
 from repro.schedulers.interface import PCPUView, VCPUHostView
+from repro.vmm import build_vcpu_scheduler
 
 
 def make_views(num_vcpu=3, num_pcpu=2):
@@ -90,10 +94,14 @@ class TestInjection:
     def test_corruption_is_caught_by_the_guard(self, kind):
         spec = ChaosSpec(corrupt_replications=(0,), corrupt_kind=kind)
         chaos = ChaosScheduler(RoundRobinScheduler(), spec, replication=0)
-        guard = GuardedScheduler(chaos)
-        vcpus, pcpus = make_views()
-        with pytest.raises(SchedulingError):
-            guard.schedule(vcpus, len(vcpus), pcpus, len(pcpus), 0.0)
+        model = build_vcpu_scheduler(chaos, 2, [1, 1, 1])
+        model.guard = GuardState(GuardPolicy())
+        with pytest.raises(SimulationError) as caught:
+            SANSimulator(model, StreamFactory(0)).run(until=3.5)
+        assert isinstance(caught.value.__cause__, SchedulingError)
+        assert [(f.kind, f.sim_time) for f in model.guard.failures] == [
+            (FailureKind.INVALID_DECISION, 1.0)
+        ]
 
     def test_fault_rate_only_hits_targeted_replications(self):
         spec = ChaosSpec(crash_replications=(1,), fault_rate=1.0)

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.results import render_table, results_to_csv
 from repro.errors import CheckpointError, ConfigurationError, ReplicationError
-from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
+from repro.resilience import ChaosSpec, ResilienceConfig, result_cache, retry_seed
 from repro.resilience.failures import FailureKind
 
 
@@ -260,6 +260,17 @@ class TestCheckpointResumeAcceptance:
                 resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
                 root_seed=999,
             )
+
+    def test_resume_after_code_change_refused(self, noisy_spec, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.jsonl"
+        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=str(path)))
+        before = path.read_bytes()
+        # Any edit to the package changes its code fingerprint.
+        monkeypatch.setattr(result_cache, "_code_fingerprint", "edited")
+        resume = ResilienceConfig(retries=0, checkpoint=str(path), resume=True)
+        with pytest.raises(CheckpointError, match="version of the code.*fresh"):
+            run(noisy_spec, resilience=resume)
+        assert path.read_bytes() == before
 
     def test_experiment_checkpoint_is_a_one_point_sweep_checkpoint(
         self, noisy_spec, tmp_path

@@ -1,11 +1,11 @@
 """One decision rule, three surfaces.
 
 ``resolve_decisions`` is the only code that knows whether one tick's
-decisions are consistent.  The ``Scheduling_Func`` gate, the
-``SchedulerHarness``, ``validate_decisions`` and the decision guard all
-run it, so each hostile decision below must be rejected with one
-identical message wherever it is made, and each accepted one must leave
-the same assignment.
+decisions are consistent.  The ``Scheduling_Func`` gate (which also
+enforces the decision guard), the ``SchedulerHarness`` and
+``validate_decisions`` all run it, so each hostile decision below must
+be rejected with one identical message wherever it is made, and each
+accepted one must leave the same assignment.
 """
 
 from typing import Callable, Dict, NamedTuple, Tuple
@@ -14,7 +14,7 @@ import pytest
 
 from repro.des import StreamFactory
 from repro.errors import SchedulingError, SimulationError
-from repro.resilience import GuardedScheduler, GuardPolicy
+from repro.resilience import GuardPolicy, GuardState
 from repro.resilience.degradation import DegradationModel
 from repro.resilience.failures import FailureKind
 from repro.san import SANSimulator
@@ -250,7 +250,8 @@ def test_accepted_on_every_surface(row, surface):
 ], ids=["pcpu_marked_idle", "vcpu_marked_unplaced"])
 def test_rewritten_views_cannot_double_assign(rewrite, target, message):
     # VCPU 0 takes PCPU 0; next tick the algorithm rewrites the views to
-    # hide that and schedules onto it.  The gate checks the marking.
+    # hide that and schedules onto it.  The gate checks the marking, the
+    # harness the state its views showed before the algorithm ran.
     def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
         if timestamp == 1:
             _set(vcpus[0], schedule_in=True, next_pcpu=0, next_timeslice=100)
@@ -264,13 +265,20 @@ def test_rewritten_views_cannot_double_assign(rewrite, target, message):
         SANSimulator(model, StreamFactory(0)).run(until=2.5)
     assert str(caught.value.__cause__) == f"{NAME}: {message}"
 
-    # Guarded, the lie is caught before the gate sees it: the tick is
-    # dropped as an invalid decision and the replication finishes.
-    guarded = GuardedScheduler(FunctionScheduler(NAME, schedule),
-                               GuardPolicy(mode="degrade"))
-    model = build_vcpu_scheduler(guarded, 1, [1, 1])
+    harness = SchedulerHarness(FunctionScheduler(NAME, schedule),
+                               topology=[1, 1], num_pcpus=1)
+    harness.saturate()
+    harness.tick()
+    with pytest.raises(SchedulingError) as caught:
+        harness.tick()
+    assert str(caught.value) == f"{NAME}: {message}"
+
+    # Guarded, the gate drops the tick as an invalid decision and the
+    # replication finishes.
+    model = build_vcpu_scheduler(FunctionScheduler(NAME, schedule), 1, [1, 1])
+    model.guard = GuardState(GuardPolicy(mode="degrade"))
     SANSimulator(model, StreamFactory(0)).run(until=2.5)
-    assert [(f.kind, f.message) for f in guarded.failures] == [
+    assert [(f.kind, f.message) for f in model.guard.failures] == [
         (FailureKind.INVALID_DECISION, f"SchedulingError: {NAME}: {message}")
     ]
     assert model.place("VCPU1_PCPU").value == 0

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import SchedulingError
 from repro.schedulers import (
     FunctionScheduler,
-    PCPUState,
     RoundRobinScheduler,
     SchedulerHarness,
 )
@@ -32,102 +31,6 @@ def test_availability_and_assignment_probes():
     h.run(20)
     assert set(h.assignment().values()) <= {0}
     assert h.availability(0) + h.availability(1) == pytest.approx(1.0)
-
-
-def test_invalid_decisions_raise():
-    def double_dip(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        vcpus[0].schedule_in = True
-        vcpus[0].schedule_out = True
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("bad", double_dip), topology=[1], num_pcpus=1)
-    with pytest.raises(SchedulingError):
-        h.tick()
-
-
-def test_overcommit_raises():
-    def greedy(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        for v in vcpus:
-            if not v.active:
-                v.schedule_in = True
-                v.next_timeslice = 5
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("greedy", greedy), topology=[2], num_pcpus=1)
-    with pytest.raises(SchedulingError):
-        h.tick()
-
-
-def test_duplicate_pcpu_assignment_raises():
-    def dup(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        for v in vcpus:
-            if not v.active:
-                v.schedule_in = True
-                v.next_pcpu = 0
-                v.next_timeslice = 5
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("dup", dup), topology=[2], num_pcpus=2)
-    h.saturate()
-    with pytest.raises(SchedulingError, match="not idle"):
-        h.tick()
-
-
-def test_out_of_range_pcpu_raises():
-    def wild(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        v = vcpus[0]
-        if not v.active:
-            v.schedule_in = True
-            v.next_pcpu = num_pcpu + 7
-            v.next_timeslice = 5
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("wild", wild), topology=[1], num_pcpus=1)
-    h.saturate()
-    with pytest.raises(SchedulingError, match="outside"):
-        h.tick()
-
-
-def test_assignment_to_failed_pcpu_raises():
-    def pin(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        v = vcpus[0]
-        if not v.active:
-            v.schedule_in = True
-            v.next_pcpu = 0
-            v.next_timeslice = 5
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("pin", pin), topology=[1], num_pcpus=1)
-    h.pcpus[0].state = PCPUState.FAILED
-    h.saturate()
-    with pytest.raises(SchedulingError):
-        h.tick()
-
-
-def test_timeslice_below_one_raises():
-    def zero(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        v = vcpus[0]
-        if not v.active:
-            v.schedule_in = True
-            v.next_timeslice = 0
-        return True
-
-    h = SchedulerHarness(FunctionScheduler("zero", zero), topology=[1], num_pcpus=1)
-    h.saturate()
-    with pytest.raises(SchedulingError, match="timeslice"):
-        h.tick()
-
-
-def test_schedule_out_without_pcpu_raises():
-    def phantom(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
-        vcpus[0].schedule_out = True
-        return True
-
-    h = SchedulerHarness(
-        FunctionScheduler("phantom", phantom), topology=[1], num_pcpus=1
-    )
-    with pytest.raises(SchedulingError, match="holds no PCPU"):
-        h.tick()
 
 
 def test_bad_topology_rejected():

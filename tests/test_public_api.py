@@ -109,7 +109,7 @@ def test_resilience_api():
     from repro.resilience import (  # noqa: F401
         ChaosScheduler,
         CheckpointStore,
-        GuardedScheduler,
+        GuardState,
         ReplicationOutcome,
         retry_seed,
     )
@@ -142,7 +142,6 @@ def test_san_api():
         ImpulseReward,
         InputGate,
         InstantaneousActivity,
-        MarkingTrace,
         OutputGate,
         Place,
         RateReward,

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.des import StreamFactory
-from repro.errors import ModelError, SchedulingError, SimulationError
+from repro.errors import ModelError
 from repro.san import SANSimulator
-from repro.schedulers import FunctionScheduler, RoundRobinScheduler
+from repro.schedulers import RoundRobinScheduler
 from repro.vmm import build_vcpu_scheduler
 
 
@@ -104,64 +104,3 @@ class TestClockAndScheduling:
         assert model.place("VCPU1_Schedule_Out").tokens == 1
         assert model.place("VCPU1_Schedule_In").tokens == 2
         assert model.place("VCPU1_PCPU").value is not None
-
-
-class TestDecisionValidation:
-    def run_expecting(self, fn, match):
-        algo = FunctionScheduler("hostile", fn)
-        model = make(algorithm=algo, topology=(1, 1), num_pcpus=1)
-        sim = SANSimulator(model, StreamFactory(0))
-        with pytest.raises(SimulationError, match=match):
-            sim.run(until=2.5)
-
-    def test_in_and_out_same_tick_rejected(self):
-        def fn(vcpus, n, pcpus, m, t):
-            vcpus[0].schedule_in = True
-            vcpus[0].schedule_out = True
-            return True
-
-        self.run_expecting(fn, "both")
-
-    def test_overcommit_rejected(self):
-        def fn(vcpus, n, pcpus, m, t):
-            for v in vcpus:
-                if not v.active:
-                    v.schedule_in = True
-            return True
-
-        self.run_expecting(fn, "no.*PCPU is free|over-commitment")
-
-    def test_schedule_out_of_idle_vcpu_rejected(self):
-        def fn(vcpus, n, pcpus, m, t):
-            vcpus[1].schedule_out = True
-            return True
-
-        self.run_expecting(fn, "holds no PCPU")
-
-    def test_double_schedule_in_rejected(self):
-        calls = {"n": 0}
-
-        def fn(vcpus, n, pcpus, m, t):
-            calls["n"] += 1
-            vcpus[0].schedule_in = True  # even when already active
-            return True
-
-        self.run_expecting(fn, "already holds")
-
-    def test_bad_pcpu_request_rejected(self):
-        def fn(vcpus, n, pcpus, m, t):
-            if not vcpus[0].active:
-                vcpus[0].schedule_in = True
-                vcpus[0].next_pcpu = 7
-            return True
-
-        self.run_expecting(fn, "outside")
-
-    def test_zero_timeslice_rejected(self):
-        def fn(vcpus, n, pcpus, m, t):
-            if not vcpus[0].active:
-                vcpus[0].schedule_in = True
-                vcpus[0].next_timeslice = 0
-            return True
-
-        self.run_expecting(fn, "timeslice")
