@@ -203,7 +203,36 @@ def _run_once(scheduler, sim_time, variant, root_seed=0):
         "completions": result.completions,
         "ticks_fired": stats["ticks_fired"],
         "ticks_fast_forwarded": stats["ticks_fast_forwarded"],
+        "consumers_applied": stats["consumers_applied"],
         "metrics": result.metrics,
+    }
+
+
+def _shortcut_counters(scheduler, sim_time, root_seed=0):
+    """Where the compiled engine's executed ticks come from (untimed).
+
+    One profiled replication: the tick consumers its Clock fan-out
+    applied directly, the Scheduling_Func ticks it certified quiet, and
+    why each executed tick was not fast-forwarded.
+    """
+    sim = Simulation(
+        _fig8_spec(scheduler, sim_time),
+        replication=0,
+        root_seed=root_seed,
+        engine="compiled",
+        profile=True,
+    )
+    sim.run()
+    counters = sim.stats()["profile"]["counters"]
+    prefix = "engine.refused."
+    return {
+        "consumers_applied": counters.get("engine.consumers_applied", 0),
+        "quiet_ticks_skipped": counters.get("vmm.quiet_ticks_skipped", 0),
+        "refused": {
+            name[len(prefix):]: count
+            for name, count in sorted(counters.items())
+            if name.startswith(prefix)
+        },
     }
 
 
@@ -327,6 +356,8 @@ def compare_engines(sim_time=2000, reps=3, schedulers=FIG8_SCHEDULERS):
                 best["compiled_no_ff"]["wall_seconds"] / compiled["wall_seconds"]
             ),
             fast_forward_engaged=compiled["ticks_fast_forwarded"] > 0,
+            shortcuts=_shortcut_counters(scheduler, sim_time),
+            direct_consumers_engaged=compiled["consumers_applied"] > 0,
             bit_identical=bit_identical,
         )
         results[scheduler] = entry
@@ -351,6 +382,10 @@ def compare_engines(sim_time=2000, reps=3, schedulers=FIG8_SCHEDULERS):
                 r["compiled_over_rescan"] for r in results.values()
             ),
             "all_bit_identical": all(r["bit_identical"] for r in results.values()),
+            "direct_consumers_engaged": {
+                scheduler: r["direct_consumers_engaged"]
+                for scheduler, r in results.items()
+            },
         },
     }
 
@@ -405,6 +440,7 @@ def _run_degradation_once(variant, scheduler, sim_time, engine="compiled"):
         "completions": result.completions,
         "ticks_fired": stats["ticks_fired"],
         "ticks_fast_forwarded": stats["ticks_fast_forwarded"],
+        "consumers_applied": stats["consumers_applied"],
         "metrics": result.metrics,
     }
 
@@ -487,7 +523,8 @@ def run_degradation_bench(args):
             f"{scheduler}: degraded {entry['degraded_over_plain']:.2f}x, "
             f"full stack {entry['full_over_plain']:.2f}x over plain compiled "
             f"(full: ticks fired {entry['full']['ticks_fired']}, "
-            f"fast-forwarded {entry['full']['ticks_fast_forwarded']}), "
+            f"fast-forwarded {entry['full']['ticks_fast_forwarded']}, "
+            f"consumers applied directly {entry['full']['consumers_applied']}), "
             f"bit_identical={entry['bit_identical']}"
         )
     summary = report["summary"]
@@ -559,13 +596,20 @@ def main(argv=None):
 
     for scheduler, entry in report["results"].items():
         compiled = entry["compiled"]
+        shortcuts = entry["shortcuts"]
         print(
             f"{scheduler}: compiled {entry['compiled_over_rescan']:.2f}x over "
             f"rescan (fast-forward alone {entry['fast_forward_speedup']:.2f}x; "
             f"ticks fired {compiled['ticks_fired']}, "
-            f"fast-forwarded {compiled['ticks_fast_forwarded']}), "
+            f"fast-forwarded {compiled['ticks_fast_forwarded']}; "
+            f"consumers applied directly {compiled['consumers_applied']}, "
+            f"quiet Scheduling_Func ticks {shortcuts['quiet_ticks_skipped']}), "
             f"bit_identical={entry['bit_identical']}"
         )
+        reasons = ", ".join(
+            f"{name} {count}" for name, count in shortcuts["refused"].items()
+        )
+        print(f"  executed ticks by refusal: {reasons}")
     overhead = report["tracing_overhead"]
     print(
         f"tracing ({overhead['scheduler']}): untraced "
@@ -588,6 +632,13 @@ def main(argv=None):
 
     if not summary["all_bit_identical"]:
         print("FAIL: engines diverged — metrics are not bit-identical", file=sys.stderr)
+        return 1
+    if not summary["direct_consumers_engaged"].get("rrs", True):
+        print(
+            "FAIL: the compiled engine applied no tick consumer directly "
+            "on the plain rrs configuration",
+            file=sys.stderr,
+        )
         return 1
     floor = summary["min_compiled_over_rescan"]
     if args.fail_under is not None and floor < args.fail_under:

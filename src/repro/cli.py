@@ -201,13 +201,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if profiler is not None:
         print(profiler.table(), file=sys.stderr)
-        fired = profiler.counters.get("engine.ticks_fired", 0)
-        skipped = profiler.counters.get("engine.ticks_fast_forwarded", 0)
+        counters = profiler.counters
+        fired = counters.get("engine.ticks_fired", 0)
+        skipped = counters.get("engine.ticks_fast_forwarded", 0)
         print(
             f"engine: {args.engine} "
-            f"(clock ticks fired {fired}, fast-forwarded {skipped})",
+            f"(clock ticks fired {fired}, fast-forwarded {skipped}; "
+            f"tick consumers applied directly "
+            f"{counters.get('engine.consumers_applied', 0)}, quiet "
+            f"Scheduling_Func ticks {counters.get('vmm.quiet_ticks_skipped', 0)})",
             file=sys.stderr,
         )
+        refused = sorted(
+            (name[len("engine.refused."):], count)
+            for name, count in counters.items()
+            if name.startswith("engine.refused.")
+        )
+        if refused:
+            reasons = ", ".join(f"{name} {count}" for name, count in refused)
+            print(f"executed ticks by refusal: {reasons}", file=sys.stderr)
     if args.csv:
         print(results_to_csv([result], metrics=result.metrics()), end="")
         return 0

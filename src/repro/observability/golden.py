@@ -16,8 +16,10 @@ Normalization keeps fixtures stable across unrelated schema growth:
   figures pin down).  This projection is also what makes golden
   fixtures engine-independent: the compiled engine *coalesces* runs of
   idle clock ticks into a single ``engine.fastforward`` record instead
-  of k ``activity.fire`` records, so its raw trace differs from the
-  rescan engine's exactly and only in those engine-internal kinds.  No
+  of k ``activity.fire`` records, and shows the tick consumers an
+  executed tick applied directly as one ``engine.direct`` record, so
+  its raw trace differs from the rescan engine's exactly and only in
+  those engine-internal kinds.  No
   scheduler-level record can fall inside a coalesced span (fast-forward
   is only legal while the hypervisor provably makes no decision), so
   normalized traces — and therefore golden fixtures — are identical

@@ -70,10 +70,10 @@ class SimProfiler:
                                   key=lambda kv: kv[1], reverse=True):
             calls = self.counters.get(name)
             suffix = f"  ({calls} calls)" if calls else ""
-            lines.append(f"  {name:<24} {total * 1000:10.3f} ms{suffix}")
+            lines.append(f"  {name:<32} {total * 1000:10.3f} ms{suffix}")
         for name, value in sorted(self.counters.items()):
             if name not in self.seconds:
-                lines.append(f"  {name:<24} {value:10d}")
+                lines.append(f"  {name:<32} {value:10d}")
         return "\n".join(lines)
 
 

@@ -50,6 +50,7 @@ ACTIVITY_FIRE = "activity.fire"
 ENGINE_SCHEDULE = "engine.schedule"
 ENGINE_CANCEL = "engine.cancel"
 ENGINE_FASTFORWARD = "engine.fastforward"
+ENGINE_DIRECT = "engine.direct"
 SCHED_IN = "sched.in"
 SCHED_OUT = "sched.out"
 SCHED_SKEW = "sched.skew"
@@ -86,6 +87,9 @@ RECORD_FIELDS: Dict[str, tuple] = {
     # One record per coalesced clock span (compiled engine): the k
     # skipped ticks and the activity completions they account for.
     ENGINE_FASTFORWARD: ("ticks", "completions"),
+    # One record per executed clock tick whose fan-out applied tick
+    # consumers itself (compiled engine): the firings they stand for.
+    ENGINE_DIRECT: ("completions",),
     SCHED_IN: ("vcpu", "vm", "vcpu_index", "pcpu", "timeslice"),
     SCHED_OUT: ("vcpu", "vm", "vcpu_index", "pcpu", "reason"),
     SCHED_SKEW: ("vm", "max_lag", "catching_up"),

@@ -52,6 +52,27 @@ bit-for-bit identical to the other engines.  Traces coalesce the
 skipped ticks into one ``engine.fastforward`` record; golden
 normalization already projects those away (see
 :mod:`repro.observability.golden`).
+
+A tick the certificate refuses still executes, with two per-tick
+shortcuts the same spec provides, armed (``spec.armed``) for the
+length of a :meth:`CompiledSANSimulator.run` with fast-forward on and
+no impulse reward — never inside ``step()``:
+
+* the clock's fan-out applies a tick consumer whose firing is certain
+  (``Discard_tick`` on a slot that is not BUSY, a ``Processing_load``
+  that leaves load behind) instead of depositing its token; the engine
+  adds those consumers to the completion count when the run returns,
+  and a traced run shows them as one ``engine.direct`` record after
+  the clock's ``activity.fire``;
+* the ``Scheduling_Func`` gate skips the algorithm on a tick it
+  certifies quiet for that one tick, emitting what the skipped call
+  would have traced.
+
+``fast_forward=False`` disables all three, so that engine fires every
+activity and calls the algorithm every tick, as rescan does.  Under
+:mod:`repro.observability.profile` every refused span is counted by
+reason (``engine.refused.<reason>``, summing to ``engine.ticks_fired``)
+next to ``engine.consumers_applied`` and ``vmm.quiet_ticks_skipped``.
 """
 
 from __future__ import annotations
@@ -144,7 +165,8 @@ class CompiledSANSimulator(SANSimulator):
         streams: replication random streams (default: seed 0, rep 0).
         max_instantaneous_chain: livelock guard for zero-time chains.
         fast_forward: honour the model's ``tick_fast_forward`` spec
-            (default).  Disable for ablation benchmarks — lowering and
+            (default): coalesce idle ticks, and apply the executed-tick
+            shortcuts.  Disable for ablation benchmarks — lowering and
             fast-forward speedups are then separately attributable.
     """
 
@@ -402,6 +424,8 @@ class CompiledSANSimulator(SANSimulator):
 
     def _complete_traced(self, activity: Activity, tracer: "_trace.SimTracer") -> None:
         tracer._now = self.clock.now
+        spec = self._ff_spec
+        applied = spec.consumers_applied if spec is not None else 0
         written: set = set()
         previous = _places._dirty_sink
         _places._dirty_sink = written
@@ -419,6 +443,14 @@ class CompiledSANSimulator(SANSimulator):
             timed=isinstance(activity, TimedActivity),
             writes=self._write_names(written),
         )
+        if spec is not None and spec.consumers_applied != applied:
+            # The tick consumers the fan-out applied stand in for their
+            # own activity.fire records.
+            tracer.emit(
+                _trace.ENGINE_DIRECT,
+                time=self.clock.now,
+                completions=spec.consumers_applied - applied,
+            )
         self._completions += 1
         self._notify_impulse(activity)
 
@@ -553,7 +585,7 @@ class CompiledSANSimulator(SANSimulator):
         t_first = head.time
         k = math.ceil(until - t_first + 1.0) - 1
         if k < 2:
-            return 0
+            return self._refused()
         pending = self._pending
         if len(pending) > 1:
             tick_key = self._tick_key
@@ -564,16 +596,16 @@ class CompiledSANSimulator(SANSimulator):
             if bound < k:
                 k = bound
                 if k < 2:
-                    return 0
+                    return self._refused()
         previous = _places._read_sink
         _places._read_sink = self._ff_reads
         try:
             k = spec.max_skip(k)
+            if k < 2:
+                return self._refused(spec)
         finally:
             _places._read_sink = previous
-        self._ff_reads.clear()
-        if k < 2:
-            return 0
+            self._ff_reads.clear()
         # Commit: pop the clock completion, batch the span, reschedule.
         event = self._queue.pop()
         del pending[self._tick_key]
@@ -600,6 +632,20 @@ class CompiledSANSimulator(SANSimulator):
         pending[self._tick_key] = self._queue.schedule(t_first + k, event.payload)
         return k
 
+    @staticmethod
+    def _refused(spec=None) -> int:
+        """A refused span: the tick executes.  0, counted when profiling.
+
+        ``spec`` names the condition its certificate failed; without it
+        the refusal is the engine's own ``bound`` (the horizon or another
+        pending event is under two ticks away).
+        """
+        profiler = _profile._ACTIVE
+        if profiler is not None:
+            reason = "bound" if spec is None else spec.refusal_reason()
+            profiler.count("engine.refused." + reason)
+        return 0
+
     def _advance_rewards_constant(self, start: float, steps: int) -> None:
         """Per-unit-interval reward accumulation over a frozen state."""
         if steps > 0 and self._rate_rewards:
@@ -625,27 +671,46 @@ class CompiledSANSimulator(SANSimulator):
             raise SimulationError(
                 f"cannot run to t={until}: clock is already at {self.clock.now}"
             )
-        self._run_marks = (self.ticks_fired, self.ticks_fast_forwarded)
+        spec = self._ff_spec
+        self._run_marks = (
+            self.ticks_fired,
+            self.ticks_fast_forwarded,
+            spec.consumers_applied if spec is not None else 0,
+        )
         self._sync_in()
         base = _gates._EVALUATIONS
         try:
             self._ensure_started()
         finally:
             self._own_gate_evaluations += _gates._EVALUATIONS - base
-        if self.fast_forward and not self._impulse_rewards:
-            return self._ff_spec
+        if spec is not None and self.fast_forward and not self._impulse_rewards:
+            spec.armed = True
+            return spec
         return None
 
     def _finish_run(self) -> None:
-        """Shared run epilogue (always runs): profiler deltas + epoch sync."""
+        """Shared run epilogue (always runs): disarm, count, epoch sync.
+
+        The tick consumers the model's fan-out applied during the run
+        join the completion count here, as a coalesced span's do, so
+        ``completions`` equals rescan's once the run returns.
+        """
+        fired_before, skipped_before, applied_before = self._run_marks
+        spec = self._ff_spec
+        applied = 0
+        if spec is not None:
+            spec.armed = False
+            applied = spec.consumers_applied - applied_before
+            self._completions += applied
+            self.consumers_applied += applied
         profiler = _profile._ACTIVE
         if profiler is not None:
-            fired_before, skipped_before = self._run_marks
             profiler.count("engine.ticks_fired", self.ticks_fired - fired_before)
             profiler.count(
                 "engine.ticks_fast_forwarded",
                 self.ticks_fast_forwarded - skipped_before,
             )
+            profiler.count("engine.consumers_applied", applied)
         self._sync_out()
 
     def run(self, until: float) -> None:
@@ -653,10 +718,11 @@ class CompiledSANSimulator(SANSimulator):
 
         Identical contract to the base ``run``; impulse rewards see
         every completion individually, so their presence disables
-        fast-forward for the whole run (the countdown ticks the span
-        skips *do* complete activities an impulse reward could match).
-        ``step()`` never fast-forwards — single-stepping is a debugging
-        surface and must show every event.
+        fast-forward and the executed-tick shortcuts for the whole run
+        (the countdown ticks the span skips *do* complete activities an
+        impulse reward could match).  ``step()`` never fast-forwards —
+        single-stepping is a debugging surface and must show every
+        event.
         """
         spec = self._begin_run(until)
         eval_base = _gates._EVALUATIONS

@@ -105,10 +105,12 @@ class SANSimulator:
         self._reward_reads: set = set()  # discard sink for reward reads
         self._rngs: Dict[Activity, Any] = {}  # per-activity stream cache
         self._cell_names: Optional[Dict[int, str]] = None  # trace write names
-        # Tick accounting for the compiled engine's clock fast-forward;
+        # Tick accounting for the compiled engine's clock fast-forward
+        # and the tick consumers its Clock fan-out applies directly;
         # always present so stats() has a uniform shape across engines.
         self.ticks_fired = 0
         self.ticks_fast_forwarded = 0
+        self.consumers_applied = 0
         self._bind_streams()
 
     # -- configuration ----------------------------------------------------
@@ -155,6 +157,7 @@ class SANSimulator:
             "gate_evaluations": self.gate_evaluations,
             "ticks_fired": self.ticks_fired,
             "ticks_fast_forwarded": self.ticks_fast_forwarded,
+            "consumers_applied": self.consumers_applied,
         }
         stats.update(self._queue.stats())
         return stats
@@ -174,6 +177,7 @@ class SANSimulator:
         self._bind_streams()
         self.ticks_fired = 0
         self.ticks_fast_forwarded = 0
+        self.consumers_applied = 0
         for reward in self._rate_rewards:
             reward.reset()
         for reward in self._impulse_rewards:

@@ -3,8 +3,10 @@
 Users writing a new algorithm (the paper's "idea-based" evaluation
 workflow) often want to poke it tick by tick without assembling the
 full SAN system.  :class:`SchedulerHarness` is a miniature hypervisor:
-it owns the view arrays, performs the same timeslice accounting as the
-real ``Scheduling_Func`` gate, resolves decisions with the gate's own
+it keeps the VCPU/PCPU state, performs the same timeslice accounting as
+the real ``Scheduling_Func`` gate, hands the algorithm fresh view arrays
+built from that state every tick (as the gate builds them from the
+marking), resolves decisions with the gate's own
 :func:`~repro.schedulers.interface.resolve_decisions`, and exposes
 counters for quick fairness/utilization checks.
 
@@ -22,6 +24,7 @@ Example:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Sequence
 
 from ..errors import SchedulingError
@@ -45,6 +48,11 @@ class SchedulerHarness:
         num_pcpus: physical CPU count.
 
     Attributes:
+        views: the harness's own per-VCPU state, one
+            :class:`~repro.schedulers.interface.VCPUHostView` each (read
+            them; the algorithm only ever sees copies).
+        pcpus: the harness's own per-PCPU state (mark one FAILED here to
+            take it out of service).
         now: current tick (starts at 0; :meth:`tick` advances it first).
         active_time: per-VCPU ticks spent holding a PCPU.
         busy_time: per-VCPU ticks spent processing (load > 0 and active).
@@ -119,18 +127,20 @@ class SchedulerHarness:
             if view.timeslice <= 0:
                 self._release(view)
 
-        # 2. The algorithm's decision, checked against the state the views
-        # showed before it ran, as the gate checks the marking: the
-        # algorithm may rewrite views (a rejected tick raises before
-        # anything applies).
-        clear_decisions(self.views)
-        held = [view.pcpu for view in self.views]
-        states = [pcpu.state for pcpu in self.pcpus]
-        self.algorithm.schedule(
-            self.views, len(self.views), self.pcpus, self.num_pcpus, self.now
-        )
+        # 2. The algorithm's decision, made on fresh copies of the state
+        # and checked against the state itself, as the gate checks the
+        # marking: whatever the algorithm writes into its views never
+        # persists (a rejected tick raises before anything applies).
+        vcpus = [replace(view) for view in self.views]
+        clear_decisions(vcpus)
+        pcpus = [replace(pcpu) for pcpu in self.pcpus]
+        self.algorithm.schedule(vcpus, len(vcpus), pcpus, self.num_pcpus, self.now)
         outs, ins = resolve_decisions(
-            self.views, held, states, self.algorithm.timeslice, self.algorithm.name
+            vcpus,
+            [view.pcpu for view in self.views],
+            [pcpu.state for pcpu in self.pcpus],
+            self.algorithm.timeslice,
+            self.algorithm.name,
         )
 
         # 3. Apply: outs first, then ins.

@@ -164,8 +164,9 @@ class SchedulingAlgorithm:
             closed form (skew accounting) leave it False and override
             :meth:`quiet_ticks` instead; algorithms that cannot (deadline
             rollover) leave both alone.  A wrapper that does not
-            re-declare the flag (chaos) disables fast-forward, and so
-            does an attached decision guard.
+            re-declare the flag (chaos) disables fast-forward; a decision
+            guard does not.  The same certificate, asked with
+            ``limit=1``, lets the engine skip one executed tick's call.
     """
 
     name = "abstract"
@@ -217,6 +218,12 @@ class SchedulingAlgorithm:
         load); the rest are BUSY.  ``slot_map`` maps each VCPU id to its
         ``(vm_id, vcpu_index)``; ``now`` is the timestamp of the last
         tick, so the candidate ticks are ``now + 1 .. now + limit``.
+
+        It is also asked for one executed tick, with ``limit=1``, by
+        the ``Scheduling_Func`` gate after its timeslice accounting,
+        in the same kind of marking as the tick's ``schedule()`` call
+        would see it (a load may have completed on that tick, so its
+        VCPU is in ``ready``); returning 1 skips that call.
 
         Returning ``j`` certifies that :meth:`schedule` would make no
         decision on the first ``j`` of them, *and* that not calling it

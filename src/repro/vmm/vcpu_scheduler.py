@@ -93,17 +93,33 @@ DEFAULT_NUM_SLOTS = 16  # the paper's Figure 6 statically defines sixteen
 SCHEDULER_NAME = "VCPU_Scheduler"
 
 
+#: Why :meth:`ClockFastForward.max_skip` refused a span, as
+#: :meth:`ClockFastForward.refusal_reason` names it (the profiler's
+#: ``engine.refused.<reason>`` counters; the engine adds ``bound``).
+REFUSED_PCPU = "pcpu"  # an IDLE or FAILED PCPU
+REFUSED_HEALTH = "health"  # a degraded core, maintenance, or an overhaul due
+REFUSED_VCPU = "vcpu_state"  # a holder not BUSY/READY, a non-holder not INACTIVE
+REFUSED_DEBT = "debt"  # an outstanding hypervisor-overhead debt
+REFUSED_CRITICAL = "critical"  # a VCPU inside a critical section
+REFUSED_LOAD = "load_completion"  # a load completes within two ticks
+REFUSED_EXPIRY = "timeslice_expiry"  # a timeslice expires within two ticks
+REFUSED_QUIET = "quiet_ticks"  # the algorithm certified fewer than two ticks
+_REFUSED_ROOM = "room"  # LOAD or EXPIRY, told apart on request
+
+
 class ClockFastForward:
-    """Certificate + closed form for coalescing idle Clock ticks.
+    """Certificate + closed form for the Clock ticks the engine skips.
 
     Published on the scheduler model as ``tick_fast_forward`` and
-    consumed by :class:`repro.san.compiled.CompiledSANSimulator`.  The
-    engine asks :meth:`max_skip` how many consecutive ticks from the
-    current (quiescent) marking are *pure countdown* — every firing in
-    the span is the fixed set {Clock, one tick consumer per plugged
-    slot, Scheduling_Func}, every one of them merely decrements
-    timeslices/remaining loads, and the plugged algorithm provably
-    decides nothing.  That holds exactly when:
+    consumed by :class:`repro.san.compiled.CompiledSANSimulator`, which
+    uses it three ways.
+
+    **Coalescing idle ticks.**  The engine asks :meth:`max_skip` how
+    many consecutive ticks from the current (quiescent) marking are
+    *pure countdown* — every firing in the span is the fixed set {Clock,
+    one tick consumer per plugged slot, Scheduling_Func}, every one of
+    them merely decrements timeslices/remaining loads, and the plugged
+    algorithm provably decides nothing.  That holds exactly when:
 
     * the algorithm certifies the ticks quiet through
       :meth:`~repro.schedulers.interface.SchedulingAlgorithm.quiet_ticks`
@@ -113,13 +129,15 @@ class ClockFastForward:
       and FIFO refuses any span with a READY holder (it releases one on
       the next tick).  The algorithm is resolved through
       ``model.algorithm``, so a chaos wrapper — which neither declares
-      the flag nor overrides the method — disables fast-forward;
-    * no guard is attached (``model.guard`` is None): the guard records
-      faults tick by tick, so a guarded replication runs every tick;
+      the flag nor overrides the method — disables fast-forward.  Under
+      a decision guard the plugged algorithm certifies until it is
+      quarantined and the round-robin fallback after; a skipped tick
+      resets the guard's consecutive-fault count, as the clean call it
+      replaces would have;
     * every PCPU is ASSIGNED (no idle PCPU an algorithm could fill, no
       FAILED PCPU mid-repair);
     * every assigned slot is BUSY or READY outside a critical section,
-      and no non-assigned slot is BUSY — so each slot's tick consumer is
+      and every other slot is INACTIVE — so each slot's tick consumer is
       fixed for the whole span: ``Processing_load`` for BUSY holders,
       ``Discard_tick`` for READY holders and unassigned slots.  A READY
       holder stays READY: a workload could only reach it through the
@@ -142,7 +160,32 @@ class ClockFastForward:
     engine's dirty tracking sees every write.  With a tracer active it
     also has the algorithm emit the records its skipped calls would
     have (RCS's per-tick ``sched.skew``), so a traced run fast-forwards
-    like an untraced one.
+    like an untraced one.  After a refusal, :meth:`refusal_reason`
+    names the first condition that failed.
+
+    **Certified tick consumers.**  While :attr:`armed`, the Clock's
+    fan-out applies a slot's consumer itself instead of depositing its
+    tick token, when that consumer is certain: ``Discard_tick`` for a
+    slot that is not BUSY (no net effect) and ``Processing_load`` for an
+    assigned BUSY slot outside a critical section with more than one
+    tick of load left (``remaining_load`` drops by one, through
+    ``.value``).  The Clock fires at quiescence and nothing below
+    ``PRIORITY_PROCESS`` can run before the consumers, and each
+    certified effect touches only its own slot, so applying it first
+    changes no other firing.  :attr:`consumers_applied` counts them; the
+    engine adds them to its completions.
+
+    **Certified-quiet Scheduling_Func ticks.**  While :attr:`armed`, the
+    gate asks :meth:`quiet_tick` after its timeslice accounting, and on
+    a certified tick returns without building views or calling the
+    algorithm.  The marking half of that certificate is the one
+    :meth:`max_skip` checks first (:meth:`_refuse_marking`), and the
+    algorithm is asked ``quiet_ticks(..., limit=1)`` for the one tick.
+
+    Only the compiled engine arms the two per-tick shortcuts, in a
+    ``run`` with fast-forward on and no impulse reward; ``step()`` and
+    the rescan engine fire every activity and call the algorithm every
+    tick.
     """
 
     __slots__ = (
@@ -158,9 +201,13 @@ class ClockFastForward:
         "_span",
         "_busy",
         "_ready",
+        "_critical",
         "_now",
         "clock",
         "per_tick_completions",
+        "armed",
+        "consumers_applied",
+        "_refusal",
     )
 
     def __init__(
@@ -194,66 +241,125 @@ class ClockFastForward:
         self._span: List[int] = []
         self._busy: List[int] = []
         self._ready: List[int] = []
+        self._critical = 0
         self._now = 0.0
+        #: Set by the engine for the length of a run: the fan-out applies
+        #: certified consumers and the gate skips certified-quiet ticks.
+        self.armed = False
+        #: Tick consumers the fan-out applied itself, over the model's life.
+        self.consumers_applied = 0
+        self._refusal: Optional[str] = None
+
+    def _certifier(self) -> SchedulingAlgorithm:
+        """The algorithm a skipped tick stands in for."""
+        guard = self._model.guard
+        if guard is not None and guard.fallback is not None:
+            return guard.fallback
+        return self._model.algorithm
+
+    def _refuse_marking(self) -> Optional[str]:
+        """The marking half of the certificate; None when it holds.
+
+        Every PCPU ASSIGNED at pristine health with no maintenance and
+        nothing due, every holder BUSY or READY, every other slot
+        INACTIVE.  Records the holders (and which are BUSY or READY) for
+        the algorithm's certificate and :meth:`apply`, and whether any
+        slot is inside a critical section.  Reads peek, so a check made
+        inside a completion stales no gate.
+        """
+        for entry in self._pcpus.peek():
+            if entry["state"] != PCPUState.ASSIGNED:
+                return REFUSED_PCPU
+        if self._health is not None:
+            for entry in self._health.peek():
+                if entry["health"] or entry["maint"] or entry["due"]:
+                    return REFUSED_HEALTH
+        span = self._span
+        busy = self._busy
+        ready = self._ready
+        del span[:], busy[:], ready[:]
+        critical = 0
+        pcpu_refs = self._pcpu_refs
+        for g, place in enumerate(self._slot_values):
+            slot = place.peek()
+            status = slot["status"]
+            critical |= slot["critical"]
+            if pcpu_refs[g].peek() is None:
+                if status != VCPUStatus.INACTIVE:
+                    return REFUSED_VCPU
+                continue
+            if status == VCPUStatus.BUSY:
+                busy.append(g)
+            elif status == VCPUStatus.READY:
+                ready.append(g)
+            else:
+                return REFUSED_VCPU
+            span.append(g)
+        self._critical = critical
+        return None
 
     def max_skip(self, limit: int) -> int:
         """Ticks certifiably skippable from the current marking (0 = none).
 
-        ``limit`` is the engine's own bound (horizon and other pending
-        events); the result never exceeds it.  Called at quiescence
-        under a read sink, so the extended-place reads below are pure
-        observation.  Also records which slots hold a PCPU (and which of
-        those burn load) and the current timestamp, for :meth:`apply`.
+        ``limit`` (at least 2) is the engine's own bound (horizon and
+        other pending events); the result never exceeds it, and a span
+        shorter than 2 ticks is refused, since coalescing it buys
+        nothing.  Called at quiescence under a read sink, so every read
+        is pure observation.  Also records the holders and the current
+        timestamp, for :meth:`apply`.
         """
-        if self._model.guard is not None:
-            return 0
-        for entry in self._pcpus.value:
-            if entry["state"] != PCPUState.ASSIGNED:
-                return 0
-        if self._health is not None:
-            for entry in self._health.value:
-                if entry["health"] or entry["maint"] or entry["due"]:
-                    return 0
-        if self._hv_debts is not None:
-            for debt in self._hv_debts.value:
+        refusal = self._refuse_marking()
+        if refusal is None and self._hv_debts is not None:
+            for debt in self._hv_debts.peek():
                 if debt:
-                    return 0
-        span = self._span
-        busy_span = self._busy
-        ready = self._ready
-        del span[:], busy_span[:], ready[:]
-        bound: Optional[int] = None
-        for g in range(self._total):
-            slot = self._slot_values[g].value
-            if slot["critical"]:
-                return 0
-            status = slot["status"]
-            if self._pcpu_refs[g].value is None:
-                if status == VCPUStatus.BUSY:
-                    # A BUSY slot without a PCPU would burn load it was
-                    # never granted time for — only a transient state;
-                    # never certify it.
-                    return 0
-                continue
-            if status == VCPUStatus.BUSY:
-                room = min(slot["remaining_load"], self._timeslices[g].tokens) - 1
-                busy_span.append(g)
-            elif status == VCPUStatus.READY:
-                room = self._timeslices[g].tokens - 1
-                ready.append(g)
-            else:
-                return 0
-            if bound is None or room < bound:
-                bound = room
-            span.append(g)
-        if bound is None or bound < 1:
+                    refusal = REFUSED_DEBT
+                    break
+        if refusal is None and self._critical:
+            refusal = REFUSED_CRITICAL
+        if refusal is not None:
+            self._refusal = refusal
             return 0
-        if limit < bound:
-            bound = limit
+        bound = limit
+        slot_values = self._slot_values
+        timeslices = self._timeslices
+        for g in self._busy:
+            room = min(
+                slot_values[g].peek()["remaining_load"], timeslices[g].tokens
+            ) - 1
+            if room < bound:
+                bound = room
+        for g in self._ready:
+            room = timeslices[g].tokens - 1
+            if room < bound:
+                bound = room
+        if bound < 2:
+            self._refusal = _REFUSED_ROOM
+            return 0
         self._now = float(self._timestamp.tokens)
-        return self._model.algorithm.quiet_ticks(
-            span, self._model.slot_map, self._now, bound, ready
+        quiet = self._certifier().quiet_ticks(
+            self._span, self._model.slot_map, self._now, bound, self._ready
         )
+        if quiet < 2:
+            self._refusal = REFUSED_QUIET
+        return quiet
+
+    def refusal_reason(self) -> str:
+        """Why the last :meth:`max_skip` refused, from the marking it saw.
+
+        Asked only by a profiled run, straight after the refusal; tells
+        a load completion from a timeslice expiry only here, so the
+        unprofiled refusal does no extra work.
+        """
+        if self._refusal != _REFUSED_ROOM:
+            return self._refusal
+        min_load = min(
+            (self._slot_values[g].peek()["remaining_load"] for g in self._busy),
+            default=None,
+        )
+        min_timeslice = min(self._timeslices[g].tokens for g in self._span)
+        if min_load is not None and min_load <= min_timeslice:
+            return REFUSED_LOAD
+        return REFUSED_EXPIRY
 
     def apply(self, k: int) -> None:
         """Net marking change of ``k`` countdown ticks.
@@ -271,9 +377,35 @@ class ClockFastForward:
         for g in self._busy:
             slot = self._slot_values[g].value  # mutable ref: marks the cell written
             slot["remaining_load"] -= k
+        self._skipped_calls(self._now, k)
+
+    def quiet_tick(self, now: float) -> bool:
+        """True when this tick's Scheduling_Func call would decide nothing.
+
+        Asked by the gate after its timeslice accounting, at timestamp
+        ``now``: the certificate of :meth:`max_skip` for this one tick —
+        its marking half, and the algorithm's ``quiet_ticks`` with
+        ``limit=1``.  Debts and critical sections need no check: the
+        algorithm sees neither, and no span follows.  On True the call
+        is skipped and its trace records emitted.
+        """
+        if self._refuse_marking() is not None:
+            return False
+        if self._certifier().quiet_ticks(
+            self._span, self._model.slot_map, now - 1.0, 1, self._ready
+        ) < 1:
+            return False
+        self._skipped_calls(now - 1.0, 1)
+        return True
+
+    def _skipped_calls(self, now: float, ticks: int) -> None:
+        """What the ``ticks`` skipped algorithm calls after ``now`` leave behind."""
+        guard = self._model.guard
+        if guard is not None and guard.fallback is None:
+            guard.consecutive_faults = 0
         if _trace._ACTIVE is not None:
-            self._model.algorithm.trace_quiet_ticks(
-                self._span, self._model.slot_map, self._now, k
+            self._certifier().trace_quiet_ticks(
+                self._span, self._model.slot_map, now, ticks
             )
 
 
@@ -451,12 +583,43 @@ def build_vcpu_scheduler(
 
     # -- Clock: the unit-time heartbeat -------------------------------------
 
+    def consume_directly(g: int) -> bool:
+        """Apply slot g's tick consumer here, when it is certain.
+
+        Only while the engine arms ``fast`` (see :class:`ClockFastForward`):
+        a slot that is not BUSY would fire ``Discard_tick``, whose net
+        effect is nothing; an assigned BUSY slot outside a critical
+        section with more than one tick of load left would fire
+        ``Processing_load``, whose effect is one tick less load.  Any
+        other slot gets its tick token and fires as usual.
+        """
+        slot = slot_value_places[g].peek()
+        if slot["status"] != VCPUStatus.BUSY:
+            return True
+        if (
+            slot["critical"]
+            or slot["remaining_load"] < 2
+            or pcpu_places[g].peek() is None
+        ):
+            return False
+        slot_value_places[g].value["remaining_load"] -= 1
+        return True
+
     if health is None and hv_debts is None:
 
         def tick_fanout() -> None:
             timestamp.add()
-            for g in range(total_vcpus):
-                tick_places[g].add()
+            if fast.armed:
+                applied = 0
+                for g in range(total_vcpus):
+                    if consume_directly(g):
+                        applied += 1
+                    else:
+                        tick_places[g].add()
+                fast.consumers_applied += applied
+            else:
+                for g in range(total_vcpus):
+                    tick_places[g].add()
             sched_tick.add()
 
     else:
@@ -473,28 +636,34 @@ def build_vcpu_scheduler(
         def tick_fanout() -> None:
             # Peek, and take ``.value`` (a write) only where a debt or a
             # degraded core's bucket changes: a pristine tick must not
-            # re-stale the health and maintenance gates.
+            # re-stale the health and maintenance gates.  A withheld tick
+            # has no consumer; a delivered one may be consumed directly.
             timestamp.add()
             health_entries = health.peek() if health is not None else None
             debts = hv_debts.peek() if hv_debts is not None else None
+            armed = fast.armed
+            applied = 0
             for g in range(total_vcpus):
                 pcpu_index = pcpu_places[g].peek()
-                if pcpu_index is None:
+                if pcpu_index is not None:
+                    if debts is not None and debts[g] > 0:
+                        hv_debts.value[g] -= 1
+                        continue
+                    if health_entries is not None:
+                        h = health_entries[pcpu_index]["health"]
+                        if h:
+                            entry = health.value[pcpu_index]
+                            acc = entry["acc"] + capacity[h]
+                            if acc < 1.0:
+                                entry["acc"] = acc
+                                continue
+                            entry["acc"] = acc - 1.0
+                if armed and consume_directly(g):
+                    applied += 1
+                else:
                     tick_places[g].add()
-                    continue
-                if debts is not None and debts[g] > 0:
-                    hv_debts.value[g] -= 1
-                    continue
-                if health_entries is not None:
-                    h = health_entries[pcpu_index]["health"]
-                    if h:
-                        entry = health.value[pcpu_index]
-                        acc = entry["acc"] + capacity[h]
-                        if acc < 1.0:
-                            entry["acc"] = acc
-                            continue
-                        entry["acc"] = acc - 1.0
-                tick_places[g].add()
+            if applied:
+                fast.consumers_applied += applied
             sched_tick.add()
 
     clock = model.add_activity(
@@ -722,11 +891,13 @@ def build_vcpu_scheduler(
         profiler = _profile._ACTIVE
         if profiler is not None:
             with profiler.section("vmm.scheduling_func"):
-                _run_scheduling_func()
+                if _run_scheduling_func():
+                    profiler.count("vmm.quiet_ticks_skipped")
             return
         _run_scheduling_func()
 
-    def _run_scheduling_func() -> None:
+    def _run_scheduling_func() -> bool:
+        """One Scheduling_Func firing; True when the algorithm was skipped."""
         sched_tick.remove()
         now = float(timestamp.tokens)
 
@@ -739,6 +910,12 @@ def build_vcpu_scheduler(
                 _deschedule(g, reason=_trace.OUT_EXPIRE)
             else:
                 timeslice_places[g].tokens = remaining
+
+        # A certified-quiet tick decides nothing: skip the views, the
+        # algorithm and the rule (compiled engine only; see
+        # ClockFastForward.quiet_tick).
+        if fast.armed and fast.quiet_tick(now):
+            return True
 
         # The algorithm and its guard are resolved through the model each
         # tick, so cross-replication reuse can swap in fresh ones without
@@ -816,7 +993,7 @@ def build_vcpu_scheduler(
                 if guard.fault(exc, algorithm, now):
                     algorithm, guard = guard.fallback, None
                     continue
-                return
+                return False
             if guard is not None:
                 guard.consecutive_faults = 0
             break
@@ -826,6 +1003,7 @@ def build_vcpu_scheduler(
             _deschedule(g)
         for g, pcpu_index, timeslice in ins:
             _assign(g, pcpu_index, timeslice, now)
+        return False
 
     model.add_activity(
         InstantaneousActivity(
@@ -849,7 +1027,8 @@ def build_vcpu_scheduler(
     model.hv_overhead = hv_overhead
     if degradation is None:
         model.stream_bindings = []
-    model.tick_fast_forward = ClockFastForward(
+    # The fan-out and the gate above read ``fast`` when they run.
+    fast = model.tick_fast_forward = ClockFastForward(
         model,
         clock,
         timestamp,

@@ -366,6 +366,8 @@ class TestTraceAndProfileFlags:
         assert "profile:" in err
         assert "vmm.scheduling_func" in err
         assert "engine.completion" in err
+        assert "tick consumers applied directly" in err
+        assert "executed ticks by refusal: " in err
 
     def test_trace_refuses_parallel_jobs(self, spec_file, tmp_path, capsys):
         assert main(["run", "--spec", spec_file,

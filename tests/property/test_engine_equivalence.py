@@ -363,13 +363,29 @@ def test_fast_forward_off_for_unsafe_schedulers():
     assert stats["ticks_fast_forwarded"] == 0
 
 
-def test_fast_forward_off_under_guard_and_chaos():
-    # Wrappers hide the algorithm's tick_skip_safe flag by design: a
-    # guarded or sabotaged scheduler must be consulted every tick.
-    _result, stats = _compiled_stats(
-        small_spec("rrs"), guard=GuardPolicy(mode="degrade")
-    )
+def test_guard_fast_forwards_like_unguarded_and_chaos_does_not():
+    # A fault-free guarded run skips exactly the ticks an unguarded one
+    # does: a certified-quiet tick makes no call that could fault.  A
+    # chaos wrapper hides the algorithm's certificate by design, so a
+    # sabotaged scheduler is consulted every tick.
+    spec = small_spec("rrs")
+    plain, plain_stats = _compiled_stats(spec)
+    assert plain_stats["ticks_fast_forwarded"] > 0
+    for guard in (GuardPolicy(), GuardPolicy(mode="degrade")):
+        result, stats = _compiled_stats(spec, guard=guard)
+        assert (result.metrics, result.completions) == (
+            plain.metrics, plain.completions
+        )
+        assert not result.failures and not result.degraded
+        for counter in ("ticks_fired", "ticks_fast_forwarded", "consumers_applied"):
+            assert stats[counter] == plain_stats[counter], counter
+    chaos = ChaosSpec(corrupt_replications=(0,), inject_after=100.0)
+    sim = Simulation(spec, root_seed=7, guard=GuardPolicy(mode="degrade"),
+                     chaos=chaos, profile=True)
+    sim.run()
+    stats = sim.stats()
     assert stats["ticks_fast_forwarded"] == 0
+    assert "vmm.quiet_ticks_skipped" not in stats["profile"]["counters"]
 
 
 def test_fast_forward_ablation_exact_under_degradation():
@@ -398,6 +414,215 @@ def test_fast_forward_off_with_impulse_rewards():
     # span would never report; the engine must notice and stay exact.
     _result, stats = _compiled_stats(small_spec("rrs"), extra_probes=True)
     assert stats["ticks_fast_forwarded"] == 0
+
+
+# -- compiled-engine specifics: executed-tick shortcuts -----------------------
+#
+# On an executed tick the compiled engine applies certified tick consumers
+# in the Clock's fan-out and skips certified-quiet algorithm calls; rescan
+# and ``fast_forward=False`` fire every activity and call the algorithm
+# every tick.  Each case below drives a branch where a slot keeps its
+# token or the algorithm must run.
+
+
+def _three_way(spec, **kwargs):
+    """Rescan, compiled and compiled without fast-forward must be ``==``.
+
+    Returns the compiled run's ``Simulation.stats()``, profile included.
+    """
+    reference = simulate_once(spec, root_seed=7, engine="rescan", **kwargs)
+    stats = {}
+    for fast_forward in (True, False):
+        sim = Simulation(spec, root_seed=7, engine="compiled", profile=True,
+                         **kwargs)
+        sim.simulator.fast_forward = fast_forward
+        result = sim.run()
+        assert result.metrics == reference.metrics, fast_forward
+        assert result.completions == reference.completions, fast_forward
+        assert result.degraded == reference.degraded, fast_forward
+        assert len(result.failures) == len(reference.failures), fast_forward
+        stats[fast_forward] = sim.stats()
+    assert stats[False]["consumers_applied"] == 0
+    assert "vmm.quiet_ticks_skipped" not in stats[False]["profile"]["counters"]
+    return stats[True]
+
+
+SHORTCUT_CASES = {
+    # FIFO releases a READY holder on the next tick: its gate must run.
+    "fifo-ready-holders": (
+        lambda: make_spec([2, 1, 1], pcpus=4, scheduler="fifo", sim_time=400,
+                          warmup=20),
+        {},
+    ),
+    # Low skew thresholds keep a 3-VCPU VM in catch-up.
+    "rcs-catch-up": (
+        lambda: make_spec([3, 1], pcpus=2, scheduler="rcs", sim_time=300,
+                          warmup=20, skew_threshold=2, relax_threshold=1),
+        {},
+    ),
+    # Degraded cores withhold ticks, debts burn them, repairs idle PCPUs.
+    "degradation-maintenance-overhead": (
+        lambda: dataclasses.replace(
+            small_spec("rrs"), degradation=DEGRADATION, maintenance=MAINTENANCE,
+            hv_overhead={"cost": 2},
+        ),
+        {},
+    ),
+    # Impulse rewards see every completion: both shortcuts stay off.
+    "impulse-reward": (lambda: small_spec("rrs"), {"extra_probes": True}),
+}
+
+
+@pytest.mark.parametrize("case", list(SHORTCUT_CASES))
+def test_shortcut_fallbacks_are_exact(case):
+    build, kwargs = SHORTCUT_CASES[case]
+    stats = _three_way(build(), **kwargs)
+    counters = stats["profile"]["counters"]
+    if case == "impulse-reward":
+        assert stats["consumers_applied"] == 0
+        assert "vmm.quiet_ticks_skipped" not in counters
+    else:
+        assert stats["consumers_applied"] > 0
+        assert counters["vmm.quiet_ticks_skipped"] > 0
+
+
+def test_rcs_catch_up_traces_identically():
+    spec = SHORTCUT_CASES["rcs-catch-up"][0]()
+    tracers = assert_engine_traces_identical(spec)
+    skews = [r for r in tracers["rescan"].records if r.kind == "sched.skew"]
+    assert any(r.data["catching_up"] for r in skews)
+    assert _kind_count(tracers["compiled"], "engine.direct") > 0
+
+
+def test_spinning_critical_sections_are_exact():
+    # Critical jobs contend for their VM's lock on a 4-PCPU host: spinning
+    # siblings and lock holders keep their tick tokens.
+    from repro.des import StreamFactory, UniformInt
+    from repro.metrics import mean_spin_fraction, standard_rewards
+    from repro.san import CompiledSANSimulator, SANSimulator
+    from repro.schedulers import RoundRobinScheduler
+    from repro.vmm import build_virtual_system
+    from repro.workloads import LockingWorkloadModel
+
+    def run(factory):
+        streams = StreamFactory(11, 0)
+        workloads = [
+            LockingWorkloadModel(UniformInt(3, 8), critical_ratio=2,
+                                 critical_load=UniformInt(2, 5))
+            for _ in (2, 3)
+        ]
+        system = build_virtual_system(
+            list(zip((2, 3), workloads)), RoundRobinScheduler(), 4, streams
+        )
+        simulator = factory(system, streams)
+        rewards = standard_rewards(system, warmup=20)
+        rewards["spin"] = mean_spin_fraction(system, warmup=20)
+        for reward in rewards.values():
+            simulator.add_reward(reward)
+        simulator.run(until=400)
+        results = {name: reward.result() for name, reward in rewards.items()}
+        return (results, simulator.completions), simulator
+
+    reference, _ = run(SANSimulator)
+    assert reference[0]["spin"] > 0
+    compiled, simulator = run(CompiledSANSimulator)
+    assert compiled == reference
+    assert simulator.consumers_applied > 0
+    ablated, simulator = run(
+        lambda system, streams: CompiledSANSimulator(system, streams,
+                                                     fast_forward=False)
+    )
+    assert ablated == reference
+    assert simulator.consumers_applied == 0
+
+
+@pytest.mark.parametrize("spec_id", ["rrs", "rcs", "degraded"])
+def test_traced_and_untraced_compiled_runs_are_equal(spec_id):
+    spec = make_spec([2, 1, 1], pcpus=2, scheduler="rcs" if spec_id == "rcs" else "rrs",
+                     sim_time=300, warmup=50)
+    if spec_id == "degraded":
+        spec = dataclasses.replace(spec, degradation=DEGRADATION,
+                                   maintenance=MAINTENANCE, hv_overhead={"cost": 2})
+    tracer = SimTracer()
+    traced = simulate_once(spec, root_seed=7, tracer=tracer)
+    assert traced == simulate_once(spec, root_seed=7)
+    # Every completion is in the trace: fired one by one, applied in a
+    # fan-out (engine.direct) or coalesced (engine.fastforward).
+    direct = sum(r.data["completions"] for r in tracer.records
+                 if r.kind == "engine.direct")
+    spans = sum(r.data["completions"] for r in tracer.records
+                if r.kind == "engine.fastforward")
+    assert direct > 0
+    assert _kind_count(tracer, "activity.fire") + direct + spans == traced.completions
+
+
+def test_executed_ticks_fire_only_uncertified_consumers(monkeypatch):
+    # The Fig-8 replication ROADMAP.md measures: VMs 2+1+1 on 2 PCPUs,
+    # rrs, 300 ticks.  Before the shortcuts it fired 535 activities over
+    # 63 executed ticks (8.5 per tick).
+    import collections
+
+    from repro.san import CompiledSANSimulator
+
+    spec = make_spec([2, 1, 1], pcpus=2, sim_time=300, warmup=50)
+    fired = collections.Counter()
+    complete = CompiledSANSimulator._complete
+
+    def spy(self, activity):
+        fired[activity.name] += 1
+        return complete(self, activity)
+
+    monkeypatch.setattr(CompiledSANSimulator, "_complete", spy)
+    sim = Simulation(spec, root_seed=0, engine="compiled")
+    result = sim.run()
+    stats = sim.simulator.stats()
+    rescan = simulate_once(spec, root_seed=0, engine="rescan")
+    assert result.completions == rescan.completions
+    assert result.metrics == rescan.metrics
+    ticks = stats["ticks_fired"]
+    # Every executed tick consumes one tick per VCPU: the fan-out applies
+    # it, or a completing load fires Processing_load.
+    assert fired["Discard_tick"] == fired["Spin_tick"] == 0
+    assert stats["consumers_applied"] + fired["Processing_load"] == 4 * ticks
+    # What still fires per tick: Clock, Scheduling_Func, the load
+    # completions and the job and scheduling activity they start.
+    assert sum(fired.values()) <= 5.5 * ticks
+
+
+@pytest.mark.parametrize("spec_id", ["rrs", "rcs", "fifo", "degraded", "guarded"])
+def test_refusal_reasons_sum_to_executed_ticks(spec_id):
+    kwargs = {}
+    scheduler = spec_id if spec_id in ("rcs", "fifo") else "rrs"
+    spec = make_spec([2, 1, 1], pcpus=2, scheduler=scheduler, sim_time=300,
+                     warmup=50)
+    if spec_id == "degraded":
+        spec = dataclasses.replace(spec, degradation=DEGRADATION,
+                                   maintenance=MAINTENANCE, hv_overhead={"cost": 2})
+    if spec_id == "guarded":
+        kwargs["guard"] = GuardPolicy(mode="degrade")
+    sim = Simulation(spec, root_seed=7, profile=True, **kwargs)
+    sim.run()
+    stats = sim.stats()
+    counters = stats["profile"]["counters"]
+    refused = {
+        name[len("engine.refused."):]: count
+        for name, count in counters.items()
+        if name.startswith("engine.refused.")
+    }
+    assert set(refused) <= {
+        "bound", "pcpu", "health", "vcpu_state", "debt", "critical",
+        "load_completion", "timeslice_expiry", "quiet_ticks",
+    }
+    assert sum(refused.values()) == counters["engine.ticks_fired"] > 0
+    assert counters["engine.consumers_applied"] == stats["consumers_applied"] > 0
+    # Each executed tick either calls the algorithm or skips it certified.
+    assert (
+        counters["vmm.algorithm"] + counters.get("vmm.quiet_ticks_skipped", 0)
+        == counters["vmm.scheduling_func"]
+        == counters["engine.ticks_fired"]
+    )
+    if spec_id == "degraded":
+        assert refused.get("health", 0) + refused.get("pcpu", 0) > 0
 
 
 # -- floor groups: one task, a simulate_once loop over one model -------------

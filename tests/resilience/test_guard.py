@@ -190,6 +190,7 @@ def test_quarantine_fallback_starts_from_the_marking(monkeypatch, vms, pcpus,
 
 def test_one_resolve_per_guarded_tick(monkeypatch):
     calls = []
+    schedules = []
 
     def spy(*args):
         calls.append(args)
@@ -201,11 +202,21 @@ def test_one_resolve_per_guarded_tick(monkeypatch):
             getattr(module, "resolve_decisions", None) is resolve_decisions
         ):
             monkeypatch.setattr(module, "resolve_decisions", spy)
+    schedule = RoundRobinScheduler.schedule
+
+    def counting(self, *args):
+        schedules.append(args[-1])
+        return schedule(self, *args)
+
+    monkeypatch.setattr(RoundRobinScheduler, "schedule", counting)
     tracer = SimTracer(kinds=("activity.fire",))
     simulate_once(SPEC, guard=GuardPolicy(), tracer=tracer)
     firings = [r for r in tracer.records
                if r.get("activity").endswith(".Scheduling_Func")]
-    assert firings and len(calls) == len(firings)
+    # Each tick that calls the algorithm checks its decisions once; a
+    # certified-quiet tick calls neither.
+    assert calls and len(calls) == len(schedules)
+    assert len(schedules) < len(firings)
 
 
 def test_reused_model_drops_the_guard():

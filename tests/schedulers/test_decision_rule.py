@@ -242,42 +242,52 @@ def test_accepted_on_every_surface(row, surface):
     assert surface(row) == row.assignment
 
 
-@pytest.mark.parametrize("rewrite, target, message", [
+@pytest.mark.parametrize("rewrite, target, message, decide_at", [
     (lambda vcpus, pcpus: _set(pcpus[0], state=PCPUState.IDLE, vcpu=None),
-     1, "VCPU 1 requested PCPU 0, which is not idle"),
+     1, "VCPU 1 requested PCPU 0, which is not idle", 2),
     (lambda vcpus, pcpus: _set(vcpus[0], pcpu=None, status="INACTIVE"),
-     0, "schedule_in for VCPU 0, which already holds a PCPU"),
-], ids=["pcpu_marked_idle", "vcpu_marked_unplaced"])
-def test_rewritten_views_cannot_double_assign(rewrite, target, message):
-    # VCPU 0 takes PCPU 0; next tick the algorithm rewrites the views to
-    # hide that and schedules onto it.  The gate checks the marking, the
-    # harness the state its views showed before the algorithm ran.
+     0, "schedule_in for VCPU 0, which already holds a PCPU", 2),
+    # The rewrite on a tick that decides nothing must not persist either:
+    # the next tick's views come from the state, not from the last ones.
+    (lambda vcpus, pcpus: _set(pcpus[0], state=PCPUState.IDLE, vcpu=None),
+     1, "VCPU 1 requested PCPU 0, which is not idle", 3),
+], ids=["pcpu_marked_idle", "vcpu_marked_unplaced", "pcpu_marked_idle_a_tick_early"])
+def test_rewritten_views_cannot_double_assign(rewrite, target, message, decide_at):
+    # VCPU 0 takes PCPU 0; on tick 2 the algorithm rewrites the views to
+    # hide that, and on tick ``decide_at`` schedules onto it.  The gate
+    # checks the marking and the harness its own state, which no view
+    # rewrite reaches.
     def schedule(vcpus, num_vcpu, pcpus, num_pcpu, timestamp):
         if timestamp == 1:
             _set(vcpus[0], schedule_in=True, next_pcpu=0, next_timeslice=100)
             return True
-        rewrite(vcpus, pcpus)
-        _set(vcpus[target], schedule_in=True, next_pcpu=0, next_timeslice=5)
+        if timestamp == 2:
+            rewrite(vcpus, pcpus)
+        if timestamp == decide_at:
+            _set(vcpus[target], schedule_in=True, next_pcpu=0, next_timeslice=5)
         return True
 
+    until = decide_at + 0.5
     model = build_vcpu_scheduler(FunctionScheduler(NAME, schedule), 1, [1, 1])
     with pytest.raises(SimulationError) as caught:
-        SANSimulator(model, StreamFactory(0)).run(until=2.5)
+        SANSimulator(model, StreamFactory(0)).run(until=until)
     assert str(caught.value.__cause__) == f"{NAME}: {message}"
 
     harness = SchedulerHarness(FunctionScheduler(NAME, schedule),
                                topology=[1, 1], num_pcpus=1)
     harness.saturate()
-    harness.tick()
+    for _ in range(decide_at - 1):
+        harness.tick()
     with pytest.raises(SchedulingError) as caught:
         harness.tick()
     assert str(caught.value) == f"{NAME}: {message}"
+    assert harness.assignment() == {0: 0}
 
     # Guarded, the gate drops the tick as an invalid decision and the
     # replication finishes.
     model = build_vcpu_scheduler(FunctionScheduler(NAME, schedule), 1, [1, 1])
     model.guard = GuardState(GuardPolicy(mode="degrade"))
-    SANSimulator(model, StreamFactory(0)).run(until=2.5)
+    SANSimulator(model, StreamFactory(0)).run(until=until)
     assert [(f.kind, f.message) for f in model.guard.failures] == [
         (FailureKind.INVALID_DECISION, f"SchedulingError: {NAME}: {message}")
     ]
