@@ -18,8 +18,9 @@ Layers (bottom-up):
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.analysis`
   — workload characterization, reward definitions, statistics;
 * :mod:`repro.resilience` — parallel/fault-tolerant experiment
-  execution: timeouts, retry/reseed, checkpoint/resume, the scheduler
-  decision guard, and chaos injection;
+  execution: timeouts, retry/reseed, the persistent result cache (which
+  also resumes interrupted runs), the scheduler decision guard, and
+  chaos injection;
 * :mod:`repro.core` — the public facade: specs, experiments, results;
 * :mod:`repro.service` — the long-lived JSON/HTTP job server over a
   shared sweep pool and persistent result cache.

@@ -9,8 +9,8 @@ Commands:
   machine-readable output instead.  Resilience flags: ``--jobs N``
   (worker processes for the floor replications), ``--timeout S``
   (per-attempt wall clock), ``--retries K`` (reseeded retries),
-  ``--checkpoint F`` / ``--resume`` (stream/reuse finished
-  replications).
+  ``--cache-dir D`` (store finished replications; rerun with the same
+  directory to resume an interrupted run).
 * ``tables`` — print the paper's Tables 1 and 2.
 * ``figures [--figure 8|9|10|all] [--full]`` — regenerate the paper's
   figures (quick fidelity by default).
@@ -149,8 +149,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         args.jobs == 1
         and args.timeout is None
         and args.retries == 0
-        and args.checkpoint is None
-        and not args.resume
         and cache_dir is None
     ):
         return None
@@ -158,8 +156,6 @@ def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
         cache_dir=cache_dir,
     )
     config.validate()
@@ -310,7 +306,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     knobs["sweep_jobs"] = args.sweep_jobs
     cache_dir = _cache_dir_from_args(args)
     if cache_dir is not None:
-        knobs["resilience"] = ResilienceConfig(cache_dir=cache_dir)
+        # run_sweep's own default budget: a cache must not change how
+        # failures are handled.
+        knobs["resilience"] = ResilienceConfig(retries=0, cache_dir=cache_dir)
     runners = {"8": run_figure8, "9": run_figure9, "10": run_figure10}
     wanted = list(runners) if args.figure == "all" else [args.figure]
     for key in wanted:
@@ -374,21 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per replication (failed attempts are reseeded)",
     )
     run_parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help="JSONL file streaming every finished replication",
-    )
-    run_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="reuse replications already in --checkpoint instead of recomputing",
-    )
-    run_parser.add_argument(
         "--cache-dir",
         default=None,
         dest="cache_dir",
-        help="persistent result-cache directory: finished replications are "
-        "memoized across invocations (invalidated on any code change)",
+        help="persistent result-cache directory: every finished replication "
+        "is stored as it resolves, so a warm rerun executes nothing and "
+        "rerunning an interrupted run with the same directory resumes it "
+        "(invalidated on any code change)",
     )
     run_parser.add_argument(
         "--no-cache",

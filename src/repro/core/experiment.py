@@ -13,8 +13,9 @@ once, which is how the figure benches express "PCPUs from 1 to 4" or
 "sync ratio 1:5 to 1:2".  Pass a :class:`~repro.resilience.ResilienceConfig`
 to spread floors and points over worker processes, bound each attempt
 with a wall-clock timeout, retry crashed replications under
-deterministically reseeded streams, stream every resolved replication
-to a JSONL checkpoint, and isolate faults in user-plugged schedulers.
+deterministically reseeded streams, store every resolved replication in
+a persistent result cache (rerun with the same ``cache_dir`` to resume
+an interrupted run), and isolate faults in user-plugged schedulers.
 With no config the run is in-process with no retries.
 """
 
@@ -56,8 +57,8 @@ def run_experiment(
     """Estimate every metric of one configuration to target confidence.
 
     This is :func:`~repro.core.sweeps.run_interleaved_sweep` on the one
-    point ``({}, spec)``: a checkpoint keeps its replications in the
-    scope ``point0``, exactly as a one-point :func:`run_sweep` does.
+    point ``({}, spec)``: its result-cache entries are exactly those of
+    a one-point :func:`run_sweep`.
 
     Args:
         spec: the system to simulate.
@@ -73,7 +74,7 @@ def run_experiment(
         root_seed: root of the replication seed family.
         extra_probes: also collect blocked-fraction and throughput probes.
         resilience: executor configuration — worker processes,
-            per-attempt timeout, retry/reseed, checkpoint/resume,
+            per-attempt timeout, retry/reseed, result cache (resume),
             decision guard, chaos injection.  ``None`` runs in-process
             with no retries; every configuration gives identical
             estimates.
@@ -91,7 +92,6 @@ def run_experiment(
     Raises:
         ReplicationError: a replication kept failing and the config
             does not allow partial results.
-        CheckpointError: resuming against a mismatched checkpoint.
     """
     from .sweeps import run_interleaved_sweep  # local: sweeps imports us
 
@@ -218,9 +218,9 @@ def run_sweep(
         sweep_jobs: worker-process count of the shared pool (default:
             the resilience config's ``jobs``).
         **experiment_kwargs: the :func:`run_experiment` parameters,
-            applied to every point.  A ``resilience`` checkpoint gets
-            one scope per point, so one checkpoint file resumes the
-            whole sweep.
+            applied to every point.  A ``resilience`` ``cache_dir``
+            holds every point's replications, so rerunning with it
+            resumes the whole sweep.
 
     Returns:
         One :class:`ExperimentResult` per sweep point, in order; each

@@ -41,9 +41,9 @@ convergence is judged over contiguous resolved prefixes in replication
 order, so the metric tables are exactly ``==`` a plain
 ``simulate_once`` loop that stops at the monitor's cut, for any
 ``jobs`` (asserted by ``tests/core/test_sweeps.py``).  The persistent
-result cache (:mod:`repro.resilience.result_cache`) and the checkpoint
-both plug in underneath: a warm rerun of a finished sweep executes zero
-replications.
+result cache (:mod:`repro.resilience.result_cache`) plugs in underneath:
+a warm rerun of a finished sweep executes zero replications, and a
+rerun of an interrupted one executes only what it lacks.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
-from ..resilience.checkpoint import CheckpointStore
 from ..resilience.executor import (
     ResilienceConfig,
     _execute_task,
@@ -791,7 +790,7 @@ class _SweepScheduler:
 
     def drive(self) -> None:
         for state in self.states:
-            state.refresh_done()  # warm cache/checkpoint may finish points
+            state.refresh_done()  # a warm cache may finish points
         while not all(state.done for state in self.states):
             self._fill()
             if not self.outstanding:
@@ -893,10 +892,9 @@ def run_interleaved_sweep(
     execution interleaved) plus the engine's accounting.
 
     An explicit ``engine`` replaces the ``resilience`` config's own
-    field, as ``sweep_jobs`` replaces its ``jobs``.  Point *i* keeps its
-    replications in the checkpoint scope ``point<i>``, so one file
-    resumes the whole sweep.  Every point's spec is validated before
-    the checkpoint file is opened, so a bad point leaves it untouched.
+    field, as ``sweep_jobs`` replaces its ``jobs``.  Every point's spec
+    is validated before anything runs, so a bad point leaves the result
+    cache untouched.
 
     ``pool`` borrows a long-lived :class:`SweepPool` instead of building
     one per call (the pool is *not* closed afterwards, and ``sweep_jobs``
@@ -940,39 +938,28 @@ def run_interleaved_sweep(
     points = list(points)
     for _point, spec in points:
         spec.validate()
-    checkpoint: Optional[CheckpointStore] = None
-    if resilience.checkpoint:
-        checkpoint = CheckpointStore(resilience.checkpoint, resume=resilience.resume)
-        checkpoint.hold()
     runs: List[_Run] = []
-    try:
-        for index, (_point, spec) in enumerate(points):
-            run = _Run(
-                spec=spec,
-                root_seed=root_seed,
-                extra_probes=extra_probes,
+    for index, (_point, spec) in enumerate(points):
+        run = _Run(
+            spec=spec,
+            root_seed=root_seed,
+            extra_probes=extra_probes,
+            min_replications=min_replications,
+            max_replications=max_replications,
+            config=resilience,
+            scope=f"point{index}",
+            monitor=ConvergenceMonitor(
+                watch_metrics,
+                confidence=confidence,
+                target_half_width=target_half_width,
                 min_replications=min_replications,
-                max_replications=max_replications,
-                config=resilience,
-                checkpoint=checkpoint,
-                scope=f"point{index}",
-                monitor=ConvergenceMonitor(
-                    watch_metrics,
-                    confidence=confidence,
-                    target_half_width=target_half_width,
-                    min_replications=min_replications,
-                ),
-            )
-            run.prime()
-            runs.append(run)
-        if checkpoint is not None:
-            checkpoint.settle()
-        allocation_log = drive_runs(
-            runs, jobs=jobs, timeout=resilience.timeout, pool=pool, progress=progress
+            ),
         )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+        run.prime()
+        runs.append(run)
+    allocation_log = drive_runs(
+        runs, jobs=jobs, timeout=resilience.timeout, pool=pool, progress=progress
+    )
 
     results: List[ExperimentResult] = []
     for (point, spec), run in zip(points, runs):

@@ -65,15 +65,6 @@ class ReplicationError(ReproError):
     """
 
 
-class CheckpointError(ReproError):
-    """A checkpoint file is unusable.
-
-    Examples: corrupt JSONL in the middle of the file, or resuming
-    against a checkpoint written by a different experiment (spec,
-    seed, or protocol fingerprint mismatch).
-    """
-
-
 class ServiceError(ReproError):
     """The simulation service rejected or could not run a request.
 

@@ -6,10 +6,8 @@ crashes, stalls, or emits corrupt decisions used to take the whole
 sweep down with it.  This package makes the runner survive all three:
 
 * :mod:`~repro.resilience.executor` — the per-experiment state the
-  sweep scheduler drives: per-attempt wall-clock timeouts and
-  deterministic retry/reseed;
-* :mod:`~repro.resilience.checkpoint` — streaming JSONL checkpoints so
-  interrupted runs resume without recomputation;
+  sweep scheduler drives: per-attempt wall-clock timeouts,
+  deterministic retry/reseed, and the store rules of the result cache;
 * :mod:`~repro.resilience.guard` — the policy and per-replication
   state of the scheduler decision guard, which the ``Scheduling_Func``
   gate enforces: fault records, optional quarantine, round-robin
@@ -19,15 +17,14 @@ sweep down with it.  This package makes the runner survive all three:
 * :mod:`~repro.resilience.failures` — the structured
   :class:`ReplicationFailure` records everything else emits;
 * :mod:`~repro.resilience.result_cache` — the persistent
-  content-addressed replication result cache (memoize across
-  invocations, invalidated by code fingerprint);
+  content-addressed store of finished replications (warm reruns and
+  resuming an interrupted run, invalidated by code fingerprint);
 * :mod:`~repro.resilience.degradation` — multi-state PCPU health
   (Markov degradation matrices), maintenance policies with bounded
   repair crews, and per-world-switch hypervisor overhead.
 """
 
 from .chaos import CORRUPT_KINDS, ChaosScheduler, ChaosSpec, InjectedFault
-from .checkpoint import CheckpointStore, fingerprint
 from .degradation import (
     MAINTENANCE_POLICIES,
     DegradationModel,
@@ -49,7 +46,6 @@ from .result_cache import ResultCache, code_fingerprint
 __all__ = [
     "ChaosScheduler",
     "ChaosSpec",
-    "CheckpointStore",
     "CORRUPT_KINDS",
     "DegradationModel",
     "ExecutionOutcome",
@@ -67,7 +63,6 @@ __all__ = [
     "ResultCache",
     "code_fingerprint",
     "failure_summary",
-    "fingerprint",
     "generate_degradation_matrix",
     "retry_seed",
     "validate_degradation_matrix",

@@ -11,11 +11,12 @@ replicated experiment is made of, and what survives faults:
   drawn deterministically from the same seed family
   (:func:`retry_seed`), so results are reproducible and independent of
   which other replications ran or failed;
-* **checkpointing** — every resolved replication streams to a JSONL
-  :class:`~repro.resilience.checkpoint.CheckpointStore`, so an
-  interrupted run resumes without recomputation;
-* **result caching** — clean first attempts are memoized in the
-  persistent :class:`~repro.resilience.result_cache.ResultCache`.
+* **result caching** — every replication that resolves with a
+  sample is stored in the persistent
+  :class:`~repro.resilience.result_cache.ResultCache` as it resolves,
+  unless a timeout or a worker crash shaped it; rerunning an
+  interrupted run with the same ``cache_dir`` resumes it, executing
+  only what the store lacks.
 
 :class:`_Run` is one experiment's state; *which* replication runs next,
 on which worker, and when the experiment stops is decided by one
@@ -26,14 +27,16 @@ Determinism contract: replication *r*, attempt 0 uses exactly the
 streams :func:`~repro.core.framework.simulate_once` uses for *r*, and
 the convergence decision is taken over samples in replication order —
 so ``jobs=8`` produces the same
-:class:`~repro.core.results.ExperimentResult` as ``jobs=1``, and a
-killed-then-resumed run the same tables as an uninterrupted one.
+:class:`~repro.core.results.ExperimentResult` as ``jobs=1``, and an
+interrupted run rerun on its cache the same tables as an uninterrupted
+one.
 Replications computed beyond the convergence cut are discarded, never
 mixed in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,15 +46,15 @@ from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
 from ..san.compiled import ENGINES, resolve_engine
 from .chaos import ChaosSpec
-from .checkpoint import CheckpointStore, fingerprint
-from .failures import FailureKind, ReplicationFailure, failure_summary
-from .guard import GuardPolicy
-from .result_cache import (
-    ResultCache,
-    cacheable_spec_payload,
-    code_fingerprint,
-    shared_cache,
+from .failures import (
+    FailureKind,
+    ReplicationFailure,
+    _is_int,
+    _is_number,
+    failure_summary,
 )
+from .guard import GuardPolicy
+from .result_cache import ResultCache, cacheable_spec_payload, shared_cache
 
 
 @dataclass
@@ -71,10 +74,6 @@ class ResilienceConfig:
             floor task gets ``timeout`` per member.
         retries: extra attempts per replication after the first; a
             retry is dispatched at once under its :func:`retry_seed`.
-        checkpoint: JSONL checkpoint path (``None`` disables).
-        resume: load the checkpoint instead of starting fresh.  Every
-            sweep point (an experiment is point 0) resumes its own
-            ``point<i>`` scope of the file.
         guard: decision-guard policy applied around the scheduler
             (``None`` = unguarded, exactly the legacy behavior).
         chaos: deterministic fault-injection plan (testing only).
@@ -89,17 +88,18 @@ class ResilienceConfig:
             worker runs as a ``simulate_once`` loop over one model built
             (and, for compiled, lowered) once per process.
         cache_dir: persistent result-cache directory (``None`` disables).
-            Clean replication results are memoized across invocations,
-            keyed by (spec JSON, engine, root seed, replication index)
-            under the current code fingerprint; guard/chaos runs and
-            non-serializable specs are never cached.
+            Every replication that resolves with a sample is stored as
+            it resolves, keyed by (spec JSON, engine, root seed,
+            replication index, probes, guard, chaos) under the current
+            code fingerprint, so rerunning an interrupted run with the
+            same directory resumes it.  Outcomes shaped by a timeout or
+            a worker crash, permanent failures and specs without a JSON
+            form are never stored.
     """
 
     jobs: int = 1
     timeout: Optional[float] = None
     retries: int = 2
-    checkpoint: Optional[str] = None
-    resume: bool = False
     guard: Optional[GuardPolicy] = None
     chaos: Optional[ChaosSpec] = None
     keep_partial: bool = False
@@ -113,8 +113,6 @@ class ResilienceConfig:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout}")
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
-        if self.resume and not self.checkpoint:
-            raise ConfigurationError("resume=True requires a checkpoint path")
         if self.guard is not None:
             self.guard.validate()
         if self.chaos is not None:
@@ -155,7 +153,7 @@ class ReplicationOutcome:
         return self.metrics is not None
 
     def to_payload(self) -> Dict[str, Any]:
-        """Checkpoint-record body (JSON-safe)."""
+        """Result-cache entry body (JSON-safe); inverse of :meth:`from_payload`."""
         return {
             "ok": self.ok,
             "metrics": self.metrics,
@@ -166,16 +164,43 @@ class ReplicationOutcome:
         }
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "ReplicationOutcome":
+    def from_payload(
+        cls, replication: int, payload: Dict[str, Any]
+    ) -> "ReplicationOutcome":
+        """A stored sample, read strictly.
+
+        Raises:
+            KeyError, TypeError or ValueError: a field is missing or
+                mistyped.  ``metrics`` must be a non-empty dict of finite
+                numbers, ``attempt`` and ``completions`` ints >= 0,
+                ``degraded`` a bool and ``failures`` a list of complete
+                records of known kinds.
+        """
+        metrics, attempt = payload["metrics"], payload["attempt"]
+        completions, degraded = payload["completions"], payload["degraded"]
+        failures = payload["failures"]
+        if not (
+            isinstance(metrics, dict)
+            and metrics
+            and all(
+                isinstance(name, str) and _is_number(value) and math.isfinite(value)
+                for name, value in metrics.items()
+            )
+            and _is_int(attempt)
+            and attempt >= 0
+            and _is_int(completions)
+            and completions >= 0
+            and isinstance(degraded, bool)
+            and isinstance(failures, list)
+        ):
+            raise ValueError(f"malformed replication payload {payload!r}")
         return cls(
-            replication=int(record["replication"]),
-            metrics=record.get("metrics") if record.get("ok") else None,
-            attempt=int(record.get("attempt", 0)),
-            completions=int(record.get("completions", 0)),
-            degraded=bool(record.get("degraded", False)),
-            failures=[
-                ReplicationFailure.from_dict(f) for f in record.get("failures", [])
-            ],
+            replication=replication,
+            metrics=dict(metrics),
+            attempt=attempt,
+            completions=completions,
+            degraded=degraded,
+            failures=[ReplicationFailure.from_dict(f) for f in failures],
         )
 
 
@@ -252,41 +277,11 @@ def _execute_task(task: _Task) -> Dict[str, Any]:
     return {"ok": True, "runs": [_run_payload(run) for run in runs]}
 
 
-def spec_payload(spec: Any) -> Any:
-    """A spec's JSON-able identity for checkpoint fingerprinting."""
-    try:
-        return spec.to_dict()
-    except Exception:  # live Distribution instances do not round-trip
-        return repr(spec)
-
-
-def scope_fingerprint(
-    spec: Any, root_seed: int, extra_probes: bool, config: ResilienceConfig
-) -> str:
-    """The checkpoint-scope fingerprint of one experiment (sweep point).
-
-    Resuming refuses a scope whose fingerprint differs, so a checkpoint
-    can never feed samples into a different experiment, nor samples of
-    one version of the code into a run of another.
-    """
-    return fingerprint(
-        {
-            "code": code_fingerprint(),
-            "spec": spec_payload(spec),
-            "root_seed": root_seed,
-            "extra_probes": extra_probes,
-            "guard": config.guard.to_dict() if config.guard else None,
-            "chaos": config.chaos.to_dict() if config.chaos else None,
-            "version": 1,
-        }
-    )
-
-
 class CacheBinding:
     """A :class:`ResultCache` bound to one experiment's identity.
 
-    Collapses the five-part cache key down to "which replication index",
-    which is all one run ever varies.
+    Collapses the cache key down to "which replication index", which is
+    all one run ever varies.
     """
 
     def __init__(
@@ -296,12 +291,16 @@ class CacheBinding:
         engine: str,
         root_seed: int,
         extra_probes: bool,
+        guard: Optional[GuardPolicy],
+        chaos: Optional[ChaosSpec],
     ) -> None:
         self.cache = cache
         self._spec_payload = spec_payload
         self._engine = engine
         self._root_seed = root_seed
         self._extra_probes = extra_probes
+        self._guard = guard.to_dict() if guard is not None else None
+        self._chaos = chaos.to_dict() if chaos is not None else None
 
     def key(self, replication: int) -> str:
         return self.cache.key(
@@ -310,13 +309,28 @@ class CacheBinding:
             self._root_seed,
             replication,
             self._extra_probes,
+            guard=self._guard,
+            chaos=self._chaos,
         )
 
-    def load(self, replication: int) -> Optional[Dict[str, Any]]:
-        return self.cache.load(self.key(replication))
+    def load(self, replication: int, retries: int) -> Optional[ReplicationOutcome]:
+        """The stored outcome, or None.
 
-    def store(self, replication: int, payload: Dict[str, Any]) -> None:
-        self.cache.store(self.key(replication), payload)
+        A malformed entry is a miss, and so is one resolved at an
+        attempt past ``retries``: a run with that budget never gets
+        there.
+        """
+
+        def parse(payload: Dict[str, Any]) -> ReplicationOutcome:
+            outcome = ReplicationOutcome.from_payload(replication, payload)
+            if outcome.attempt > retries:
+                raise ValueError(f"attempt {outcome.attempt} > retries {retries}")
+            return outcome
+
+        return self.cache.load(self.key(replication), parse)
+
+    def store(self, outcome: ReplicationOutcome) -> None:
+        self.cache.store(self.key(outcome.replication), outcome.to_payload())
 
 
 def bind_cache(
@@ -324,21 +338,28 @@ def bind_cache(
 ) -> Optional[CacheBinding]:
     """The result cache for one experiment, or None when ineligible.
 
-    Caching silently disables when no ``cache_dir`` is configured, when
-    a guard or chaos plan makes results not a function of the cache key,
-    or when the spec has no canonical JSON form.
+    Caching silently disables when no ``cache_dir`` is configured or
+    when the spec has no canonical JSON form.
     """
     if not config.cache_dir:
-        return None
-    if config.guard is not None or config.chaos is not None:
         return None
     payload = cacheable_spec_payload(spec)
     if payload is None:
         return None
-    engine = resolve_engine(config.engine)
     return CacheBinding(
-        shared_cache(config.cache_dir), payload, engine, root_seed, extra_probes
+        shared_cache(config.cache_dir),
+        payload,
+        resolve_engine(config.engine),
+        root_seed,
+        extra_probes,
+        config.guard,
+        config.chaos,
     )
+
+
+#: Failure kinds that depend on the wall clock and the host, not on the
+#: replication's identity: an outcome carrying one is never stored.
+_HOST_DEPENDENT = (FailureKind.TIMEOUT, FailureKind.WORKER_CRASH)
 
 
 class _Run:
@@ -352,7 +373,6 @@ class _Run:
         min_replications: int,
         max_replications: int,
         config: ResilienceConfig,
-        checkpoint: Optional[CheckpointStore],
         scope: str,
         monitor: ConvergenceMonitor,
     ) -> None:
@@ -362,8 +382,7 @@ class _Run:
         self.min_replications = min_replications
         self.max_replications = max_replications
         self.config = config
-        self.checkpoint = checkpoint
-        self.scope = scope  # this run's namespace in the checkpoint file
+        self.scope = scope  # this run's label in trace records
         self.monitor = monitor
         self.cache = bind_cache(spec, config, root_seed, extra_probes)
         self.executed = 0
@@ -389,30 +408,22 @@ class _Run:
         """Record each member's run, in the task's replication order."""
         for replication, run in zip(task.replications, payload["runs"]):
             self.executed += 1
-            tick_failures = [
-                ReplicationFailure.from_dict(f) for f in run.get("failures", [])
-            ]
+            tick_failures = [ReplicationFailure.from_dict(f) for f in run["failures"]]
             self._stamp(tick_failures, replication, task.attempt)
             earlier = self._attempt_failures.pop(replication, [])
             outcome = ReplicationOutcome(
                 replication=replication,
                 metrics=dict(run["metrics"]),
                 attempt=task.attempt,
-                completions=int(run.get("completions", 0)),
-                degraded=bool(run.get("degraded", False)),
+                completions=run["completions"],
+                degraded=run["degraded"],
                 failures=earlier + tick_failures,
             )
             self.resolved[replication] = outcome
-            self._record(replication)
-            if (
-                self.cache is not None
-                and task.attempt == 0
-                and not outcome.degraded
-                and not outcome.failures
+            if self.cache is not None and not any(
+                f.kind in _HOST_DEPENDENT for f in outcome.failures
             ):
-                # Only clean first-attempt results are memoized — a hit
-                # must be exactly what a fresh attempt 0 would compute.
-                self.cache.store(replication, outcome.to_payload())
+                self.cache.store(outcome)
 
     @staticmethod
     def _stamp(
@@ -466,53 +477,23 @@ class _Run:
             attempt=task.attempt,
             failures=self._attempt_failures.pop(task.replication),
         )
-        self._record(task.replication)
         return None
 
-    def _record(self, replication: int) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record(
-                self.scope,
-                replication,
-                self.resolved[replication].to_payload(),
-            )
-
     def prime(self) -> None:
-        """Resolve what is already known before anything executes.
-
-        Opens this run's checkpoint scope (resuming its records when
-        the store was opened with ``resume``), then fills the remaining
-        replications from the persistent result cache.
-        """
-        scope = self.scope
-        if self.checkpoint is not None:
-            self.checkpoint.begin_scope(
-                scope,
-                scope_fingerprint(
-                    self.spec, self.root_seed, self.extra_probes, self.config
-                ),
-            )
-            for rep, record in self.checkpoint.replications(scope).items():
-                if rep < self.max_replications:
-                    self.resolved[rep] = ReplicationOutcome.from_record(record)
+        """Preload every replication the result cache already holds."""
         if self.cache is None:
             return
         for replication in range(self.max_replications):
-            if replication in self.resolved:
+            outcome = self.cache.load(replication, self.config.retries)
+            if outcome is None:
                 continue
-            payload = self.cache.load(replication)
-            if payload is None:
-                continue
-            self.resolved[replication] = ReplicationOutcome.from_record(
-                {**payload, "replication": replication}
-            )
+            self.resolved[replication] = outcome
             self.cache_hits += 1
-            self._record(replication)
             tracer = _trace._ACTIVE
             if tracer is not None:
                 tracer.emit(
                     _trace.CACHE_HIT,
-                    scope=scope,
+                    scope=self.scope,
                     replication=replication,
                     key=self.cache.key(replication),
                 )

@@ -8,8 +8,8 @@ faults caught by the decision guard) and are aggregated onto
 :class:`~repro.core.results.ExperimentResult` so partial results are
 reported honestly.
 
-Records are plain data and round-trip through dicts, so they stream to
-JSONL checkpoints and survive process boundaries.
+Records are plain data and round-trip through dicts, so they survive
+process boundaries and persist in result-cache entries.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class FailureKind:
     RETRIES_EXHAUSTED = "retries-exhausted"  # every attempt failed
     DEGRADATION = "degradation"  # degradation layer misconfiguration
     MAINTENANCE = "maintenance"  # maintenance policy misconfiguration
-    UNKNOWN = "unknown"  # deserialized kind outside the closed set
 
     ALL = (
         EXCEPTION,
@@ -38,7 +37,6 @@ class FailureKind:
         RETRIES_EXHAUSTED,
         DEGRADATION,
         MAINTENANCE,
-        UNKNOWN,
     )
 
 
@@ -78,20 +76,28 @@ class ReplicationFailure:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ReplicationFailure":
-        # Checkpoints from other versions may carry kinds this version
-        # never emits; fold them into UNKNOWN instead of letting free
-        # strings leak into the closed set downstream code sorts on.
-        kind = str(payload["kind"])
+        """Inverse of :meth:`to_dict`; strict, as it reads persisted data.
+
+        Raises:
+            KeyError: a field is missing.
+            ValueError: a field is mistyped, or the kind is outside the
+                closed set.
+        """
+        kind, message = payload["kind"], payload["message"]
+        replication, attempt = payload["replication"], payload["attempt"]
+        scheduler, sim_time = payload["scheduler"], payload["sim_time"]
         if kind not in FailureKind.ALL:
-            kind = FailureKind.UNKNOWN
-        return cls(
-            kind=kind,
-            message=str(payload["message"]),
-            replication=int(payload.get("replication", -1)),
-            attempt=int(payload.get("attempt", 0)),
-            scheduler=str(payload.get("scheduler", "")),
-            sim_time=payload.get("sim_time"),
-        )
+            raise ValueError(f"unknown failure kind {kind!r}")
+        if not (
+            isinstance(message, str)
+            and isinstance(scheduler, str)
+            and _is_int(replication)
+            and _is_int(attempt)
+            and attempt >= 0
+            and (sim_time is None or _is_number(sim_time))
+        ):
+            raise ValueError(f"malformed failure record {payload!r}")
+        return cls(kind, message, replication, attempt, scheduler, sim_time)
 
     def __str__(self) -> str:
         where = f"replication {self.replication}" if self.replication >= 0 else "replication ?"
@@ -100,6 +106,14 @@ class ReplicationFailure:
         if self.sim_time is not None:
             where += f" at t={self.sim_time:g}"
         return f"[{self.kind}] {where}: {self.message}"
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def failure_summary(failures: Iterable[ReplicationFailure]) -> str:

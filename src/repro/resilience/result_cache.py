@@ -1,14 +1,16 @@
 """Persistent content-addressed replication result cache.
 
-The PR-1 checkpoint answers "resume *this* run"; this store answers
-"never recompute a replication any run has already finished".  Every
-completed replication is written to an on-disk JSON file keyed by the
-blake2b digest of its full identity:
+The one store of finished replications: a warm rerun reads it, and so
+does a resume — rerunning an interrupted run with the same
+``cache_dir`` executes only the replications it lacks.  Each finished
+replication the store rules below admit is written to an on-disk JSON
+file keyed by the blake2b digest of its full identity:
 
 * the canonical spec JSON (``SystemSpec.to_dict()``, sorted keys),
 * the enablement engine name,
 * the root seed and the replication index,
 * whether extra probes were collected,
+* the decision-guard policy and chaos plan (``None`` when absent),
 
 with the **code fingerprint** — a digest over every ``.py`` file of the
 ``repro`` package — as a directory level above the entries.  Because a
@@ -18,18 +20,23 @@ re-running anything; and because any code change moves the fingerprint
 directory, stale results can never leak across versions — invalidation
 is free and total.
 
-Safety rules (enforced by the executor, documented here):
+Store rules (enforced by the executor, documented here):
 
-* only clean results are stored — attempt 0, not degraded, no failure
-  records — so a cache hit is always the value the legacy serial
-  runner would produce;
-* caching is disabled entirely when a guard or chaos plan is active
-  (their outputs are not a function of the key), and for specs whose
-  ``to_dict`` does not round-trip to JSON (a ``repr`` fallback could
-  embed memory addresses and collide across processes);
+* every outcome with a sample is stored, at whatever attempt it
+  resolved, with its failure records and degraded flag — except one
+  carrying a timeout or worker-crash record, which depends on the wall
+  clock and the host and is recomputed;
+* permanently failed replications are not stored (and an ``ok: false``
+  entry reads as a miss);
+* an entry resolved at an attempt past the reading run's ``retries`` is
+  a miss, so a hit is always what a fresh run with that budget would
+  compute;
+* specs whose ``to_dict`` does not round-trip to JSON are never cached
+  (a ``repr`` fallback could embed memory addresses and collide across
+  processes);
 * writes are atomic (temp file + ``os.replace``), so a killed process
-  leaves no torn entries; a corrupt or unreadable entry reads as a
-  miss, never as an error.
+  leaves no torn entries; a corrupt, unreadable or malformed entry
+  reads as a miss, never as an error.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import hashlib
 import json
 import os
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 #: Directory-name prefix length for the two fan-out levels.
 _FINGERPRINT_CHARS = 12
@@ -125,8 +132,15 @@ class ResultCache:
         root_seed: int,
         replication: int,
         extra_probes: bool = False,
+        *,
+        guard: Optional[Dict[str, Any]] = None,
+        chaos: Optional[Dict[str, Any]] = None,
     ) -> str:
-        """The content digest of one replication's full identity."""
+        """The content digest of one replication's full identity.
+
+        ``guard`` and ``chaos`` are the policy and plan dicts
+        (``to_dict()``) of a guarded or chaos run.
+        """
         text = json.dumps(
             {
                 "spec": spec_payload,
@@ -134,6 +148,8 @@ class ResultCache:
                 "root_seed": root_seed,
                 "replication": replication,
                 "extra_probes": extra_probes,
+                "guard": guard,
+                "chaos": chaos,
             },
             sort_keys=True,
         )
@@ -147,16 +163,23 @@ class ResultCache:
             f"{key}.json",
         )
 
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored result payload, or None (miss / unreadable entry)."""
+    def load(
+        self, key: str, parse: Optional[Callable[[Dict[str, Any]], Any]] = None
+    ) -> Optional[Any]:
+        """The stored result payload, or ``parse(payload)``; None on a miss.
+
+        A miss is an absent or unreadable entry, one that is not an
+        ``ok`` dict, or one ``parse`` rejects by raising ``KeyError``,
+        ``TypeError`` or ``ValueError``.
+        """
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (OSError, ValueError):
-            with self._lock:
-                self.misses += 1
-            return None
-        if not isinstance(payload, dict) or not payload.get("ok"):
+            if not isinstance(payload, dict) or not payload.get("ok"):
+                raise ValueError("not an ok result")
+            if parse is not None:
+                payload = parse(payload)
+        except (OSError, KeyError, TypeError, ValueError):
             with self._lock:
                 self.misses += 1
             return None

@@ -21,6 +21,23 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture
+def executions(monkeypatch):
+    """The replication indices run in-process from here on (the task
+    loop looks ``simulate_once`` up on its module per call)."""
+    from repro.core import framework
+
+    calls = []
+    original = framework.simulate_once
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["replication"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(framework, "simulate_once", counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     """A deterministic random stream for sampling tests."""
     return random.Random(12345)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro import cli
+from repro import cli, paper
 from repro.cli import main
+from repro.resilience import ResilienceConfig
 
 
 @pytest.fixture
@@ -18,6 +19,22 @@ def spec_file(tmp_path):
         "warmup": 50,
     }
     path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.fixture
+def noisy_spec_file(tmp_path):
+    # A 2-VCPU VM makes barrier stalls (and thus utilization) depend on
+    # the sampled workloads, so replications and seeds differ.
+    payload = {
+        "vms": [{"vcpus": 2}, {"vcpus": 1}],
+        "pcpus": 1,
+        "scheduler": "rrs",
+        "sim_time": 300,
+        "warmup": 50,
+    }
+    path = tmp_path / "noisy.json"
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -77,9 +94,9 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
     def test_framework_error_is_one_structured_line(self, spec_file, capsys):
-        # --resume without --checkpoint is a ConfigurationError; it must
-        # exit 1 with a single "error: Type: message" line, no traceback.
-        assert main(["run", "--spec", spec_file, "--resume"]) == 1
+        # A negative retry budget is a ConfigurationError; it must exit
+        # 1 with a single "error: Type: message" line, no traceback.
+        assert main(["run", "--spec", spec_file, "--retries", "-1"]) == 1
         err = capsys.readouterr().err
         lines = [line for line in err.splitlines() if line]
         assert len(lines) == 1
@@ -95,15 +112,28 @@ class TestRun:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
-    def test_checkpoint_and_resume_flags(self, spec_file, tmp_path, capsys):
-        ckpt = str(tmp_path / "ckpt.jsonl")
-        base = ["run", "--spec", spec_file, "--csv",
-                "--min-replications", "2", "--max-replications", "2"]
-        assert main(base + ["--checkpoint", ckpt]) == 0
-        first = capsys.readouterr().out
-        assert main(base + ["--checkpoint", ckpt, "--resume"]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed == first
+    def test_cache_dir_resumes_an_interrupted_run(
+        self, noisy_spec_file, tmp_path, capsys, executions
+    ):
+        base = ["run", "--spec", noisy_spec_file, "--csv",
+                "--min-replications", "3", "--max-replications", "3",
+                "--target-half-width", "1e-9"]
+        assert main(base) == 0
+        uninterrupted = capsys.readouterr().out
+        cache = tmp_path / "cache"
+        assert main(base + ["--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        # Writes are atomic, so a kill leaves whole entries or none:
+        # delete two of the three.
+        entries = sorted(cache.rglob("*.json"))
+        assert len(entries) == 3
+        for entry in entries[:2]:
+            entry.unlink()
+
+        executions.clear()
+        assert main(base + ["--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == uninterrupted
+        assert len(executions) == 2
 
     def test_retries_and_timeout_flags_accepted(self, spec_file, capsys):
         assert main(["run", "--spec", spec_file, "--csv",
@@ -136,22 +166,11 @@ class TestRun:
         capsys.readouterr()
         assert not os.path.exists(cache)
 
-    def test_seed_changes_results(self, tmp_path, capsys):
-        # A 2-VCPU VM makes barrier stalls (and thus utilization) depend
-        # on the sampled workloads, so the seed must matter.
-        payload = {
-            "vms": [{"vcpus": 2}, {"vcpus": 1}],
-            "pcpus": 1,
-            "scheduler": "rrs",
-            "sim_time": 300,
-            "warmup": 50,
-        }
-        path = tmp_path / "noisy.json"
-        path.write_text(json.dumps(payload))
-        main(["run", "--spec", str(path), "--csv", "--seed", "1",
+    def test_seed_changes_results(self, noisy_spec_file, capsys):
+        main(["run", "--spec", noisy_spec_file, "--csv", "--seed", "1",
               "--min-replications", "2", "--max-replications", "2"])
         first = capsys.readouterr().out
-        main(["run", "--spec", str(path), "--csv", "--seed", "2",
+        main(["run", "--spec", noisy_spec_file, "--csv", "--seed", "2",
               "--min-replications", "2", "--max-replications", "2"])
         second = capsys.readouterr().out
         assert first != second
@@ -430,3 +449,25 @@ class TestFigures:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_cache_dir_keeps_the_retry_budget(self, monkeypatch, tmp_path):
+        # A cache must not change how failures are handled: both paths
+        # hand run_figure8 the retry budget of run_sweep's default.
+        seen = []
+
+        class Figure:
+            table = "table"
+
+        def fake_figure8(**knobs):
+            seen.append(knobs)
+            return Figure()
+
+        monkeypatch.setattr(paper, "run_figure8", fake_figure8)
+        cache = str(tmp_path / "cache")
+        assert main(["figures", "--figure", "8"]) == 0
+        assert main(["figures", "--figure", "8", "--cache-dir", cache]) == 0
+        plain, cached = seen
+        assert "resilience" not in plain
+        resilience = cached.pop("resilience")
+        assert cached == plain
+        assert resilience == ResilienceConfig(retries=0, cache_dir=cache)

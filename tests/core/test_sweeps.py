@@ -178,55 +178,31 @@ class TestRunSweepPlumbing:
 
 
 class TestCheckpointInterop:
-    """One checkpoint file spans the sweep; every entry point resumes it."""
+    """One cache directory spans the sweep; every entry point resumes it."""
 
     def test_run_sweep_checkpoint_resumed_by_interleaved(self, base, points, tmp_path):
-        ckpt = str(tmp_path / "sweep.jsonl")
-        first = run_sweep(
-            base, points[:3], resilience=ResilienceConfig(checkpoint=ckpt), **ARGS
-        )
+        cache = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
+        first = run_sweep(base, points[:3], resilience=cache, **ARGS)
         resumed = run_interleaved_sweep(
-            resolve_sweep_points(base, points[:3]),
-            resilience=ResilienceConfig(checkpoint=ckpt, resume=True),
-            **ARGS,
+            resolve_sweep_points(base, points[:3]), resilience=cache, **ARGS
         )
         assert resumed.stats.executed == 0
         assert extract(resumed.results) == extract(first)
 
     def test_interleaved_checkpoint_resumed_by_run_sweep(self, base, points, tmp_path):
-        ckpt = str(tmp_path / "sweep.jsonl")
+        cache = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
         first = run_interleaved_sweep(
-            resolve_sweep_points(base, points[:3]),
-            resilience=ResilienceConfig(checkpoint=ckpt),
-            **ARGS,
+            resolve_sweep_points(base, points[:3]), resilience=cache, **ARGS
         )
-        with open(ckpt, encoding="utf-8") as handle:
-            before = handle.read()
-        resumed = run_sweep(
-            base,
-            points[:3],
-            resilience=ResilienceConfig(checkpoint=ckpt, resume=True),
-            **ARGS,
-        )
+        before = {
+            path: path.read_bytes() for path in (tmp_path / "cache").rglob("*.json")
+        }
+        resumed = run_sweep(base, points[:3], resilience=cache, **ARGS)
         assert extract(resumed) == extract(first.results)
-        # Every replication came from the checkpoint: nothing was added.
-        with open(ckpt, encoding="utf-8") as handle:
-            assert handle.read() == before
-
-    def test_each_point_gets_its_own_scope(self, base, points, tmp_path):
-        ckpt = str(tmp_path / "sweep.jsonl")
-        run_sweep(
-            base, points[:2], resilience=ResilienceConfig(checkpoint=ckpt), **ARGS
-        )
-        import json
-
-        scopes = set()
-        with open(ckpt, encoding="utf-8") as handle:
-            for line in handle:
-                record = json.loads(line)
-                if record.get("kind") == "scope":
-                    scopes.add(record["scope"])
-        assert scopes == {"point0", "point1"}
+        # Every replication came from the cache: nothing was added.
+        assert {
+            path: path.read_bytes() for path in (tmp_path / "cache").rglob("*.json")
+        } == before
 
 
 class TestAccounting:
@@ -621,8 +597,8 @@ class TestAffinityKey:
         run = _Run(
             spec=spec, root_seed=0, extra_probes=False,
             min_replications=2, max_replications=2,
-            config=ResilienceConfig(engine=engine), checkpoint=None,
-            scope="point0", monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
+            config=ResilienceConfig(engine=engine), scope="point0",
+            monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
         )
         return _PointState(0, run)
 

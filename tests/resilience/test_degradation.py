@@ -17,6 +17,8 @@ from repro.resilience import (
     HVOverheadModel,
     MaintenancePolicy,
     ReplicationFailure,
+    ReplicationOutcome,
+    ResultCache,
     failure_summary,
     generate_degradation_matrix,
     validate_degradation_matrix,
@@ -164,18 +166,23 @@ class TestFailureRecordSatellites:
     def test_new_kinds_in_closed_set(self):
         assert FailureKind.DEGRADATION in FailureKind.ALL
         assert FailureKind.MAINTENANCE in FailureKind.ALL
-        assert FailureKind.UNKNOWN in FailureKind.ALL
 
-    def test_from_dict_folds_unknown_kind(self):
-        record = ReplicationFailure.from_dict(
-            {"kind": "cosmic-ray", "message": "bit flip"}
-        )
-        assert record.kind == FailureKind.UNKNOWN
-        assert record.message == "bit flip"
+    def test_unknown_kind_makes_entry_a_miss(self, tmp_path):
+        record = ReplicationFailure(kind="cosmic-ray", message="bit flip")
+        with pytest.raises(ValueError, match="cosmic-ray"):
+            ReplicationFailure.from_dict(record.to_dict())
+        cache = ResultCache(str(tmp_path))
+        key = cache.key({}, "compiled", 0, 0)
+        cache.store(key, {
+            "ok": True, "metrics": {"pcpu_utilization": 0.5}, "attempt": 0,
+            "completions": 1, "degraded": False, "failures": [record.to_dict()],
+        })
+        assert cache.load(key, lambda p: ReplicationOutcome.from_payload(0, p)) is None
+        assert cache.misses == 1 and cache.hits == 0
 
     def test_from_dict_keeps_known_kind(self):
         record = ReplicationFailure.from_dict(
-            {"kind": FailureKind.TIMEOUT, "message": "slow"}
+            ReplicationFailure(kind=FailureKind.TIMEOUT, message="slow").to_dict()
         )
         assert record.kind == FailureKind.TIMEOUT
 

@@ -1,12 +1,13 @@
 """Tests for the resilient replication executor.
 
-Includes the issue's two acceptance scenarios: a chaos-injected crash
-must not change the surviving replications' estimates, and a
-killed-then-resumed run must produce byte-identical result tables.
+Includes two acceptance scenarios: a chaos-injected crash must not
+change the surviving replications' estimates, and an interrupted run,
+rerun on its result cache, must produce byte-identical result tables.
 """
 
-import json
+import pathlib
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,15 @@ from repro.core import (
     run_sweep,
 )
 from repro.core.results import render_table, results_to_csv
-from repro.errors import CheckpointError, ConfigurationError, ReplicationError
-from repro.resilience import ChaosSpec, ResilienceConfig, result_cache, retry_seed
+from repro.errors import ConfigurationError, ReplicationError
+from repro.resilience import (
+    ChaosSpec,
+    GuardPolicy,
+    ResilienceConfig,
+    result_cache,
+    retry_seed,
+)
+from repro.resilience.executor import bind_cache
 from repro.resilience.failures import FailureKind
 
 
@@ -59,8 +67,6 @@ class TestConfig:
             ResilienceConfig(timeout=0).validate()
         with pytest.raises(ConfigurationError):
             ResilienceConfig(retries=-1).validate()
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(resume=True).validate()
         ResilienceConfig().validate()
 
 
@@ -206,9 +212,19 @@ class TestRetryExhaustion:
         )
 
 
+def cache_entries(root):
+    return {path: path.read_bytes() for path in root.rglob("*.json")}
+
+
+def entry_path(config, spec, replication, root_seed=0):
+    binding = bind_cache(spec, config, root_seed, False)
+    return pathlib.Path(binding.cache._path(binding.key(replication)))
+
+
 class TestCheckpointResumeAcceptance:
-    """Issue acceptance: a killed-then-resumed run renders byte-identical
-    result tables to an uninterrupted one."""
+    """Acceptance: an interrupted run, rerun with the same ``cache_dir``,
+    renders byte-identical result tables to an uninterrupted one.  Cache
+    writes are atomic, so deleting entries is what a kill leaves."""
 
     @staticmethod
     def tables(result):
@@ -221,83 +237,89 @@ class TestCheckpointResumeAcceptance:
             results_to_csv([result], metrics=result.metrics()),
         )
 
-    def test_resume_after_kill_is_byte_identical(self, noisy_spec, tmp_path):
+    def test_resume_after_kill_is_byte_identical(
+        self, noisy_spec, tmp_path, executions
+    ):
         uninterrupted = run(noisy_spec, resilience=ResilienceConfig(retries=0))
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        run(noisy_spec, resilience=config)
+        assert len(cache_entries(tmp_path / "cache")) == 3
+        # "Kill" the run after the first replication landed.
+        for replication in (1, 2):
+            entry_path(config, noisy_spec, replication).unlink()
 
-        path = str(tmp_path / "ckpt.jsonl")
-        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=path))
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) == 4  # scope + 3 replications
-        # "Kill" the run after the first replication landed, mid-write
-        # of the second record.
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2])
-
-        resumed = run(
-            noisy_spec,
-            resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
-        )
+        executions.clear()
+        resumed = run(noisy_spec, resilience=config)
+        assert sorted(executions) == [1, 2]
         assert self.tables(resumed) == self.tables(uninterrupted)
         assert sample_vectors(resumed) == sample_vectors(uninterrupted)
 
-    def test_resume_skips_recomputation(self, noisy_spec, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=path))
-        before = open(path, encoding="utf-8").read()
-        run(
-            noisy_spec,
-            resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
-        )
+    def test_resume_skips_recomputation(self, noisy_spec, tmp_path, executions):
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        run(noisy_spec, resilience=config)
+        before = cache_entries(tmp_path / "cache")
+        executions.clear()
+        run(noisy_spec, resilience=config)
         # Nothing new was computed, so nothing new was written.
-        assert open(path, encoding="utf-8").read() == before
+        assert executions == []
+        assert cache_entries(tmp_path / "cache") == before
 
-    def test_resume_against_different_experiment_refused(self, noisy_spec, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=path))
-        with pytest.raises(CheckpointError, match="different"):
-            run(
-                noisy_spec,
-                resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
-                root_seed=999,
-            )
+    def test_different_experiment_misses(self, noisy_spec, tmp_path):
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        run(noisy_spec, resilience=config)
+        before = cache_entries(tmp_path / "cache")
+        outcome = run_interleaved_sweep(
+            [({}, noisy_spec)], root_seed=999,
+            min_replications=3, max_replications=3, target_half_width=1e-9,
+            resilience=config,
+        )
+        assert outcome.stats.executed == 3 and outcome.stats.cache_hits == 0
+        assert sample_vectors(outcome.results[0]) == sample_vectors(
+            run(noisy_spec, root_seed=999)
+        )
+        after = cache_entries(tmp_path / "cache")
+        assert {p: after[p] for p in before} == before and len(after) == 6
 
-    def test_resume_after_code_change_refused(self, noisy_spec, tmp_path, monkeypatch):
-        path = tmp_path / "ckpt.jsonl"
-        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=str(path)))
-        before = path.read_bytes()
-        # Any edit to the package changes its code fingerprint.
+    def test_code_change_recomputes_and_keeps_old_entries(
+        self, noisy_spec, tmp_path, monkeypatch, executions
+    ):
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        first = run(noisy_spec, resilience=config)
+        before = cache_entries(tmp_path / "cache")
+        # Any edit to the package changes its code fingerprint; a new
+        # process would open a new handle on the cache directory.
         monkeypatch.setattr(result_cache, "_code_fingerprint", "edited")
-        resume = ResilienceConfig(retries=0, checkpoint=str(path), resume=True)
-        with pytest.raises(CheckpointError, match="version of the code.*fresh"):
-            run(noisy_spec, resilience=resume)
-        assert path.read_bytes() == before
+        monkeypatch.setattr(result_cache, "_SHARED", {})
+        executions.clear()
+        again = run(noisy_spec, resilience=config)
+        assert sorted(executions) == [0, 1, 2]
+        assert sample_vectors(again) == sample_vectors(first)
+        after = cache_entries(tmp_path / "cache")
+        assert {p: after[p] for p in before} == before and len(after) == 6
 
     def test_experiment_checkpoint_is_a_one_point_sweep_checkpoint(
         self, noisy_spec, tmp_path
     ):
-        # run_experiment is a one-point sweep: its file holds the same
-        # "point0" scope and records, and the sweep resumes it whole.
-        experiment = tmp_path / "experiment.jsonl"
-        sweep = tmp_path / "sweep.jsonl"
+        # run_experiment is a one-point sweep: it writes the same cache
+        # entries, and the sweep resumes them whole.
+        experiment = tmp_path / "experiment"
+        sweep = tmp_path / "sweep"
         first = run(
             noisy_spec,
-            resilience=ResilienceConfig(retries=0, checkpoint=str(experiment)),
+            resilience=ResilienceConfig(retries=0, cache_dir=str(experiment)),
         )
         run_sweep(
             noisy_spec, [{}],
             min_replications=3, max_replications=3, target_half_width=1e-9,
-            resilience=ResilienceConfig(retries=0, checkpoint=str(sweep)),
+            resilience=ResilienceConfig(retries=0, cache_dir=str(sweep)),
         )
-        assert experiment.read_bytes() == sweep.read_bytes()
-        scopes = {json.loads(line)["scope"]
-                  for line in experiment.read_text().splitlines()}
-        assert scopes == {"point0"}
+        assert {
+            p.relative_to(experiment): b for p, b in cache_entries(experiment).items()
+        } == {p.relative_to(sweep): b for p, b in cache_entries(sweep).items()}
         resumed = run_interleaved_sweep(
             [({}, noisy_spec)],
             min_replications=3, max_replications=3, target_half_width=1e-9,
-            resilience=ResilienceConfig(
-                retries=0, checkpoint=str(experiment), resume=True
-            ),
+            resilience=ResilienceConfig(retries=0, cache_dir=str(experiment)),
         )
         assert resumed.stats.executed == 0
         assert sample_vectors(resumed.results[0]) == sample_vectors(first)
@@ -306,70 +328,18 @@ class TestCheckpointResumeAcceptance:
     def test_invalid_spec_leaves_the_checkpoint_untouched(
         self, noisy_spec, tmp_path, entry
     ):
-        path = tmp_path / "ckpt.jsonl"
-        run(noisy_spec, resilience=ResilienceConfig(retries=0, checkpoint=str(path)))
-        before = path.read_bytes()
-        config = ResilienceConfig(retries=0, checkpoint=str(path))
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        run(noisy_spec, resilience=config)
+        before = cache_entries(tmp_path / "cache")
         with pytest.raises(ConfigurationError, match="pcpus"):
             if entry == "run_experiment":
                 run(noisy_spec.with_overrides(pcpus=0), resilience=config)
             else:
-                run_sweep(noisy_spec, [{"pcpus": 1}, {"pcpus": 0}],
+                run_sweep(noisy_spec, [{"pcpus": 2}, {"pcpus": 0}],
                           min_replications=2, resilience=config)
-        assert path.read_bytes() == before
+        assert cache_entries(tmp_path / "cache") == before
 
-    # A checkpoint scope written before run_experiment became a one-point
-    # sweep: no point opens "experiment" any more.
-    STALE = [
-        {"kind": "scope", "scope": "experiment", "fingerprint": "0" * 32},
-        {"kind": "replication", "scope": "experiment", "replication": 0,
-         "ok": True, "metrics": {"pcpu_utilization": 0.5}},
-    ]
-
-    def append_stale(self, path):
-        with open(path, "a", encoding="utf-8") as handle:
-            for record in self.STALE:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def test_resume_drops_scopes_no_point_opens(self, noisy_spec, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        config = ResilienceConfig(retries=0, checkpoint=str(path))
-        first = run(noisy_spec, resilience=config)
-        live = path.read_text().splitlines()
-        self.append_stale(path)
-        resume = ResilienceConfig(retries=0, checkpoint=str(path), resume=True)
-        for _ in range(3):
-            resumed = run(noisy_spec, resilience=resume)
-            assert sample_vectors(resumed) == sample_vectors(first)
-            assert sorted(path.read_text().splitlines()) == sorted(live)
-        assert not list(tmp_path.glob("*.tmp"))
-
-    def test_failed_resume_leaves_checkpoint_untouched(self, noisy_spec, tmp_path):
-        kwargs = dict(min_replications=2, max_replications=2, target_half_width=1e-9)
-        path = tmp_path / "sweep.jsonl"
-        run_sweep(
-            noisy_spec, [{"pcpus": 1}, {"pcpus": 2}],
-            resilience=ResilienceConfig(retries=0, checkpoint=str(path)),
-            **kwargs,
-        )
-        # Keep point1 only, so the resume below opens a new point0 scope
-        # before point1's fingerprint mismatch stops it.
-        lines = [line for line in path.read_text().splitlines()
-                 if json.loads(line)["scope"] == "point1"]
-        path.write_text("\n".join(lines) + "\n")
-        self.append_stale(path)
-        before = path.read_bytes()
-        with pytest.raises(CheckpointError, match="different"):
-            run_sweep(
-                noisy_spec, [{"pcpus": 1}, {"pcpus": 3}],
-                resilience=ResilienceConfig(
-                    retries=0, checkpoint=str(path), resume=True
-                ),
-                **kwargs,
-            )
-        assert path.read_bytes() == before
-
-    def test_sweep_resumes_mid_grid(self, noisy_spec, tmp_path):
+    def test_sweep_resumes_mid_grid(self, noisy_spec, tmp_path, executions):
         sweep = [{"pcpus": 1}, {"pcpus": 2}]
         kwargs = dict(
             min_replications=2,
@@ -378,22 +348,94 @@ class TestCheckpointResumeAcceptance:
         )
         uninterrupted = run_sweep(noisy_spec, sweep, **kwargs)
 
-        path = str(tmp_path / "sweep.jsonl")
-        run_sweep(
-            noisy_spec, sweep,
-            resilience=ResilienceConfig(retries=0, checkpoint=path),
-            **kwargs,
-        )
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) == 6  # 2 points x (scope + 2 replications)
-        # Kill the sweep inside point 1: keep point 0 and point 1's scope.
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:4]) + "\n")
+        config = ResilienceConfig(retries=0, cache_dir=str(tmp_path / "cache"))
+        run_sweep(noisy_spec, sweep, resilience=config, **kwargs)
+        assert len(cache_entries(tmp_path / "cache")) == 4
+        # Kill the sweep inside point 1: its second replication is lost.
+        entry_path(config, noisy_spec.with_overrides(pcpus=2), 1).unlink()
 
-        resumed = run_sweep(
-            noisy_spec, sweep,
-            resilience=ResilienceConfig(retries=0, checkpoint=path, resume=True),
-            **kwargs,
-        )
+        executions.clear()
+        resumed = run_sweep(noisy_spec, sweep, resilience=config, **kwargs)
+        assert executions == [1]
         metrics = uninterrupted[0].metrics()
         assert results_to_csv(resumed, metrics) == results_to_csv(uninterrupted, metrics)
+
+
+def resolved(outcome):
+    """What a resume must reproduce: every sample, failure and flag."""
+    result = outcome.results[0]
+    return (
+        sample_vectors(result),
+        [f.to_dict() for f in result.failures],
+        result.degraded,
+    )
+
+
+def sweep_once(spec, config):
+    return run_interleaved_sweep(
+        [({}, spec)],
+        min_replications=3, max_replications=3, target_half_width=1e-9,
+        resilience=config,
+    )
+
+
+class TestGuardedAndChaosResume:
+    """Guarded and chaos runs are stored too, so they resume whole."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ResilienceConfig(
+                retries=0,
+                guard=GuardPolicy(mode="degrade", quarantine_after=1),
+                chaos=ChaosSpec(corrupt_replications=(0, 2), inject_after=100.0),
+            ),
+            ResilienceConfig(
+                retries=1,
+                chaos=ChaosSpec(crash_replications=(0,), inject_after=100.0),
+            ),
+        ],
+        ids=["degrade-guard-over-corrupt", "retried-crash"],
+    )
+    def test_rerun_resumes_with_identical_outcomes(self, noisy_spec, tmp_path, config):
+        config = replace(config, cache_dir=str(tmp_path / "cache"))
+        first = sweep_once(noisy_spec, config)
+        assert first.results[0].failures  # the plan did fire
+        assert first.results[0].degraded == (config.guard is not None)
+        again = sweep_once(noisy_spec, config)
+        assert again.stats.executed == 0 and again.stats.cache_hits == 3
+        assert resolved(again) == resolved(first)
+
+    def test_timed_out_stall_reexecutes(self, noisy_spec, tmp_path):
+        config = ResilienceConfig(
+            jobs=2,
+            timeout=0.75,
+            retries=1,
+            chaos=ChaosSpec(stall_replications=(1,), stall_seconds=30.0),
+            cache_dir=str(tmp_path / "cache"),
+        )
+        first = sweep_once(noisy_spec, config)
+        assert any(f.kind == FailureKind.TIMEOUT for f in first.results[0].failures)
+        again = sweep_once(noisy_spec, config)
+        # Replications 0 and 2 hit; replication 1 times out again, then
+        # its retry succeeds.
+        assert again.stats.cache_hits == 2
+        assert again.stats.executed == 2
+        assert sample_vectors(again.results[0]) == sample_vectors(first.results[0])
+
+    def test_entry_past_the_retry_budget_is_a_miss(self, noisy_spec, tmp_path):
+        chaos = ChaosSpec(crash_replications=(0,), inject_after=100.0)
+        cache = str(tmp_path / "cache")
+        retried = ResilienceConfig(retries=1, chaos=chaos, cache_dir=cache)
+        sweep_once(noisy_spec, retried)
+
+        # Replication 0 resolved at attempt 1: a retries=0 rerun misses
+        # it and behaves exactly like a fresh retries=0 run.
+        strict = ResilienceConfig(retries=0, chaos=chaos, keep_partial=True)
+        fresh = sweep_once(noisy_spec, strict)
+        rerun = sweep_once(noisy_spec, replace(strict, cache_dir=cache))
+        assert rerun.stats.cache_hits == 2 and rerun.stats.executed == 1
+        assert resolved(rerun) == resolved(fresh)
+        assert rerun.results[0].replications == 2
+        with pytest.raises(ReplicationError, match="replication 0"):
+            sweep_once(noisy_spec, replace(retried, retries=0))

@@ -8,11 +8,12 @@ import pytest
 from repro.core import SystemSpec, VMSpec, run_interleaved_sweep
 from repro.resilience import (
     ChaosSpec,
+    GuardPolicy,
     ResilienceConfig,
     ResultCache,
     code_fingerprint,
 )
-from repro.resilience.executor import bind_cache
+from repro.resilience.executor import ReplicationOutcome, bind_cache
 from repro.resilience.result_cache import cacheable_spec_payload
 from repro.san import resolve_engine
 
@@ -210,11 +211,16 @@ class TestBindCache:
     def test_disabled_without_cache_dir(self, spec):
         assert bind_cache(spec, ResilienceConfig(), 0, False) is None
 
-    def test_disabled_under_chaos(self, spec, tmp_path):
-        config = ResilienceConfig(
-            cache_dir=str(tmp_path), chaos=ChaosSpec(crash_replications=(0,))
-        )
-        assert bind_cache(spec, config, 0, False) is None
+    def test_guard_and_chaos_distinguish_keys(self, spec, tmp_path):
+        configs = [
+            ResilienceConfig(cache_dir=str(tmp_path)),
+            ResilienceConfig(cache_dir=str(tmp_path), guard=GuardPolicy()),
+            ResilienceConfig(
+                cache_dir=str(tmp_path), chaos=ChaosSpec(crash_replications=(0,))
+            ),
+        ]
+        keys = {bind_cache(spec, config, 0, False).key(0) for config in configs}
+        assert len(keys) == 3
 
     def test_engine_distinguishes_keys(self, spec, tmp_path):
         compiled = bind_cache(
@@ -280,3 +286,73 @@ class TestExecutorIntegration:
         other = _sweep(spec, config, root_seed=7)
         assert other.stats.cache_hits == 0
         assert other.stats.executed == other.results[0].replications
+
+
+#: Entries that parse as JSON but are no replication outcome, and one
+#: torn write.  Each must read as a miss and be recomputed.
+_GOOD_FAILURE = {
+    "kind": "exception", "message": "m", "replication": 0, "attempt": 0,
+    "scheduler": "rrs", "sim_time": 1.0,
+}
+_GOOD = {
+    "ok": True, "metrics": {"pcpu_utilization": 0.5}, "attempt": 0,
+    "completions": 1, "degraded": False, "failures": [],
+}
+MALFORMED = {
+    "ok-only": {"ok": True},
+    "empty-metrics-incomplete-failure": {
+        "ok": True, "metrics": {}, "failures": [{}],
+    },
+    "metrics-not-a-dict": {**_GOOD, "metrics": [0.5]},
+    "empty-metrics": {**_GOOD, "metrics": {}},
+    "string-metric": {**_GOOD, "metrics": {"pcpu_utilization": "0.5"}},
+    "bool-metric": {**_GOOD, "metrics": {"pcpu_utilization": True}},
+    "nan-metric": '{"ok": true, "metrics": {"pcpu_utilization": NaN}, '
+    '"attempt": 0, "completions": 1, "degraded": false, "failures": []}',
+    "negative-attempt": {**_GOOD, "attempt": -1},
+    "float-attempt": {**_GOOD, "attempt": 0.0},
+    "missing-completions": {k: v for k, v in _GOOD.items() if k != "completions"},
+    "degraded-not-bool": {**_GOOD, "degraded": 0},
+    "failures-not-a-list": {**_GOOD, "failures": {}},
+    "failure-not-a-dict": {**_GOOD, "failures": ["exception"]},
+    "unknown-failure-kind": {
+        **_GOOD, "failures": [{**_GOOD_FAILURE, "kind": "cosmic-ray"}],
+    },
+    "incomplete-failure": {
+        **_GOOD,
+        "failures": [{k: v for k, v in _GOOD_FAILURE.items() if k != "sim_time"}],
+    },
+    "mistyped-failure": {**_GOOD, "failures": [{**_GOOD_FAILURE, "attempt": "0"}]},
+    "torn-write": '{"ok": true, "metrics": {"pcpu_utiliz',
+}
+
+
+@pytest.mark.parametrize("entry", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_cache_entry_is_a_miss(spec, tmp_path, entry):
+    config = ResilienceConfig(cache_dir=str(tmp_path / "cache"))
+    kwargs = dict(min_replications=3, max_replications=3, resilience=config)
+    first = run_interleaved_sweep([({}, spec)], **kwargs)
+    paths = sorted((tmp_path / "cache").rglob("*.json"))
+    assert len(paths) == 3
+    text = entry if isinstance(entry, str) else json.dumps(entry)
+    for path in paths:
+        path.write_text(text, encoding="utf-8")
+
+    again = run_interleaved_sweep([({}, spec)], **kwargs)
+    assert again.stats.cache_hits == 0 and again.stats.executed == 3
+    assert again.results[0].replications == 3
+    assert _samples(again) == _samples(first)
+    # The recomputed outcomes replaced the malformed entries.
+    warm = run_interleaved_sweep([({}, spec)], **kwargs)
+    assert warm.stats.executed == 0
+
+
+def test_well_formed_entry_is_a_hit(tmp_path):
+    # The counterpart of the malformed cases: the reference entry loads.
+    cache = ResultCache(str(tmp_path))
+    key = cache.key({}, "compiled", 0, 0)
+    cache.store(key, {**_GOOD, "failures": [_GOOD_FAILURE]})
+    outcome = cache.load(key, lambda p: ReplicationOutcome.from_payload(0, p))
+    assert outcome.metrics == _GOOD["metrics"]
+    assert outcome.failures[0].to_dict() == _GOOD_FAILURE
+    assert cache.hits == 1

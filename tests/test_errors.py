@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    CheckpointError,
     ConfigurationError,
     ModelError,
     RegistryError,
@@ -22,7 +21,6 @@ ALL_ERRORS = [
     RegistryError,
     StatisticsError,
     ReplicationError,
-    CheckpointError,
 ]
 
 

@@ -108,7 +108,6 @@ def test_resilience_api():
         assert hasattr(repro, name), name
     from repro.resilience import (  # noqa: F401
         ChaosScheduler,
-        CheckpointStore,
         GuardState,
         ReplicationOutcome,
         retry_seed,
