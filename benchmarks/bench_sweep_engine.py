@@ -87,8 +87,7 @@ def run_interleaved(base, points, jobs, sim_args, cache_dir=None):
     start = time.perf_counter()
     outcome = run_interleaved_sweep(
         resolved,
-        sweep_jobs=jobs,
-        resilience=ResilienceConfig(engine="compiled", cache_dir=cache_dir),
+        resilience=ResilienceConfig(jobs=jobs, engine="compiled", cache_dir=cache_dir),
         **sim_args,
     )
     elapsed = time.perf_counter() - start

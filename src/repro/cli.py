@@ -142,21 +142,13 @@ def _cache_dir_from_args(args: argparse.Namespace) -> Optional[str]:
     return getattr(args, "cache_dir", None)
 
 
-def _resilience_from_args(args: argparse.Namespace) -> Optional[ResilienceConfig]:
-    """Build the executor config from CLI flags; None when all defaults."""
-    cache_dir = _cache_dir_from_args(args)
-    if (
-        args.jobs == 1
-        and args.timeout is None
-        and args.retries == 0
-        and cache_dir is None
-    ):
-        return None
+def _resilience_from_args(args: argparse.Namespace) -> ResilienceConfig:
+    """Build the executor config from CLI flags."""
     config = ResilienceConfig(
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        cache_dir=cache_dir,
+        cache_dir=_cache_dir_from_args(args),
     )
     config.validate()
     return config
@@ -303,12 +295,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from .paper import run_figure8, run_figure9, run_figure10
 
     knobs: Dict[str, Any] = dict(FIGURE_PROTOCOLS["full" if args.full else "quick"])
-    knobs["sweep_jobs"] = args.sweep_jobs
-    cache_dir = _cache_dir_from_args(args)
-    if cache_dir is not None:
-        # run_sweep's own default budget: a cache must not change how
-        # failures are handled.
-        knobs["resilience"] = ResilienceConfig(retries=0, cache_dir=cache_dir)
+    knobs["resilience"] = ResilienceConfig(
+        jobs=args.jobs, cache_dir=_cache_dir_from_args(args)
+    )
     runners = {"8": run_figure8, "9": run_figure9, "10": run_figure10}
     wanted = list(runners) if args.figure == "all" else [args.figure]
     for key in wanted:
@@ -455,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     figures_parser.add_argument(
         "--sweep-jobs",
         type=int,
-        default=None,
-        dest="sweep_jobs",
+        default=1,
+        dest="jobs",
         help="worker processes shared by every point of a figure "
         "(default 1 = in-process)",
     )

@@ -202,7 +202,6 @@ def run_sweep(
     base_spec: SystemSpec,
     sweep: Iterable[Dict[str, Any]],
     mutate: Optional[Callable[[SystemSpec, Dict[str, Any]], SystemSpec]] = None,
-    sweep_jobs: Optional[int] = None,
     **experiment_kwargs,
 ) -> List[ExperimentResult]:
     """Run one experiment per parameter point, all on one scheduler.
@@ -215,8 +214,6 @@ def run_sweep(
             names such as ``topology``) must be handled by ``mutate``.
         mutate: optional ``(spec, point) -> spec`` hook for overrides
             beyond plain fields (e.g. changing every VM's sync ratio).
-        sweep_jobs: worker-process count of the shared pool (default:
-            the resilience config's ``jobs``).
         **experiment_kwargs: the :func:`run_experiment` parameters,
             applied to every point.  A ``resilience`` ``cache_dir``
             holds every point's replications, so rerunning with it
@@ -231,6 +228,4 @@ def run_sweep(
     from .sweeps import run_interleaved_sweep  # local: sweeps imports us
 
     points = resolve_sweep_points(base_spec, sweep, mutate)
-    return run_interleaved_sweep(
-        points, sweep_jobs=sweep_jobs, **experiment_kwargs
-    ).results
+    return run_interleaved_sweep(points, **experiment_kwargs).results

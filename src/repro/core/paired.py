@@ -9,8 +9,10 @@ tighter than comparing two independent CIs (classic variance
 reduction).
 
 :func:`compare_schedulers` runs both schedulers over the same
-replications and reports, per metric, the mean difference with its
-paired-t confidence interval and a verdict.
+replications — as one two-point sweep on the replication driver, so
+each scheduler's model is built once and reused — and reports, per
+metric, the mean difference with its paired-t confidence interval and
+a verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from ..errors import ConfigurationError, StatisticsError
 from ..metrics.stats import confidence_interval
 from .config import SystemSpec
-from .framework import simulate_once
+from .sweeps import run_interleaved_sweep
 
 
 @dataclass
@@ -122,6 +124,9 @@ def compare_schedulers(
         A :class:`PairedComparison`; each metric's difference is
         ``challenger - baseline``, so a positive mean means the
         challenger scores higher.
+
+    Raises:
+        ReplicationError: a replication of either scheduler failed.
     """
     if replications < 2:
         raise ConfigurationError(
@@ -129,28 +134,34 @@ def compare_schedulers(
         )
     if metrics is None:
         metrics = ["vcpu_availability", "pcpu_utilization", "vcpu_utilization"]
-    base_spec = spec.with_overrides(scheduler=baseline)
-    base_spec.validate()
-    chall_spec = spec.with_overrides(scheduler=challenger)
-    chall_spec.validate()
-
+    # A fixed budget: every replication index runs for both schedulers.
+    outcome = run_interleaved_sweep(
+        [
+            ({}, spec.with_overrides(scheduler=baseline)),
+            ({}, spec.with_overrides(scheduler=challenger)),
+        ],
+        min_replications=replications,
+        max_replications=replications,
+        root_seed=root_seed,
+    )
+    base, chall = outcome.results
     comparison = PairedComparison(
         baseline=baseline, challenger=challenger, replications=replications
     )
     for metric in metrics:
-        comparison.differences[metric] = PairedDifference(
-            metric=metric, confidence=confidence
-        )
-    for replication in range(replications):
-        base = simulate_once(base_spec, replication=replication, root_seed=root_seed)
-        chall = simulate_once(chall_spec, replication=replication, root_seed=root_seed)
-        for metric in metrics:
-            if metric not in base.metrics:
-                raise ConfigurationError(
-                    f"metric {metric!r} not produced; "
-                    f"available: {sorted(base.metrics)}"
-                )
-            comparison.differences[metric].differences.append(
-                chall.metrics[metric] - base.metrics[metric]
+        if metric not in base.estimates:
+            raise ConfigurationError(
+                f"metric {metric!r} not produced; "
+                f"available: {sorted(base.estimates)}"
             )
+        comparison.differences[metric] = PairedDifference(
+            metric=metric,
+            differences=[
+                c - b
+                for b, c in zip(
+                    base.estimates[metric].values, chall.estimates[metric].values
+                )
+            ],
+            confidence=confidence,
+        )
     return comparison

@@ -3,9 +3,10 @@
 The paper's whole evaluation is sweep-shaped — every figure is a
 parameter sweep whose points replicate until their 95% CI half-width
 drops below 0.1.  Every replicated run in this package, from a single
-``run_experiment`` (a one-point sweep) to a 36-point figure grid or a
-service job, is driven by the :class:`_SweepScheduler` here, built from
-three pieces:
+``run_experiment`` (a one-point sweep) and ``compare_schedulers`` (a
+two-point one) to a 36-point figure grid or a service job, is driven by
+the :class:`_SweepScheduler` here, one :class:`_Point` per sweep point,
+built from three pieces:
 
 * **Shared-pool interleaved scheduling** — one worker pool serves the
   entire sweep.  Replication tasks from *all* points share a single
@@ -57,16 +58,19 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReplicationError
 from ..metrics.stats import ConvergenceMonitor
 from ..observability import trace as _trace
 from ..resilience.executor import (
+    ExecutionOutcome,
+    ReplicationOutcome,
     ResilienceConfig,
     _execute_task,
-    _Run,
     _Task,
+    bind_cache,
+    retry_seed,
 )
-from ..resilience.failures import FailureKind, ReplicationFailure
+from ..resilience.failures import FailureKind, ReplicationFailure, failure_summary
 from ..san.compiled import resolve_engine
 from .config import SystemSpec
 from .framework import _reuse_key
@@ -108,7 +112,17 @@ class SweepOutcome:
     stats: SweepStats
 
 
-# -- the shared worker pool ------------------------------------------------
+# -- the worker pools -------------------------------------------------------
+#
+# The scheduler drives either pool through one contract.  ``workers`` is
+# the slot count and ``idle()`` says whether one is free.
+# ``submit(task, key)`` hands the task to a free slot and returns its
+# ``(dispatch_id, worker)``; dispatch ids are unique for the pool's
+# lifetime, so a late result from an earlier run on a shared pool never
+# collides with a fresh one.  ``poll(timeout)`` returns the next
+# ``(dispatch_id, payload)`` and frees its slot, whether the scheduler
+# still waits for it or not.  On process workers ``replace(worker)``
+# abandons a stalled worker and spawns its successor.
 
 
 def _worker_main(task_queue: Any, result_queue: Any) -> None:
@@ -152,86 +166,77 @@ class _AffinityPool:
         self._slots: Dict[int, _WorkerSlot] = {}
         self._abandoned: List[_WorkerSlot] = []
         self._next_worker = 0
-        # Dispatch ids are unique for the *pool's* lifetime, not per
-        # scheduler run: a long-lived shared pool (see SweepPool) may
-        # serve many sequential schedulers, and a late result from an
-        # earlier run must never collide with a fresh dispatch id.
         self._dispatch_ids = itertools.count()
+        self.workers = jobs
         for _ in range(jobs):
             self._spawn()
 
-    def next_dispatch_id(self) -> int:
-        return next(self._dispatch_ids)
-
-    def _spawn(self) -> int:
-        worker = self._next_worker
-        self._next_worker += 1
+    def _spawn(self) -> None:
         tasks = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main, args=(tasks, self._results), daemon=True
         )
         process.start()
-        self._slots[worker] = _WorkerSlot(process, tasks)
-        return worker
+        self._slots[self._next_worker] = _WorkerSlot(process, tasks)
+        self._next_worker += 1
 
-    def workers(self) -> int:
-        return len(self._slots)
+    def idle(self) -> bool:
+        return any(slot.busy is None for slot in self._slots.values())
 
-    def idle_workers(self) -> List[int]:
-        return [w for w, slot in self._slots.items() if slot.busy is None]
-
-    def submit(
-        self, dispatch_id: int, task: _Task, affinity_key: Optional[str]
-    ) -> int:
+    def submit(self, task: _Task, affinity_key: Optional[str]) -> Tuple[int, int]:
         """Hand the task to an idle worker, warm one preferred.
 
         A ``None`` key (a model the cache never holds) prefers none.
         """
-        idle = self.idle_workers()
+        idle = [w for w, slot in self._slots.items() if slot.busy is None]
         worker = next(
             (w for w in idle if affinity_key in self._slots[w].warm), idle[0]
         )
         slot = self._slots[worker]
-        slot.busy = dispatch_id
+        slot.busy = dispatch_id = next(self._dispatch_ids)
         if affinity_key is not None:
             slot.warm[affinity_key] = None
             slot.warm.move_to_end(affinity_key)
             while len(slot.warm) > _WARM_CAP:
                 slot.warm.popitem(last=False)
         slot.tasks.put((dispatch_id, task))
-        return worker
+        return dispatch_id, worker
 
-    def release(self, worker: int) -> None:
-        slot = self._slots.get(worker)
-        if slot is not None:
-            slot.busy = None
+    def poll(self, timeout: Optional[float]) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """The next result, its slot freed; None when ``timeout`` passes.
 
-    def release_by_dispatch(self, dispatch_id: int) -> None:
-        """Free whichever slot holds this dispatch (stale-result path).
-
-        A scheduler that stopped early (cooperative job cancellation)
-        leaves dispatches in flight; when their results surface under a
-        *later* scheduler on the same shared pool, that scheduler knows
-        only the dispatch id — this lets it still return the worker to
-        service instead of leaking the slot as busy forever.
+        A worker that died holding a dispatch is replaced, and its
+        dispatch answers with a worker-crash failure.
         """
+        for worker, slot in self._slots.items():
+            if slot.busy is not None and not slot.process.is_alive():
+                dispatch_id = slot.busy
+                self.replace(worker)
+                return dispatch_id, {
+                    "ok": False,
+                    "kind": FailureKind.WORKER_CRASH,
+                    "error": "worker process died",
+                }
+        try:
+            dispatch_id, payload = self._results.get(timeout=timeout)
+        except _queue.Empty:
+            return None
         for slot in self._slots.values():
             if slot.busy == dispatch_id:
                 slot.busy = None
-                return
+                break
+        return dispatch_id, payload
+
+    def replace(self, worker: int) -> None:
+        """Stop using a stalled or dead worker; spawn its replacement."""
+        self._abandoned.append(self._slots.pop(worker))
+        self._spawn()
 
     def drain_stale(self) -> int:
-        """Drop buffered results of abandoned runs; free their slots."""
         dropped = 0
-        while True:
-            item = self.poll(0)
-            if item is None:
-                return dropped
-            self.release_by_dispatch(item[0])
+        while self.poll(0) is not None:
             dropped += 1
-
-    def busy_count(self) -> int:
-        return sum(1 for slot in self._slots.values() if slot.busy is not None)
+        return dropped
 
     def live_processes(self) -> List[Any]:
         """Every worker process still alive, including abandoned ones."""
@@ -240,33 +245,6 @@ class _AffinityPool:
             for slot in list(self._slots.values()) + self._abandoned
             if slot.process.is_alive()
         ]
-
-    def poll(self, timeout: Optional[float]) -> Optional[Tuple[int, Dict[str, Any]]]:
-        try:
-            return self._results.get(timeout=timeout)
-        except _queue.Empty:
-            return None
-
-    def abandon(self, worker: int) -> None:
-        """Stop using a stalled worker; spawn its replacement."""
-        slot = self._slots.pop(worker, None)
-        if slot is not None:
-            self._abandoned.append(slot)
-        self._spawn()
-
-    def dead_workers(self) -> List[int]:
-        """Workers that died while holding a dispatch (result never comes)."""
-        return [
-            w
-            for w, slot in self._slots.items()
-            if slot.busy is not None and not slot.process.is_alive()
-        ]
-
-    def replace_dead(self, worker: int) -> None:
-        slot = self._slots.pop(worker, None)
-        if slot is not None:
-            self._abandoned.append(slot)
-        self._spawn()
 
     def close(self) -> None:
         """Shut every worker down and release every queue fd.
@@ -324,70 +302,39 @@ class _AffinityPool:
 
 
 class _InlineExecutor:
-    """Same interface as :class:`_AffinityPool`, zero processes.
+    """The same contract on one slot and zero processes.
 
     ``jobs=1`` without a timeout runs replications in-process — the
     scheduling and allocation logic is identical, only the transport
     differs, so the differential tests exercise the real scheduler
-    without fork overhead.  ``submit`` only queues the task and ``poll``
+    without fork overhead.  ``submit`` only parks the task and ``poll``
     runs it, so a dispatch is recorded before its replications start,
     as on the process pool.
     """
 
+    workers = 1
+
     def __init__(self) -> None:
-        self._pending: Deque[Tuple[int, _Task]] = deque()
+        self._pending: Optional[Tuple[int, _Task]] = None
         self._dispatch_ids = itertools.count()
 
-    def next_dispatch_id(self) -> int:
-        return next(self._dispatch_ids)
+    def idle(self) -> bool:
+        return self._pending is None
 
-    def drain_stale(self) -> int:
-        """Drop the tasks an aborted run queued but never polled for."""
-        dropped = len(self._pending)
-        self._pending.clear()
-        return dropped
-
-    def release_by_dispatch(self, dispatch_id: int) -> None:
-        pass  # poll already popped the task off the one slot
-
-    def busy_count(self) -> int:
-        return len(self._pending)
-
-    def live_processes(self) -> List[Any]:
-        return []
-
-    def workers(self) -> int:
-        return 1
-
-    def idle_workers(self) -> List[int]:
-        return [] if self._pending else [0]
-
-    def submit(
-        self, dispatch_id: int, task: _Task, affinity_key: Optional[str]
-    ) -> int:
-        self._pending.append((dispatch_id, task))
-        return 0
-
-    def release(self, worker: int) -> None:
-        pass
+    def submit(self, task: _Task, affinity_key: Optional[str]) -> Tuple[int, int]:
+        self._pending = (next(self._dispatch_ids), task)
+        return self._pending[0], 0
 
     def poll(self, timeout: Optional[float]) -> Optional[Tuple[int, Dict[str, Any]]]:
-        if not self._pending:
+        if self._pending is None:
             return None
-        dispatch_id, task = self._pending.popleft()
+        (dispatch_id, task), self._pending = self._pending, None
         return dispatch_id, _execute_task(task)
 
-    def abandon(self, worker: int) -> None:  # pragma: no cover — no timeouts inline
-        self._pending.clear()
-
-    def dead_workers(self) -> List[int]:
-        return []
-
-    def replace_dead(self, worker: int) -> None:  # pragma: no cover
-        pass
-
-    def close(self) -> None:
-        pass
+    def drain_stale(self) -> int:
+        dropped = int(self._pending is not None)
+        self._pending = None
+        return dropped
 
 
 class SweepPool:
@@ -435,13 +382,15 @@ class SweepPool:
 
     def live_children(self) -> List[Any]:
         """Worker processes still alive (empty for the in-process pool)."""
-        return self._impl.live_processes()
+        if isinstance(self._impl, _AffinityPool):
+            return self._impl.live_processes()
+        return []
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""
-        if not self.closed:
+        if isinstance(self._impl, _AffinityPool) and not self.closed:
             self._impl.close()
-            self.closed = True
+        self.closed = True
 
     def __enter__(self) -> "SweepPool":
         return self
@@ -457,55 +406,99 @@ class SweepPool:
 ProgressCallback = Callable[[Dict[str, Any]], None]
 
 
-# -- per-point scheduling state -------------------------------------------
+# -- one sweep point ---------------------------------------------------------
 
 
-class _PointState:
-    """One sweep point: its executor run plus the scheduler's view of it."""
+#: Failure kinds that depend on the wall clock and the host, not on the
+#: replication's identity: an outcome carrying one is never stored.
+_HOST_DEPENDENT = (FailureKind.TIMEOUT, FailureKind.WORKER_CRASH)
 
-    def __init__(self, index: int, run: _Run) -> None:
+
+class _Point:
+    """One sweep point: its budget, its resolved replications and the
+    scheduler's view of what it still owes.
+
+    Fresh replication indices go out in order (``next_index``), skipping
+    what the result cache already holds; retries of failed attempts
+    wait in ``ready``.  The point is ``done`` once its contiguous
+    resolved prefix converges or its budget is spent.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        spec: SystemSpec,
+        config: ResilienceConfig,
+        monitor: ConvergenceMonitor,
+        root_seed: int,
+        extra_probes: bool,
+        min_replications: int,
+        max_replications: int,
+    ) -> None:
         self.index = index
-        self.run = run
-        self.min_replications = run.min_replications
-        self.max_replications = run.max_replications
+        self.spec = spec
+        self.config = config
+        self.monitor = monitor
+        self.root_seed = root_seed
+        self.extra_probes = extra_probes
+        self.min_replications = min_replications
+        self.max_replications = max_replications
+        self.cache = bind_cache(spec, config, root_seed, extra_probes)
+        self.executed = 0
+        self.cache_hits = 0
+        self.resolved: Dict[int, ReplicationOutcome] = {}
+        self._attempt_failures: Dict[int, List[ReplicationFailure]] = {}
         self.next_index = 0
         self.inflight = 0
         self.ready: Deque[_Task] = deque()  # retry tasks owed to this point
         self.done = False
         # The model cache's own key: tasks of one key share a built model.
         self.affinity_key = _reuse_key(
-            run.spec, resolve_engine(run.config.engine), run.extra_probes
+            spec, resolve_engine(config.engine), extra_probes
         )
+        # Most replications per floor grant.  Guarded and chaos runs stay
+        # single: their guard and chaos state is defined per attempt.
+        guarded = config.guard is not None or config.chaos is not None
+        self.group_cap = 1 if guarded else _FLOOR_GROUP_CAP
+
+    def prime(self) -> None:
+        """Preload every replication the result cache already holds."""
+        if self.cache is None:
+            return
+        for replication in range(self.max_replications):
+            outcome = self.cache.load(replication, self.config.retries)
+            if outcome is None:
+                continue
+            self.resolved[replication] = outcome
+            self.cache_hits += 1
+            tracer = _trace._ACTIVE
+            if tracer is not None:
+                tracer.emit(
+                    _trace.CACHE_HIT,
+                    scope=f"point{self.index}",
+                    replication=replication,
+                    key=self.cache.key(replication),
+                )
+
+    # -- what goes out next -------------------------------------------------
 
     def peek_fresh(self) -> Optional[int]:
         """Next never-dispatched replication index, skipping resolved ones."""
         while (
             self.next_index < self.max_replications
-            and self.next_index in self.run.resolved
+            and self.next_index in self.resolved
         ):
             self.next_index += 1
         if self.next_index >= self.max_replications:
             return None
         return self.next_index
 
-    def group_cap(self) -> int:
-        """Most replications per floor grant (1 = grouping off here).
-
-        Guarded and chaos runs stay single: their guard and chaos state
-        is defined per replication attempt.
-        """
-        config = self.run.config
-        if config.guard is not None or config.chaos is not None:
-            return 1
-        return _FLOOR_GROUP_CAP
-
     def floor_left(self) -> int:
         """Floor replications not yet granted (nor resolved)."""
-        resolved = self.run.resolved
         return sum(
             1
             for index in range(self.next_index, self.min_replications)
-            if index not in resolved
+            if index not in self.resolved
         )
 
     def take(self, width: int = 1) -> _Task:
@@ -528,19 +521,163 @@ class _PointState:
                 break
             group.append(index)
             self.next_index += 1
-        return self.run.task(tuple(group))
+        return _Task(
+            spec=self.spec,
+            replications=tuple(group),
+            attempt=0,
+            root_seed=self.root_seed,
+            extra_probes=self.extra_probes,
+            guard=self.config.guard,
+            chaos=self.config.chaos,
+            engine=self.config.engine,
+        )
 
-    def distance(self) -> float:
-        return self.run.monitor.distance()
+    # -- what came back -----------------------------------------------------
+
+    def resolve_success(self, task: _Task, payload: Dict[str, Any]) -> None:
+        """Record each member's run, in the task's replication order."""
+        for replication, run in zip(task.replications, payload["runs"]):
+            self.executed += 1
+            tick_failures = [ReplicationFailure.from_dict(f) for f in run["failures"]]
+            _stamp(tick_failures, replication, task.attempt)
+            earlier = self._attempt_failures.pop(replication, [])
+            outcome = ReplicationOutcome(
+                replication=replication,
+                metrics=dict(run["metrics"]),
+                attempt=task.attempt,
+                completions=run["completions"],
+                degraded=run["degraded"],
+                failures=earlier + tick_failures,
+            )
+            self.resolved[replication] = outcome
+            if self.cache is not None and not any(
+                f.kind in _HOST_DEPENDENT for f in outcome.failures
+            ):
+                self.cache.store(outcome)
+
+    def fail(self, task: _Task, payload: Dict[str, Any]) -> None:
+        """A dispatch failed, or was lost to a stall or a dead worker.
+
+        One bad lane (or one group timeout) must not sink its whole
+        group's accounting, so each member of a floor group re-queues as
+        an ordinary attempt-0 task and takes the standard retry/timeout
+        machinery from there.  A single task's failure is recorded and
+        retried under its reseed while the budget lasts.
+        """
+        if len(task.replications) > 1:
+            for replication in task.replications:
+                self.ready.append(dataclasses.replace(task, replications=(replication,)))
+            return
+        failure = ReplicationFailure(
+            kind=payload.get("kind", FailureKind.EXCEPTION),
+            message=payload["error"],
+            scheduler=self.spec.scheduler,
+        )
+        self.executed += 1
+        _stamp([failure], task.replication, task.attempt)
+        bucket = self._attempt_failures.setdefault(task.replication, [])
+        bucket.append(failure)
+        if task.attempt < self.config.retries:
+            retry = dataclasses.replace(task, attempt=task.attempt + 1)
+            tracer = _trace._ACTIVE
+            if tracer is not None:
+                tracer.emit(
+                    _trace.EXECUTOR_RETRY,
+                    replication=retry.replication,
+                    attempt=retry.attempt,
+                    seed=retry_seed(retry.root_seed, retry.replication, retry.attempt),
+                )
+            self.ready.append(retry)
+            return
+        # Retries exhausted: the replication is permanently failed.
+        bucket.append(
+            ReplicationFailure(
+                kind=FailureKind.RETRIES_EXHAUSTED,
+                message=(
+                    f"replication {task.replication} failed "
+                    f"{task.attempt + 1} attempt(s): {failure_summary(bucket)}"
+                ),
+                replication=task.replication,
+                attempt=task.attempt,
+                scheduler=failure.scheduler,
+            )
+        )
+        if not self.config.keep_partial:
+            raise ReplicationError(
+                f"replication {task.replication} failed after "
+                f"{task.attempt + 1} attempt(s) "
+                f"({failure_summary(bucket[:-1])}); last error: {failure.message}. "
+                "Pass keep_partial=True to continue with surviving replications."
+            )
+        self.resolved[task.replication] = ReplicationOutcome(
+            replication=task.replication,
+            metrics=None,
+            attempt=task.attempt,
+            failures=self._attempt_failures.pop(task.replication),
+        )
+
+    # -- convergence over the contiguous resolved prefix --------------------
+
+    def _contiguous_prefix(self) -> int:
+        prefix = 0
+        while prefix < self.max_replications and prefix in self.resolved:
+            prefix += 1
+        return prefix
+
+    def _surviving(self, prefix: int) -> List[ReplicationOutcome]:
+        return [self.resolved[i] for i in range(prefix) if self.resolved[i].ok]
+
+    def converged_cut(self) -> Optional[int]:
+        """Smallest sample count >= min that converges over the resolved
+        prefix in replication order; None if not converged yet.
+
+        Feeds the monitor only the samples it has not seen.  Each prefix
+        is judged exactly once, which is sound because a prefix's
+        samples never change after the fact.
+        """
+        surviving = self._surviving(self._contiguous_prefix())
+        for outcome in surviving[self.monitor.n :]:
+            self.monitor.push(outcome.metrics)
+        return self.monitor.cut
 
     def refresh_done(self) -> None:
-        """Re-derive the finished flag from the run's current state."""
+        """Re-derive the finished flag from the point's current state."""
         if self.done:
             return
-        if self.run.converged_cut() is not None:
+        if self.converged_cut() is not None:
             self.done = True
         elif not self.ready and self.inflight == 0 and self.peek_fresh() is None:
             self.done = True  # budget exhausted
+
+    def assemble(self) -> ExecutionOutcome:
+        prefix = self._contiguous_prefix()
+        surviving = self._surviving(prefix)
+        cut = self.converged_cut()
+        included = surviving[: cut if cut is not None else len(surviving)]
+        if cut is not None and included:
+            boundary = included[-1].replication
+        else:
+            boundary = prefix - 1  # budget exhausted: report the whole prefix
+        failures: List[ReplicationFailure] = []
+        for index in range(boundary + 1):
+            outcome = self.resolved.get(index)
+            if outcome is not None:
+                failures.extend(outcome.failures)
+        failures.sort(key=lambda f: (f.replication, f.attempt, f.sim_time or 0.0))
+        return ExecutionOutcome(
+            samples=[o.metrics for o in included],
+            replications=len(included),
+            failures=failures,
+            degraded=any(o.degraded for o in included),
+        )
+
+
+def _stamp(failures: List[ReplicationFailure], replication: int, attempt: int) -> None:
+    """Label records that do not yet know their replication and attempt."""
+    for failure in failures:
+        if failure.replication < 0:
+            failure.replication = replication
+            failure.attempt = attempt
 
 
 # -- the engine ------------------------------------------------------------
@@ -549,24 +686,25 @@ class _PointState:
 class _SweepScheduler:
     def __init__(
         self,
-        states: List[_PointState],
+        points: List[_Point],
         pool: Any,
         timeout: Optional[float],
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        self.states = states
+        self.points = points
         self.pool = pool
         self.timeout = timeout
         self.progress = progress
-        self.outstanding: Dict[int, Tuple[_PointState, _Task, int, Optional[float]]] = {}
+        # dispatch id -> (point, task, worker, deadline)
+        self.outstanding: Dict[int, Tuple[_Point, _Task, int, Optional[float]]] = {}
         self.allocation_log: List[Dict[str, Any]] = []
 
-    def _notify(self, event: str, state: _PointState, task: _Task, **extra: Any) -> None:
+    def _notify(self, event: str, point: _Point, task: _Task, **extra: Any) -> None:
         if self.progress is not None:
             self.progress(
                 {
                     "event": event,
-                    "point": state.index,
+                    "point": point.index,
                     "replication": task.replication,
                     "attempt": task.attempt,
                     "batch": len(task.replications),
@@ -576,22 +714,21 @@ class _SweepScheduler:
 
     # -- admission ---------------------------------------------------------
 
-    def _floor_width(self, state: _PointState) -> int:
-        """Replications in ``state``'s next floor grant.
+    def _floor_width(self, point: _Point) -> int:
+        """Replications in ``point``'s next floor grant.
 
         The point's cap, but no more than an even share of the floor
         still ungranted across the sweep per worker — so a one-point
         run still spreads its floor over every worker, while a wide
         sweep sends each point's floor as one task.
         """
-        cap = state.group_cap()
-        if cap == 1:
+        if point.group_cap == 1:
             return 1
-        ungranted = sum(s.floor_left() for s in self.states if not s.done)
-        share = -(-ungranted // self.pool.workers())
-        return max(1, min(cap, share))
+        ungranted = sum(p.floor_left() for p in self.points if not p.done)
+        share = -(-ungranted // self.pool.workers)
+        return max(1, min(point.group_cap, share))
 
-    def _next_in_point_order(self) -> Optional[Tuple[_PointState, _Task, str]]:
+    def _next_in_point_order(self) -> Optional[Tuple[_Point, _Task, str]]:
         """One worker: run each point to its stopping rule in turn.
 
         A point's cut depends only on its own replication prefix, so the
@@ -599,64 +736,63 @@ class _SweepScheduler:
         built once instead of being evicted from the model cache by
         later points' floors and rebuilt for its adaptive grants.
         """
-        for state in self.states:
-            if state.done:
+        for point in self.points:
+            if point.done:
                 continue
-            if state.ready:
-                return state, state.ready.popleft(), REASON_RETRY
-            fresh = state.peek_fresh()
+            if point.ready:
+                return point, point.ready.popleft(), REASON_RETRY
+            fresh = point.peek_fresh()
             if fresh is None:
                 continue
-            if fresh < state.min_replications:
-                return state, state.take(self._floor_width(state)), REASON_FLOOR
-            return state, state.take(), REASON_ADAPTIVE
+            if fresh < point.min_replications:
+                return point, point.take(self._floor_width(point)), REASON_FLOOR
+            return point, point.take(), REASON_ADAPTIVE
         return None
 
-    def _next_choice(self) -> Optional[Tuple[_PointState, _Task, str]]:
-        if self.pool.workers() == 1:
+    def _next_choice(self) -> Optional[Tuple[_Point, _Task, str]]:
+        if self.pool.workers == 1:
             return self._next_in_point_order()
         # 1. Retries are owed work: point order, oldest first.
-        for state in self.states:
-            if state.ready:
-                return state, state.ready.popleft(), REASON_RETRY
+        for point in self.points:
+            if point.ready:
+                return point, point.ready.popleft(), REASON_RETRY
         # 2. Floors: every point is entitled to min_replications
         #    concurrently (they execute whatever the monitor says),
         #    granted point-major so consecutive grants share a spec and
         #    the per-process model cache builds each spec once.
-        for state in self.states:
-            fresh = None if state.done else state.peek_fresh()
-            if fresh is not None and fresh < state.min_replications:
-                return state, state.take(self._floor_width(state)), REASON_FLOOR
+        for point in self.points:
+            fresh = None if point.done else point.peek_fresh()
+            if fresh is not None and fresh < point.min_replications:
+                return point, point.take(self._floor_width(point)), REASON_FLOOR
         # 3. Adaptive: one speculative grant at a time per unconverged
         #    point, to whichever is furthest from the half-width target.
         #    The one-in-flight cap is what makes executed == cut.
         candidates = [
-            state
-            for state in self.states
-            if not state.done
-            and state.inflight == 0
-            and state.peek_fresh() is not None
+            point
+            for point in self.points
+            if not point.done
+            and point.inflight == 0
+            and point.peek_fresh() is not None
         ]
         if candidates:
-            state = max(candidates, key=lambda s: (s.distance(), -s.index))
-            return state, state.take(), REASON_ADAPTIVE
+            point = max(candidates, key=lambda p: (p.monitor.distance(), -p.index))
+            return point, point.take(), REASON_ADAPTIVE
         return None
 
-    def _dispatch(self, state: _PointState, task: _Task, reason: str) -> None:
+    def _dispatch(self, point: _Point, task: _Task, reason: str) -> None:
         # The log's "seq" stays 0-based per sweep; the pool-scoped
         # dispatch id (which may have served earlier runs) routes results.
-        dispatch_id = self.pool.next_dispatch_id()
-        worker = self.pool.submit(dispatch_id, task, state.affinity_key)
+        dispatch_id, worker = self.pool.submit(task, point.affinity_key)
         deadline = None
         if self.timeout is not None:
             # A group runs its members back to back: each gets the budget.
             deadline = time.monotonic() + self.timeout * len(task.replications)
-        self.outstanding[dispatch_id] = (state, task, worker, deadline)
-        state.inflight += 1
-        distance = state.distance()
+        self.outstanding[dispatch_id] = (point, task, worker, deadline)
+        point.inflight += 1
+        distance = point.monitor.distance()
         entry = {
             "seq": len(self.allocation_log),
-            "point": state.index,
+            "point": point.index,
             "replication": task.replication,
             "attempt": task.attempt,
             "worker": worker,
@@ -673,10 +809,10 @@ class _SweepScheduler:
                 _trace.SWEEP_DISPATCH,
                 **{k: v for k, v in entry.items() if k != "seq"},
             )
-        self._notify("dispatch", state, task, reason=reason, worker=worker)
+        self._notify("dispatch", point, task, reason=reason, worker=worker)
 
     def _fill(self) -> None:
-        while self.pool.idle_workers():
+        while self.pool.idle():
             choice = self._next_choice()
             if choice is None:
                 return
@@ -685,135 +821,65 @@ class _SweepScheduler:
     # -- result handling ----------------------------------------------------
 
     def _handle_result(self, dispatch_id: int, payload: Dict[str, Any]) -> None:
+        """Resolve one dispatch: a result, or a failure payload for one
+        lost to a stall or a dead worker."""
         dispatch = self.outstanding.pop(dispatch_id, None)
         if dispatch is None:
             # Late result from an abandoned worker or an earlier
-            # scheduler on a shared pool: drop it, but free its slot.
-            self.pool.release_by_dispatch(dispatch_id)
+            # scheduler on a shared pool: the pool freed its slot.
             return
-        state, task, worker, _deadline = dispatch
-        self.pool.release(worker)
-        state.inflight -= 1
+        point, task, _worker, _deadline = dispatch
+        point.inflight -= 1
         if payload["ok"]:
-            state.run.resolve_success(task, payload)
+            point.resolve_success(task, payload)
         else:
-            self._fail_dispatch(state, task, payload)
-        state.refresh_done()
-        self._notify("resolved", state, task, ok=bool(payload["ok"]), done=state.done)
-
-    def _fail_dispatch(
-        self,
-        state: _PointState,
-        task: _Task,
-        payload: Dict[str, Any],
-        kind: Optional[str] = None,
-    ) -> None:
-        """A dispatch failed: floor groups degrade to single attempts.
-
-        One bad lane (or one group timeout) must not sink its whole
-        group's accounting, so each member re-queues as an ordinary
-        attempt-0 task and takes the standard retry/timeout machinery
-        from there; single tasks go straight to ``fail_attempt``.
-        """
-        if len(task.replications) > 1:
-            for replication in task.replications:
-                state.ready.append(
-                    dataclasses.replace(task, replications=(replication,))
-                )
-            return
-        self._fail(state, task, payload, kind)
-
-    def _fail(
-        self,
-        state: _PointState,
-        task: _Task,
-        payload: Dict[str, Any],
-        kind: Optional[str] = None,
-    ) -> None:
-        retry = state.run.fail_attempt(
-            task,
-            ReplicationFailure(
-                kind=kind or payload.get("kind", FailureKind.EXCEPTION),
-                message=payload["error"],
-                scheduler=getattr(state.run.spec, "scheduler", ""),
-            ),
-        )
-        if retry is not None:
-            state.ready.append(retry)
+            point.fail(task, payload)
+        point.refresh_done()
+        self._notify("resolved", point, task, ok=bool(payload["ok"]), done=point.done)
 
     def _expire_timeouts(self) -> None:
         now = time.monotonic()
         expired = [
-            (dispatch_id, entry)
-            for dispatch_id, entry in self.outstanding.items()
-            if entry[3] is not None and now >= entry[3]
+            (dispatch_id, worker)
+            for dispatch_id, (_point, _task, worker, deadline) in self.outstanding.items()
+            if deadline is not None and now >= deadline
         ]
-        for dispatch_id, (state, task, worker, _deadline) in expired:
-            del self.outstanding[dispatch_id]
-            self.pool.abandon(worker)
-            state.inflight -= 1
-            self._fail_dispatch(
-                state,
-                task,
+        for dispatch_id, worker in expired:
+            self.pool.replace(worker)
+            self._handle_result(
+                dispatch_id,
                 {
+                    "ok": False,
+                    "kind": FailureKind.TIMEOUT,
                     "error": (
                         f"replication attempt exceeded the "
                         f"{self.timeout:g}s wall-clock timeout"
-                    )
+                    ),
                 },
-                kind=FailureKind.TIMEOUT,
             )
-            state.refresh_done()
-            self._notify("resolved", state, task, ok=False, done=state.done)
-
-    def _reap_dead(self) -> None:
-        for worker in self.pool.dead_workers():
-            lost = [
-                (dispatch_id, entry)
-                for dispatch_id, entry in self.outstanding.items()
-                if entry[2] == worker
-            ]
-            self.pool.replace_dead(worker)
-            for dispatch_id, (state, task, _worker, _deadline) in lost:
-                del self.outstanding[dispatch_id]
-                state.inflight -= 1
-                self._fail_dispatch(
-                    state,
-                    task,
-                    {"error": "worker process died"},
-                    kind=FailureKind.WORKER_CRASH,
-                )
-                state.refresh_done()
-                self._notify("resolved", state, task, ok=False, done=state.done)
 
     # -- main loop ----------------------------------------------------------
 
     def drive(self) -> None:
-        for state in self.states:
-            state.refresh_done()  # a warm cache may finish points
-        while not all(state.done for state in self.states):
+        for point in self.points:
+            point.refresh_done()  # a warm cache may finish points
+        while not all(point.done for point in self.points):
             self._fill()
-            if not self.outstanding:
-                if self.pool.busy_count():
-                    # Every slot is held by an earlier run's abandoned
-                    # work (shared pool): wait for those late results to
-                    # surface and free workers, then try to fill again.
-                    stale = self.pool.poll(0.2)
-                    if stale is not None:
-                        self._handle_result(*stale)
-                    self._reap_dead()
-                    continue
+            if not self.outstanding and self.pool.idle():
                 # Nothing in flight and nothing dispatchable: every
                 # remaining point must be finishable right now (a point
                 # is only non-done while it has retries, fresh budget,
                 # or work in flight).
-                for state in self.states:
-                    state.refresh_done()
-                if not all(state.done for state in self.states):
+                for point in self.points:
+                    point.refresh_done()
+                if not all(point.done for point in self.points):
                     raise RuntimeError(
                         "sweep scheduler stalled with undispatchable points"
                     )
-                break
+                return
+            # With nothing of ours in flight, every slot is held by an
+            # earlier run's abandoned work (shared pool): polling frees
+            # them as their late results surface.
             deadlines = [
                 entry[3] for entry in self.outstanding.values() if entry[3] is not None
             ]
@@ -822,48 +888,11 @@ class _SweepScheduler:
             else:
                 budget = 0.2  # bounded, to notice dead workers promptly
             result = self.pool.poll(budget)
-            if result is not None:
+            while result is not None:
                 self._handle_result(*result)
                 # Drain whatever else is already buffered, without blocking.
-                while True:
-                    more = self.pool.poll(0)
-                    if more is None:
-                        break
-                    self._handle_result(*more)
+                result = self.pool.poll(0)
             self._expire_timeouts()
-            self._reap_dead()
-
-
-def drive_runs(
-    runs: Sequence[_Run],
-    jobs: int,
-    timeout: Optional[float],
-    pool: Optional[SweepPool] = None,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Dict[str, Any]]:
-    """Drive primed runs (one per point) to their stopping rule.
-
-    Runs in-process when ``jobs == 1`` and no timeout must be enforced,
-    otherwise on ``jobs`` worker processes; a borrowed ``pool`` is used
-    as it is and left open.  Returns the allocation log.
-    """
-    owned = pool is None
-    if owned:
-        pool = SweepPool(jobs, timeout)
-    else:
-        pool.drain_stale()
-    scheduler = _SweepScheduler(
-        [_PointState(index, run) for index, run in enumerate(runs)],
-        pool._impl,
-        timeout,
-        progress,
-    )
-    try:
-        scheduler.drive()
-    finally:
-        if owned:
-            pool.close()
-    return scheduler.allocation_log
 
 
 def run_interleaved_sweep(
@@ -878,7 +907,6 @@ def run_interleaved_sweep(
     extra_probes: bool = False,
     resilience: Optional[ResilienceConfig] = None,
     engine: Optional[str] = None,
-    sweep_jobs: Optional[int] = None,
     pool: Optional[SweepPool] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> SweepOutcome:
@@ -892,15 +920,15 @@ def run_interleaved_sweep(
     execution interleaved) plus the engine's accounting.
 
     An explicit ``engine`` replaces the ``resilience`` config's own
-    field, as ``sweep_jobs`` replaces its ``jobs``.  Every point's spec
-    is validated before anything runs, so a bad point leaves the result
-    cache untouched.
+    field.  Every point's spec is validated before anything runs, so a
+    bad point leaves the result cache untouched.
 
     ``pool`` borrows a long-lived :class:`SweepPool` instead of building
-    one per call (the pool is *not* closed afterwards, and ``sweep_jobs``
-    is ignored); ``progress`` receives one plain-dict event per dispatch
-    and per resolution — raising from it aborts the sweep, which is how
-    the service layer implements cooperative job cancellation.
+    one from the config's ``jobs`` and ``timeout`` per call (the pool is
+    *not* closed afterwards, and its own ``jobs`` apply); ``progress``
+    receives one plain-dict event per dispatch and per resolution —
+    raising from it aborts the sweep, which is how the service layer
+    implements cooperative job cancellation.
     """
     from .experiment import (  # local: experiment imports us lazily too
         DEFAULT_CONFIDENCE,
@@ -918,14 +946,10 @@ def run_interleaved_sweep(
     if watch_metrics is None:
         watch_metrics = list(DEFAULT_WATCH_METRICS)
     if resilience is None:
-        # In-process, one attempt, fail on the first error.
-        resilience = ResilienceConfig(jobs=1, timeout=None, retries=0)
+        resilience = ResilienceConfig()
     if engine is not None:
         resilience = dataclasses.replace(resilience, engine=engine)
     resilience.validate()
-    jobs = sweep_jobs if sweep_jobs is not None else resilience.jobs
-    if jobs < 1:
-        raise ConfigurationError(f"sweep_jobs must be >= 1, got {jobs}")
     if pool is not None:
         if pool.closed:
             raise ConfigurationError("the borrowed SweepPool is already closed")
@@ -936,43 +960,52 @@ def run_interleaved_sweep(
             )
 
     points = list(points)
-    for _point, spec in points:
+    for _params, spec in points:
         spec.validate()
-    runs: List[_Run] = []
-    for index, (_point, spec) in enumerate(points):
-        run = _Run(
-            spec=spec,
-            root_seed=root_seed,
-            extra_probes=extra_probes,
-            min_replications=min_replications,
-            max_replications=max_replications,
-            config=resilience,
-            scope=f"point{index}",
-            monitor=ConvergenceMonitor(
+    states = [
+        _Point(
+            index,
+            spec,
+            resilience,
+            ConvergenceMonitor(
                 watch_metrics,
                 confidence=confidence,
                 target_half_width=target_half_width,
                 min_replications=min_replications,
             ),
+            root_seed=root_seed,
+            extra_probes=extra_probes,
+            min_replications=min_replications,
+            max_replications=max_replications,
         )
-        run.prime()
-        runs.append(run)
-    allocation_log = drive_runs(
-        runs, jobs=jobs, timeout=resilience.timeout, pool=pool, progress=progress
-    )
+        for index, (_params, spec) in enumerate(points)
+    ]
+    for state in states:
+        state.prime()
+    owned = pool is None
+    if owned:
+        pool = SweepPool(resilience.jobs, resilience.timeout)
+    else:
+        pool.drain_stale()
+    scheduler = _SweepScheduler(states, pool._impl, resilience.timeout, progress)
+    try:
+        scheduler.drive()
+    finally:
+        if owned:
+            pool.close()
 
     results: List[ExperimentResult] = []
-    for (point, spec), run in zip(points, runs):
-        result = result_from_execution(spec, label, run.assemble(), confidence)
-        result.parameters.update(point)
+    for (params, spec), state in zip(points, states):
+        result = result_from_execution(spec, label, state.assemble(), confidence)
+        result.parameters.update(params)
         results.append(result)
-    executed_per_point = [run.executed for run in runs]
+    executed_per_point = [state.executed for state in states]
     stats = SweepStats(
-        points=len(runs),
+        points=len(states),
         executed=sum(executed_per_point),
-        cache_hits=sum(run.cache_hits for run in runs),
-        dispatches=len(allocation_log),
+        cache_hits=sum(state.cache_hits for state in states),
+        dispatches=len(scheduler.allocation_log),
         executed_per_point=executed_per_point,
-        allocation_log=allocation_log,
+        allocation_log=scheduler.allocation_log,
     )
     return SweepOutcome(results=results, stats=stats)

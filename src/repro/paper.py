@@ -85,14 +85,12 @@ def _sweep(
     replications: Tuple[int, int],
     root_seed: int,
     resilience: Optional[ResilienceConfig],
-    sweep_jobs: Optional[int],
 ) -> List[ExperimentResult]:
     min_reps, max_reps = replications
     return run_sweep(
         base_spec,
         points,
         mutate=mutate,
-        sweep_jobs=sweep_jobs,
         min_replications=min_reps,
         max_replications=max_reps,
         root_seed=root_seed,
@@ -179,7 +177,6 @@ def run_figure8(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 8: per-VCPU availability, VMs 2+1+1, sync 1:5.
 
@@ -188,9 +185,7 @@ def run_figure8(
     """
     labels = ["VCPU1.1", "VCPU1.2", "VCPU2.1", "VCPU3.1"]
     base, points = figure8_sweep(schedulers, pcpu_range, sim_time, warmup)
-    results = _sweep(
-        base, points, None, replications, root_seed, resilience, sweep_jobs
-    )
+    results = _sweep(base, points, None, replications, root_seed, resilience)
     rows = []
     for result in results:
         row = [result.parameters["pcpus"], result.parameters["scheduler"]]
@@ -222,7 +217,6 @@ def run_figure9(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 9: averaged PCPU utilization, 4 PCPUs, sync 1:5."""
     vm_sets = vm_sets if vm_sets is not None else dict(FIG9_VM_SETS)
@@ -242,9 +236,7 @@ def run_figure9(
             vms=[VMSpec(n, WorkloadSpec(sync_ratio=PAPER_SYNC_RATIO)) for n in topology]
         )
 
-    results = _sweep(
-        base, points, mutate, replications, root_seed, resilience, sweep_jobs
-    )
+    results = _sweep(base, points, mutate, replications, root_seed, resilience)
     series: Dict[str, List[Tuple[float, float]]] = {s: [] for s in schedulers}
     for result in results:
         series[result.parameters["scheduler"]].append(
@@ -273,7 +265,6 @@ def run_figure10(
     replications: Tuple[int, int] = (5, 30),
     root_seed: int = 0,
     resilience: Optional[ResilienceConfig] = None,
-    sweep_jobs: Optional[int] = None,
 ) -> FigureResult:
     """Reproduce Figure 10: averaged VCPU utilization, 4 PCPUs,
     sync ratio varied 1:5 -> 1:2."""
@@ -296,9 +287,7 @@ def run_figure10(
             vms=[VMSpec(n, WorkloadSpec(sync_ratio=ratio)) for n in topology]
         )
 
-    results = _sweep(
-        base, points, mutate, replications, root_seed, resilience, sweep_jobs
-    )
+    results = _sweep(base, points, mutate, replications, root_seed, resilience)
     rows = []
     cursor = iter(results)
     for ratio in sync_ratios:

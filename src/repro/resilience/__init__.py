@@ -5,9 +5,10 @@ assumed every replication finishes; a user-plugged scheduler that
 crashes, stalls, or emits corrupt decisions used to take the whole
 sweep down with it.  This package makes the runner survive all three:
 
-* :mod:`~repro.resilience.executor` — the per-experiment state the
-  sweep scheduler drives: per-attempt wall-clock timeouts,
-  deterministic retry/reseed, and the store rules of the result cache;
+* :mod:`~repro.resilience.executor` — the vocabulary the sweep
+  scheduler runs on: its config (per-attempt wall-clock timeouts,
+  retries), deterministic retry/reseed, worker tasks and resolved
+  outcomes, and the result cache's binding to one experiment;
 * :mod:`~repro.resilience.guard` — the policy and per-replication
   state of the scheduler decision guard, which the ``Scheduling_Func``
   gate enforces: fault records, optional quarantine, round-robin

@@ -18,10 +18,10 @@ replicated experiment is made of, and what survives faults:
   interrupted run with the same ``cache_dir`` resumes it, executing
   only what the store lacks.
 
-:class:`_Run` is one experiment's state; *which* replication runs next,
-on which worker, and when the experiment stops is decided by one
-driver only, the sweep scheduler in :mod:`repro.core.sweeps`, which
-runs a single experiment as a one-point sweep.
+*Which* replication runs next, on which worker, and when an experiment
+stops is decided by one driver only, the sweep scheduler in
+:mod:`repro.core.sweeps`, which runs a single experiment as a one-point
+sweep and keeps each point's resolved replications itself.
 
 Determinism contract: replication *r*, attempt 0 uses exactly the
 streams :func:`~repro.core.framework.simulate_once` uses for *r*, and
@@ -37,22 +37,14 @@ mixed in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..des.random_streams import derive_seed
-from ..errors import ConfigurationError, ReplicationError
-from ..metrics.stats import ConvergenceMonitor
-from ..observability import trace as _trace
+from ..errors import ConfigurationError
 from ..san.compiled import ENGINES, resolve_engine
 from .chaos import ChaosSpec
-from .failures import (
-    FailureKind,
-    ReplicationFailure,
-    _is_int,
-    _is_number,
-    failure_summary,
-)
+from .failures import ReplicationFailure, _is_int, _is_number
 from .guard import GuardPolicy
 from .result_cache import ResultCache, cacheable_spec_payload, shared_cache
 
@@ -72,8 +64,9 @@ class ResilienceConfig:
             disables; setting it forces process workers even at
             ``jobs=1`` so a stall can actually be abandoned).  A grouped
             floor task gets ``timeout`` per member.
-        retries: extra attempts per replication after the first; a
-            retry is dispatched at once under its :func:`retry_seed`.
+        retries: extra attempts per replication after the first
+            (default 0: the first failure is final); a retry is
+            dispatched at once under its :func:`retry_seed`.
         guard: decision-guard policy applied around the scheduler
             (``None`` = unguarded, exactly the legacy behavior).
         chaos: deterministic fault-injection plan (testing only).
@@ -99,7 +92,7 @@ class ResilienceConfig:
 
     jobs: int = 1
     timeout: Optional[float] = None
-    retries: int = 2
+    retries: int = 0
     guard: Optional[GuardPolicy] = None
     chaos: Optional[ChaosSpec] = None
     keep_partial: bool = False
@@ -355,192 +348,3 @@ def bind_cache(
         config.guard,
         config.chaos,
     )
-
-
-#: Failure kinds that depend on the wall clock and the host, not on the
-#: replication's identity: an outcome carrying one is never stored.
-_HOST_DEPENDENT = (FailureKind.TIMEOUT, FailureKind.WORKER_CRASH)
-
-
-class _Run:
-    """State of one replicated experiment (one sweep point)."""
-
-    def __init__(
-        self,
-        spec: Any,
-        root_seed: int,
-        extra_probes: bool,
-        min_replications: int,
-        max_replications: int,
-        config: ResilienceConfig,
-        scope: str,
-        monitor: ConvergenceMonitor,
-    ) -> None:
-        self.spec = spec
-        self.root_seed = root_seed
-        self.extra_probes = extra_probes
-        self.min_replications = min_replications
-        self.max_replications = max_replications
-        self.config = config
-        self.scope = scope  # this run's label in trace records
-        self.monitor = monitor
-        self.cache = bind_cache(spec, config, root_seed, extra_probes)
-        self.executed = 0
-        self.cache_hits = 0
-        self.resolved: Dict[int, ReplicationOutcome] = {}
-        self._attempt_failures: Dict[int, List[ReplicationFailure]] = {}
-
-    # -- shared bookkeeping -------------------------------------------------
-
-    def task(self, replications: Tuple[int, ...]) -> _Task:
-        return _Task(
-            spec=self.spec,
-            replications=replications,
-            attempt=0,
-            root_seed=self.root_seed,
-            extra_probes=self.extra_probes,
-            guard=self.config.guard,
-            chaos=self.config.chaos,
-            engine=self.config.engine,
-        )
-
-    def resolve_success(self, task: _Task, payload: Dict[str, Any]) -> None:
-        """Record each member's run, in the task's replication order."""
-        for replication, run in zip(task.replications, payload["runs"]):
-            self.executed += 1
-            tick_failures = [ReplicationFailure.from_dict(f) for f in run["failures"]]
-            self._stamp(tick_failures, replication, task.attempt)
-            earlier = self._attempt_failures.pop(replication, [])
-            outcome = ReplicationOutcome(
-                replication=replication,
-                metrics=dict(run["metrics"]),
-                attempt=task.attempt,
-                completions=run["completions"],
-                degraded=run["degraded"],
-                failures=earlier + tick_failures,
-            )
-            self.resolved[replication] = outcome
-            if self.cache is not None and not any(
-                f.kind in _HOST_DEPENDENT for f in outcome.failures
-            ):
-                self.cache.store(outcome)
-
-    @staticmethod
-    def _stamp(
-        failures: List[ReplicationFailure], replication: int, attempt: int
-    ) -> None:
-        for failure in failures:
-            if failure.replication < 0:
-                failure.replication = replication
-                failure.attempt = attempt
-
-    def fail_attempt(self, task: _Task, failure: ReplicationFailure) -> Optional[_Task]:
-        """Register a failed attempt; return the retry task, if any."""
-        self.executed += 1
-        self._stamp([failure], task.replication, task.attempt)
-        bucket = self._attempt_failures.setdefault(task.replication, [])
-        bucket.append(failure)
-        if task.attempt < self.config.retries:
-            retry = replace(task, attempt=task.attempt + 1)
-            tracer = _trace._ACTIVE
-            if tracer is not None:
-                tracer.emit(
-                    _trace.EXECUTOR_RETRY,
-                    replication=retry.replication,
-                    attempt=retry.attempt,
-                    seed=retry_seed(retry.root_seed, retry.replication, retry.attempt),
-                )
-            return retry
-        # Retries exhausted: the replication is permanently failed.
-        bucket.append(
-            ReplicationFailure(
-                kind=FailureKind.RETRIES_EXHAUSTED,
-                message=(
-                    f"replication {task.replication} failed "
-                    f"{task.attempt + 1} attempt(s): {failure_summary(bucket)}"
-                ),
-                replication=task.replication,
-                attempt=task.attempt,
-                scheduler=failure.scheduler,
-            )
-        )
-        if not self.config.keep_partial:
-            raise ReplicationError(
-                f"replication {task.replication} failed after "
-                f"{task.attempt + 1} attempt(s) "
-                f"({failure_summary(bucket[:-1])}); last error: {failure.message}. "
-                "Pass keep_partial=True to continue with surviving replications."
-            )
-        self.resolved[task.replication] = ReplicationOutcome(
-            replication=task.replication,
-            metrics=None,
-            attempt=task.attempt,
-            failures=self._attempt_failures.pop(task.replication),
-        )
-        return None
-
-    def prime(self) -> None:
-        """Preload every replication the result cache already holds."""
-        if self.cache is None:
-            return
-        for replication in range(self.max_replications):
-            outcome = self.cache.load(replication, self.config.retries)
-            if outcome is None:
-                continue
-            self.resolved[replication] = outcome
-            self.cache_hits += 1
-            tracer = _trace._ACTIVE
-            if tracer is not None:
-                tracer.emit(
-                    _trace.CACHE_HIT,
-                    scope=self.scope,
-                    replication=replication,
-                    key=self.cache.key(replication),
-                )
-
-    # -- convergence over the contiguous resolved prefix --------------------
-
-    def _contiguous_prefix(self) -> int:
-        prefix = 0
-        while prefix < self.max_replications and prefix in self.resolved:
-            prefix += 1
-        return prefix
-
-    def _surviving(self, prefix: int) -> List[ReplicationOutcome]:
-        return [self.resolved[i] for i in range(prefix) if self.resolved[i].ok]
-
-    def converged_cut(self) -> Optional[int]:
-        """Smallest sample count >= min that converges over the resolved
-        prefix in replication order; None if not converged yet.
-
-        Feeds the monitor only the samples it has not seen.  Each prefix
-        is judged exactly once, which is sound because a prefix's
-        samples never change after the fact.
-        """
-        surviving = self._surviving(self._contiguous_prefix())
-        for outcome in surviving[self.monitor.n :]:
-            self.monitor.push(outcome.metrics)
-        return self.monitor.cut
-
-    def assemble(self) -> ExecutionOutcome:
-        prefix = self._contiguous_prefix()
-        surviving = self._surviving(prefix)
-        cut = self.converged_cut()
-        included = surviving[: cut if cut is not None else len(surviving)]
-        if cut is not None and included:
-            boundary = included[-1].replication
-        else:
-            boundary = prefix - 1  # budget exhausted: report the whole prefix
-        failures: List[ReplicationFailure] = []
-        for index in range(boundary + 1):
-            outcome = self.resolved.get(index)
-            if outcome is not None:
-                failures.extend(outcome.failures)
-        failures.sort(key=lambda f: (f.replication, f.attempt, f.sim_time or 0.0))
-        return ExecutionOutcome(
-            samples=[o.metrics for o in included],
-            replications=len(included),
-            failures=failures,
-            degraded=any(o.degraded for o in included),
-        )
-

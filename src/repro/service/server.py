@@ -15,9 +15,9 @@ Endpoints (all JSON; errors are one-line structured objects
 * ``GET  /v1/stats`` — queue counts, cache traffic, quota balances,
   pool state.
 * ``POST /v1/jobs`` — submit a :class:`SimulationPayload`; 202 with the
-  job id, 400 on malformed payloads, 429 (+ ``Retry-After``) when the
-  tenant is over quota, 503 when the queue is full or the server is
-  draining.
+  job id, 400 on malformed payloads, 413 on a body over the size cap,
+  429 (+ ``Retry-After``) when the tenant is over quota, 503 when the
+  queue is full or the server is draining.
 * ``GET  /v1/jobs/{id}`` — the job's status / finished
   :class:`SimulationOutput`.
 * ``GET  /v1/jobs/{id}/events`` — NDJSON stream of the job's
@@ -72,7 +72,6 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -82,6 +81,10 @@ _REASONS = {
 
 class _JobCancelled(Exception):
     """Raised from the progress callback to abort a cancelled job."""
+
+
+class _PayloadTooLarge(Exception):
+    """Raised by request parsing for a body over ``_MAX_BODY_BYTES``."""
 
 
 @dataclass
@@ -231,6 +234,7 @@ class SimulationServer:
             resilience = ResilienceConfig(
                 jobs=self.config.jobs,
                 timeout=self.config.timeout,
+                retries=2,  # a job rides out transient replication faults
                 engine=payload.engine,
                 cache_dir=self.config.cache_dir,
             )
@@ -291,7 +295,11 @@ class SimulationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _PayloadTooLarge as exc:
+                await self._respond_error(writer, 413, str(exc))
+                return
             if request is None:
                 await self._respond_error(writer, 400, "malformed HTTP request")
                 return
@@ -327,8 +335,12 @@ class SimulationServer:
                     length = int(line.split(":", 1)[1].strip())
                 except ValueError:
                     return None
-        if length < 0 or length > _MAX_BODY_BYTES:
+        if length < 0:
             return None
+        if length > _MAX_BODY_BYTES:
+            raise _PayloadTooLarge(
+                f"body of {length} bytes exceeds the {_MAX_BODY_BYTES}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, target.split("?", 1)[0], body
 

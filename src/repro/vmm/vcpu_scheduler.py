@@ -605,66 +605,48 @@ def build_vcpu_scheduler(
         slot_value_places[g].value["remaining_load"] -= 1
         return True
 
-    if health is None and hv_debts is None:
+    # The fan-out.  A slot holding a PCPU only receives its tick when
+    # (a) no hypervisor world-switch debt is outstanding for it and (b)
+    # the host core's leaky bucket delivers: per tick the bucket gains
+    # ``capacity[h]`` and a whole tick flows to the guest each time it
+    # reaches 1.  Unassigned slots always get their tick (their consumer
+    # is Discard_tick).  Without health or overhead places every slot
+    # gets its tick.  Timeslice accounting in Scheduling_Func still runs
+    # on *wall-clock* ticks, so a degraded tenure does strictly less
+    # guest work.
 
-        def tick_fanout() -> None:
-            timestamp.add()
-            if fast.armed:
-                applied = 0
-                for g in range(total_vcpus):
-                    if consume_directly(g):
-                        applied += 1
-                    else:
-                        tick_places[g].add()
-                fast.consumers_applied += applied
+    def tick_fanout() -> None:
+        # Peek, and take ``.value`` (a write) only where a debt or a
+        # degraded core's bucket changes: a pristine tick must not
+        # re-stale the health and maintenance gates.  A withheld tick
+        # has no consumer; a delivered one may be consumed directly.
+        timestamp.add()
+        health_entries = health.peek() if health is not None else None
+        debts = hv_debts.peek() if hv_debts is not None else None
+        armed = fast.armed
+        applied = 0
+        for g in range(total_vcpus):
+            pcpu_index = pcpu_places[g].peek()
+            if pcpu_index is not None:
+                if debts is not None and debts[g] > 0:
+                    hv_debts.value[g] -= 1
+                    continue
+                if health_entries is not None:
+                    h = health_entries[pcpu_index]["health"]
+                    if h:
+                        entry = health.value[pcpu_index]
+                        acc = entry["acc"] + capacity[h]
+                        if acc < 1.0:
+                            entry["acc"] = acc
+                            continue
+                        entry["acc"] = acc - 1.0
+            if armed and consume_directly(g):
+                applied += 1
             else:
-                for g in range(total_vcpus):
-                    tick_places[g].add()
-            sched_tick.add()
-
-    else:
-        # Degradation/overhead-aware fan-out.  A slot holding a PCPU
-        # only receives its tick when (a) no hypervisor world-switch
-        # debt is outstanding for it and (b) the host core's leaky
-        # bucket delivers: per tick the bucket gains ``capacity[h]``
-        # and a whole tick flows to the guest each time it reaches 1.
-        # Unassigned slots always get their tick (their consumer is
-        # Discard_tick, exactly as in the plain fan-out).  Timeslice
-        # accounting in Scheduling_Func still runs on *wall-clock*
-        # ticks, so a degraded tenure does strictly less guest work.
-
-        def tick_fanout() -> None:
-            # Peek, and take ``.value`` (a write) only where a debt or a
-            # degraded core's bucket changes: a pristine tick must not
-            # re-stale the health and maintenance gates.  A withheld tick
-            # has no consumer; a delivered one may be consumed directly.
-            timestamp.add()
-            health_entries = health.peek() if health is not None else None
-            debts = hv_debts.peek() if hv_debts is not None else None
-            armed = fast.armed
-            applied = 0
-            for g in range(total_vcpus):
-                pcpu_index = pcpu_places[g].peek()
-                if pcpu_index is not None:
-                    if debts is not None and debts[g] > 0:
-                        hv_debts.value[g] -= 1
-                        continue
-                    if health_entries is not None:
-                        h = health_entries[pcpu_index]["health"]
-                        if h:
-                            entry = health.value[pcpu_index]
-                            acc = entry["acc"] + capacity[h]
-                            if acc < 1.0:
-                                entry["acc"] = acc
-                                continue
-                            entry["acc"] = acc - 1.0
-                if armed and consume_directly(g):
-                    applied += 1
-                else:
-                    tick_places[g].add()
-            if applied:
-                fast.consumers_applied += applied
-            sched_tick.add()
+                tick_places[g].add()
+        if applied:
+            fast.consumers_applied += applied
+        sched_tick.add()
 
     clock = model.add_activity(
         TimedActivity(

@@ -452,7 +452,7 @@ class TestFigures:
 
     def test_cache_dir_keeps_the_retry_budget(self, monkeypatch, tmp_path):
         # A cache must not change how failures are handled: both paths
-        # hand run_figure8 the retry budget of run_sweep's default.
+        # hand run_figure8 the default retry budget.
         seen = []
 
         class Figure:
@@ -467,7 +467,6 @@ class TestFigures:
         assert main(["figures", "--figure", "8"]) == 0
         assert main(["figures", "--figure", "8", "--cache-dir", cache]) == 0
         plain, cached = seen
-        assert "resilience" not in plain
-        resilience = cached.pop("resilience")
+        assert plain.pop("resilience") == ResilienceConfig()
+        assert cached.pop("resilience") == ResilienceConfig(cache_dir=cache)
         assert cached == plain
-        assert resilience == ResilienceConfig(retries=0, cache_dir=cache)

@@ -62,6 +62,26 @@ class TestCompareSchedulers:
         unpaired = a.half_width("vcpu_utilization") + b.half_width("vcpu_utilization")
         assert paired_half <= unpaired + 1e-9
 
+    def test_each_model_is_built_once(self, spec, monkeypatch):
+        # The pairs run on the replication driver, which reuses each
+        # scheduler's built model across its replications.
+        import repro.core.framework as framework
+
+        framework.clear_model_cache()
+        original = framework._build_model
+        builds = []
+
+        def counting(spec, *args, **kwargs):
+            builds.append(spec.scheduler)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(framework, "_build_model", counting)
+        comparison = compare_schedulers(
+            spec, baseline="rrs", challenger="scs", replications=4
+        )
+        assert len(comparison["vcpu_utilization"].differences) == 4
+        assert builds == ["rrs", "scs"]
+
     def test_summary_text(self, spec):
         comparison = compare_schedulers(
             spec, baseline="rrs", challenger="scs", replications=2

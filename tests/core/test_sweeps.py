@@ -29,17 +29,16 @@ from repro.core.sweeps import (
     REASON_RETRY,
     SweepPool,
     _AffinityPool,
-    _PointState,
+    _Point,
     run_interleaved_sweep,
 )
 from repro.des import UniformInt
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ReplicationError, SimulationError
 from repro.metrics.stats import ConvergenceMonitor
 from repro.observability import SimTracer, tracing
 from repro.observability import trace as trace_mod
 from repro.paper import figure8_sweep, run_figure8
 from repro.resilience import ChaosSpec, ResilienceConfig, retry_seed
-from repro.resilience.executor import _Run
 from repro.resilience.failures import FailureKind
 
 
@@ -153,7 +152,9 @@ class TestDifferential:
 
     @pytest.mark.slow
     def test_shared_pool_equals_serial(self, base, points):
-        pooled = run_sweep(base, points[:4], sweep_jobs=2, **ARGS)
+        pooled = run_sweep(
+            base, points[:4], resilience=ResilienceConfig(jobs=2), **ARGS
+        )
         assert extract(pooled) == oracle(base, points[:4], **ARGS)
 
 
@@ -169,8 +170,29 @@ class TestRunSweepPlumbing:
             run_sweep(base, [{"sync_ratio": 2}], **ARGS)
 
     def test_bad_jobs_rejected(self, base, points):
-        with pytest.raises(ConfigurationError, match="sweep_jobs"):
-            run_sweep(base, points, sweep_jobs=0, **ARGS)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_sweep(base, points, resilience=ResilienceConfig(jobs=0), **ARGS)
+
+    def test_no_config_and_default_config_share_the_retry_budget(
+        self, base, monkeypatch
+    ):
+        # A crash of replication 1's first attempt: resilience=None and
+        # ResilienceConfig() must handle it alike (no retry, so it is
+        # final).  Patched on the module, so the in-process run sees it.
+        original = framework.simulate_once
+
+        def crashing(spec, replication=0, root_seed=0, *args, **kwargs):
+            if replication == 1 and kwargs.get("attempt", 0) == 0:
+                raise SimulationError("injected crash")
+            return original(spec, replication, root_seed, *args, **kwargs)
+
+        monkeypatch.setattr(framework, "simulate_once", crashing)
+        resolved = resolve_sweep_points(base, [{"pcpus": 1}])
+        for resilience in (None, ResilienceConfig()):
+            with pytest.raises(
+                ReplicationError, match="replication 1 failed after 1 attempt"
+            ):
+                run_interleaved_sweep(resolved, resilience=resilience, **ARGS)
 
     def test_budget_validation_shared_with_runner(self, base, points):
         with pytest.raises(ConfigurationError, match="min_replications"):
@@ -475,7 +497,9 @@ class TestPoolLifecycle:
         resolved = resolve_sweep_points(base, points[:3])
         reference = None
         for _ in range(2):
-            outcome = run_interleaved_sweep(resolved, sweep_jobs=2, **ARGS)
+            outcome = run_interleaved_sweep(
+                resolved, resilience=ResilienceConfig(jobs=2), **ARGS
+            )
             assert multiprocessing.active_children() == []
             if reference is None:
                 reference = extract(outcome.results)
@@ -594,13 +618,12 @@ class TestAffinityKey:
 
     @staticmethod
     def _state(spec, engine):
-        run = _Run(
-            spec=spec, root_seed=0, extra_probes=False,
+        return _Point(
+            0, spec, ResilienceConfig(engine=engine),
+            ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
+            root_seed=0, extra_probes=False,
             min_replications=2, max_replications=2,
-            config=ResilienceConfig(engine=engine), scope="point0",
-            monitor=ConvergenceMonitor(DEFAULT_WATCH_METRICS, min_replications=2),
         )
-        return _PointState(0, run)
 
     def test_default_engine_routes_as_compiled(self, base):
         default = self._state(base, None).affinity_key
@@ -616,9 +639,10 @@ class TestAffinityKey:
         assert state.affinity_key is None
         pool = _AffinityPool(1)
         try:
-            worker = pool.submit(pool.next_dispatch_id(), state.take(), None)
-            _dispatch_id, payload = pool.poll(30.0)
-            assert payload["ok"]
+            dispatch_id, worker = pool.submit(state.take(), None)
+            polled, payload = pool.poll(30.0)
+            assert (polled, payload["ok"]) == (dispatch_id, True)
+            assert pool.idle()  # the poll freed the slot
             assert not pool._slots[worker].warm
         finally:
             pool.close()

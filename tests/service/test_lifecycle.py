@@ -15,7 +15,7 @@ import threading
 
 from repro.service import ServiceConfig, SimulationServer
 
-from .conftest import run, running_server, small_payload
+from .conftest import SLOW_SPEC, run, running_server, small_payload
 
 
 def _service_threads() -> list:
@@ -130,3 +130,44 @@ class TestGracefulShutdown:
         assert _new_children(before) == []
         assert _service_threads() == []
         assert len(threading.enumerate()) <= baseline + 1
+
+
+class TestClientDisconnect:
+    def test_client_disconnect_mid_ndjson_stream(self):
+        # The stream's reader vanishes after the first record: the job
+        # still runs to done, the server keeps serving, and shutdown
+        # leaves no pool child behind.
+        async def scenario():
+            async with running_server(jobs=2) as (server, client):
+                status, body = await client.submit(
+                    small_payload(
+                        spec=dict(SLOW_SPEC),
+                        min_replications=6,
+                        max_replications=6,
+                    )
+                )
+                assert status == 202
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    f"GET /v1/jobs/{body['job']}/events HTTP/1.1\r\n\r\n".encode()
+                )
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                assert b" 200 " in head.split(b"\r\n", 1)[0]
+                assert await reader.readline()  # the first NDJSON record
+                writer.transport.abort()
+                final = await client.wait(body["job"])
+                assert final["status"] == "done"
+                assert final["replications"] == 6
+                assert await client.health()
+                return server
+
+        before = _child_pids()
+        server = run(scenario())
+        for child in _new_children(before):
+            child.join(timeout=2.0)
+        assert _new_children(before) == []
+        assert server.pool.live_children() == []
+        assert _service_threads() == []

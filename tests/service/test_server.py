@@ -14,6 +14,7 @@ from repro.observability.trace import (
     JOB_PROGRESS,
     JOB_START,
 )
+from repro.service.server import _MAX_BODY_BYTES
 
 from .conftest import SLOW_SPEC, SMALL_SPEC, run, running_server, small_payload
 
@@ -108,6 +109,28 @@ class TestValidationErrors:
                 body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
                 assert body["error"] == "ServiceError"
                 assert "not JSON" in body["message"]
+
+        run(scenario())
+
+    def test_oversized_request_is_413(self):
+        # Refused from its Content-Length alone: the body is never read.
+        async def scenario():
+            async with running_server() as (server, client):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"POST /v1/jobs HTTP/1.1\r\n"
+                    b"Content-Length: %d\r\n\r\n" % (_MAX_BODY_BYTES + 1)
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                assert b" 413 Payload Too Large" in raw.split(b"\r\n", 1)[0]
+                body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+                assert body["error"] == "ServiceError"
+                assert str(_MAX_BODY_BYTES) in body["message"]
+                assert await client.health()
 
         run(scenario())
 

@@ -33,7 +33,7 @@ for jobs in (1, 2):
     assert result.failures == [], result.failures
 figure = repro.paper.run_figure8(
     schedulers=("rrs",), pcpu_range=(1, 2), sim_time=100, warmup=20,
-    replications=(2, 3), sweep_jobs=2,
+    replications=(2, 3), resilience=ResilienceConfig(jobs=2),
 )
 assert len(figure.results) == 2, figure.results
 assert all(r.failures == [] for r in figure.results)
